@@ -163,10 +163,6 @@ pub(crate) enum ExecPhase {
 pub(crate) struct ExecTask {
     pub op: OpId,
     pub spec: proto::ExecSpec,
-    /// Interned id of `spec.object`, computed once at start.
-    pub object_id: Option<NameId>,
-    /// Interned id of `spec.class`, computed once at start.
-    pub class_id: NameId,
     pub phase: ExecPhase,
     pub cloc: Option<NodeId>,
     /// Incarnation believed to live at `cloc` (updated by every find,
@@ -175,7 +171,8 @@ pub(crate) struct ExecTask {
     pub locked_at: Option<NodeId>,
     pub lock_kind: Option<LockKind>,
     pub invoke_at: Option<NodeId>,
-    pub result: Option<Vec<u8>>,
+    /// The invocation's marshalled result, a view into the reply frame.
+    pub result: Option<Bytes>,
     pub retries: u8,
     pub failure: Option<MageError>,
     /// Whether the once-only backup consultation has been spent (the
@@ -183,7 +180,8 @@ pub(crate) struct ExecTask {
     pub restore_tried: bool,
 }
 
-fn rmi_error_to_mage(err: &RmiError) -> MageError {
+/// Maps a failed RMI call into the [`MageError`] a driver op reports.
+pub(crate) fn rmi_error_to_mage(err: &RmiError) -> MageError {
     match err {
         RmiError::Fault(fault) => proto::fault_to_error(fault),
         RmiError::PeerUnreachable { peer, .. } => MageError::Unreachable {
@@ -212,7 +210,8 @@ fn error_to_fault(err: &MageError) -> Fault {
     }
 }
 
-fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
+/// Decodes an RMI reply payload.
+pub(crate) fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
     mage_codec::from_bytes(bytes).map_err(MageError::from)
 }
 
@@ -240,13 +239,7 @@ impl MageNode {
             home,
             retried: true,
         };
-        env.call(
-            h,
-            self.ids.service,
-            self.ids.find,
-            mage_codec::to_bytes(&args).expect("find args encode"),
-            token,
-        );
+        self.call_service(env, h, self.ids.find, &args, token);
         true
     }
 
@@ -399,13 +392,7 @@ impl MageNode {
                         code: vec![0u8; def.code_size() as usize],
                         has_static_fields: def.has_static_fields(),
                     };
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive_class,
-                        mage_codec::to_bytes(&class_args).expect("class args encode"),
-                        token,
-                    );
+                    self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);
                     task.phase = CkptPhase::SentClass;
                     self.tasks.insert(token, Task::Checkpoint(task));
                 }
@@ -421,13 +408,7 @@ impl MageNode {
             },
             CkptPhase::SentClass => match result {
                 Ok(_) => {
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.checkpoint,
-                        mage_codec::to_bytes(&task.args).expect("checkpoint args encode"),
-                        token,
-                    );
+                    self.call_service(env, task.dest, self.ids.checkpoint, &task.args, token);
                     task.phase = CkptPhase::SentCheckpoint {
                         retried_class: true,
                     };
@@ -483,13 +464,7 @@ impl MageNode {
                     home: home_hint.map(|h| h.as_raw()),
                     retried: false,
                 };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    token,
-                );
+                self.call_service(env, start, self.ids.find, &args, token);
                 Ok(None)
             }
             None => Err(MageError::NotFound(key.display(&self.syms))),
@@ -553,13 +528,7 @@ impl MageNode {
                     home: home_hint,
                     retried: false,
                 };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    token,
-                );
+                self.call_service(env, start, self.ids.find, &args, token);
                 self.tasks.insert(
                     token,
                     Task::ClientFind {
@@ -646,13 +615,7 @@ impl MageNode {
             target: target.as_raw(),
             expected,
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.lock,
-            mage_codec::to_bytes(&args).expect("lock args encode"),
-            token,
-        );
+        self.call_service(env, at, self.ids.lock, &args, token);
     }
 
     fn step_client_lock(
@@ -778,13 +741,7 @@ impl MageNode {
             name,
             client: env.node().as_raw(),
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.unlock,
-            mage_codec::to_bytes(&args).expect("unlock args encode"),
-            token,
-        );
+        self.call_service(env, at, self.ids.unlock, &args, token);
     }
 
     fn step_client_unlock(
@@ -879,13 +836,7 @@ impl MageNode {
         };
         let token = self.next_task;
         self.next_task += 1;
-        env.call(
-            dest,
-            self.ids.service,
-            self.ids.receive,
-            mage_codec::to_bytes(&receive_args).expect("receive args encode"),
-            token,
-        );
+        self.call_service(env, dest, self.ids.receive, &receive_args, token);
         self.tasks.insert(
             token,
             Task::MoveOut(MoveOutTask {
@@ -936,13 +887,7 @@ impl MageNode {
                         code: vec![0u8; def.code_size() as usize],
                         has_static_fields: def.has_static_fields(),
                     };
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive_class,
-                        mage_codec::to_bytes(&class_args).expect("class args encode"),
-                        token,
-                    );
+                    self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);
                     task.phase = MovePhase::SentClass;
                     self.tasks.insert(token, Task::MoveOut(task));
                 }
@@ -953,13 +898,7 @@ impl MageNode {
             },
             MovePhase::SentClass => match result {
                 Ok(_) => {
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive,
-                        mage_codec::to_bytes(&task.receive_args).expect("receive args encode"),
-                        token,
-                    );
+                    self.call_service(env, task.dest, self.ids.receive, &task.receive_args, token);
                     task.phase = MovePhase::SentReceive {
                         retried_class: true,
                     };

@@ -11,22 +11,14 @@ use bytes::Bytes;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
-use crate::engine::{is_unreachable, ExecPhase, ExecTask, MoveOrigin, Resume, Task};
+use crate::engine::{
+    decode, is_unreachable, rmi_error_to_mage, ExecPhase, ExecTask, MoveOrigin, Resume, Task,
+};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::MageNode;
 use crate::proto::{self, ActionSpec, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
-
-fn rmi_error_to_mage(err: &RmiError) -> MageError {
-    match err {
-        RmiError::Fault(fault) => proto::fault_to_error(fault),
-        RmiError::PeerUnreachable { peer, .. } => MageError::Unreachable {
-            peer: peer.as_raw(),
-        },
-        other => MageError::Rmi(other.to_string()),
-    }
-}
 
 /// Whether a failed step is worth re-finding the object over: either the
 /// object moved out from under us (`NotBound` race) or the host we spoke
@@ -41,10 +33,6 @@ fn stale_location(err: &RmiError) -> bool {
 /// retry re-resolves identity). Pinned stub invocations surface it.
 fn rebindable_identity(spec: &proto::ExecSpec, err: &RmiError) -> bool {
     !spec.identity_pinned && matches!(err, RmiError::Fault(Fault::StaleIdentity { .. }))
-}
-
-fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
-    mage_codec::from_bytes(bytes).map_err(MageError::from)
 }
 
 impl ExecTask {
@@ -65,15 +53,10 @@ impl MageNode {
     pub(crate) fn exec_start(&mut self, env: &mut Env<'_, '_>, op: OpId, spec: proto::ExecSpec) {
         let id = self.next_task;
         self.next_task += 1;
-        // Intern the plan's names once; every later step moves 4-byte ids.
-        let object_id = spec.object.as_deref().map(|n| self.syms.intern(n));
-        let class_id = self.syms.intern(&spec.class);
         let cinc = spec.expected_incarnation;
         let task = ExecTask {
             op,
             spec,
-            object_id,
-            class_id,
             phase: ExecPhase::AwaitFind {
                 resume: Resume::Guard,
             },
@@ -94,7 +77,7 @@ impl MageNode {
 
     fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let needs_guard = task.spec.guard
-            && task.object_id.is_some()
+            && task.spec.object.is_some()
             && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
         if !needs_guard {
             self.exec_begin_action(env, id, task);
@@ -118,7 +101,7 @@ impl MageNode {
     fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
         let me = env.node();
         let target = task.lock_target(me);
-        let name = task.object_id.expect("guard requires an object");
+        let name = task.spec.object.expect("guard requires an object");
         let args = proto::LockArgs {
             name,
             client: me.as_raw(),
@@ -128,13 +111,7 @@ impl MageNode {
             // silently locked.
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.lock,
-            mage_codec::to_bytes(&args).expect("lock args encode"),
-            id,
-        );
+        self.call_service(env, at, self.ids.lock, &args, id);
         task.phase = ExecPhase::AwaitLock { at };
         self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
@@ -143,7 +120,7 @@ impl MageNode {
         let me = env.node();
         match task.spec.action.clone() {
             ActionSpec::Local => {
-                let Some(name) = task.object_id else {
+                let Some(name) = task.spec.object else {
                     self.exec_fail(
                         env,
                         id,
@@ -153,7 +130,7 @@ impl MageNode {
                     return;
                 };
                 task.invoke_at = Some(me);
-                if let Some(invoke) = task.spec.invoke.clone() {
+                if let Some(invoke) = &task.spec.invoke {
                     // A bind (advisory identity) re-resolves against the
                     // object actually hosted here; only pinned stubs keep
                     // their expectation.
@@ -169,9 +146,10 @@ impl MageNode {
                         self.exec_fail(env, id, task, err);
                         return;
                     }
-                    match self.invoke_local(env, name, &invoke.method, &invoke.args) {
+                    let method = self.syms.resolve_lossy(invoke.method);
+                    match self.invoke_local(env, name, &method, &invoke.args) {
                         Ok(bytes) => {
-                            task.result = Some(bytes);
+                            task.result = Some(Bytes::from(bytes));
                             self.exec_begin_unlock(env, id, task);
                         }
                         Err(fault) => {
@@ -239,25 +217,19 @@ impl MageNode {
                 } else if cloc == me {
                     // We host the object: run the transfer ourselves
                     // (Figure 7 without the moveTo hop).
-                    let name = task.object_id.expect("move requires an object");
+                    let name = task.spec.object.expect("move requires an object");
                     task.phase = ExecPhase::AwaitMove;
                     self.tasks.insert(id, Task::Exec(Box::new(task)));
                     self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
                 } else {
                     // Ask the hosting namespace to transfer the object
                     // (Figure 7, message 3).
-                    let name = task.object_id.expect("move requires an object");
+                    let name = task.spec.object.expect("move requires an object");
                     let args = proto::MoveToArgs {
                         name,
                         dest: dest.as_raw(),
                     };
-                    env.call(
-                        cloc,
-                        self.ids.service,
-                        self.ids.move_to,
-                        mage_codec::to_bytes(&args).expect("move args encode"),
-                        id,
-                    );
+                    self.call_service(env, cloc, self.ids.move_to, &args, id);
                     task.phase = ExecPhase::AwaitMove;
                     self.tasks.insert(id, Task::Exec(Box::new(task)));
                 }
@@ -271,7 +243,7 @@ impl MageNode {
                 replace,
             } => {
                 let dest = NodeId::from_raw(node);
-                let Some(object_id) = task.object_id else {
+                let Some(object_id) = task.spec.object else {
                     self.exec_fail(
                         env,
                         id,
@@ -281,9 +253,7 @@ impl MageNode {
                     return;
                 };
                 if dest == me {
-                    if self.classes.contains(&task.class_id) {
-                        let (class_name, object_name) =
-                            (task.spec.class.clone(), self.name_str(object_id));
+                    if self.classes.contains(&task.spec.class) {
                         let policy = crate::node::HostPolicy {
                             visibility,
                             durability,
@@ -291,8 +261,8 @@ impl MageNode {
                         };
                         let created = self.create_local_object(
                             env,
-                            &class_name,
-                            &object_name,
+                            task.spec.class,
+                            object_id,
                             &state,
                             policy,
                             replace,
@@ -311,7 +281,7 @@ impl MageNode {
                     }
                 } else {
                     let args = proto::InstantiateArgs {
-                        class: task.class_id,
+                        class: task.spec.class,
                         name: object_id,
                         state,
                         visibility,
@@ -319,13 +289,7 @@ impl MageNode {
                         backup,
                         replace,
                     };
-                    env.call(
-                        dest,
-                        self.ids.service,
-                        self.ids.instantiate,
-                        mage_codec::to_bytes(&args).expect("instantiate args encode"),
-                        id,
-                    );
+                    self.call_service(env, dest, self.ids.instantiate, &args, id);
                     task.phase = ExecPhase::AwaitInstantiate {
                         dest,
                         retried_class: false,
@@ -346,7 +310,7 @@ impl MageNode {
         dest: NodeId,
     ) {
         let me = env.node();
-        let key = CompKey::class(task.class_id);
+        let key = CompKey::class(task.spec.class);
         let source = self
             .registry
             .lookup(key)
@@ -361,32 +325,26 @@ impl MageNode {
         match source {
             Some(src) => {
                 let args = proto::FetchClassArgs {
-                    class: task.class_id,
+                    class: task.spec.class,
                 };
-                env.call(
-                    src,
-                    self.ids.service,
-                    self.ids.fetch_class,
-                    mage_codec::to_bytes(&args).expect("fetch args encode"),
-                    id,
-                );
+                self.call_service(env, src, self.ids.fetch_class, &args, id);
                 task.phase = ExecPhase::AwaitFetchClass { dest };
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
             None => {
-                let class = task.spec.class.clone();
+                let class = self.name_str(task.spec.class);
                 self.exec_fail(env, id, task, MageError::ClassUnavailable(class));
             }
         }
     }
 
     fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
-        let Some(invoke) = task.spec.invoke.clone() else {
+        let Some(invoke) = &task.spec.invoke else {
             self.exec_begin_unlock(env, id, task);
             return;
         };
         let at = task.invoke_at.expect("invoke target resolved");
-        let Some(name) = task.object_id else {
+        let Some(name) = task.spec.object else {
             self.exec_fail(
                 env,
                 id,
@@ -395,22 +353,21 @@ impl MageNode {
             );
             return;
         };
-        let args = proto::InvokeArgs {
+        let args = proto::InvokeArgsRef {
             name,
-            method: self.syms.intern(&invoke.method),
-            args: invoke.args.clone(),
+            method: invoke.method,
+            args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
-        let payload = mage_codec::to_bytes(&args).expect("invoke args encode");
         if invoke.one_way {
             // Fire and forget: route the eventual reply to a token nobody
             // owns. The result "stays at the remote host" (§5).
             let noop = self.next_task;
             self.next_task += 1;
-            env.call(at, self.ids.service, self.ids.invoke, payload, noop);
+            self.call_service(env, at, self.ids.invoke, &args, noop);
             self.exec_begin_unlock(env, id, task);
         } else {
-            env.call(at, self.ids.service, self.ids.invoke, payload, id);
+            self.call_service(env, at, self.ids.invoke, &args, id);
             task.phase = ExecPhase::AwaitInvoke;
             self.tasks.insert(id, Task::Exec(Box::new(task)));
         }
@@ -428,18 +385,12 @@ impl MageNode {
             .or(task.cloc)
             .or(task.locked_at)
             .expect("somewhere");
-        let name = task.object_id.expect("guarded ops have objects");
+        let name = task.spec.object.expect("guarded ops have objects");
         let args = proto::UnlockArgs {
             name,
             client: env.node().as_raw(),
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.unlock,
-            mage_codec::to_bytes(&args).expect("unlock args encode"),
-            id,
-        );
+        self.call_service(env, at, self.ids.unlock, &args, id);
         task.phase = ExecPhase::AwaitUnlock;
         self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
@@ -499,7 +450,7 @@ impl MageNode {
         {
             return Some(task);
         }
-        let (Some(name), Some(backup)) = (task.object_id, task.spec.backup_hint) else {
+        let (Some(name), Some(backup)) = (task.spec.object, task.spec.backup_hint) else {
             return Some(task);
         };
         task.restore_tried = true;
@@ -515,13 +466,7 @@ impl MageNode {
             };
         }
         let args = proto::RestoreArgs { name };
-        env.call(
-            backup,
-            self.ids.service,
-            self.ids.restore,
-            mage_codec::to_bytes(&args).expect("restore args encode"),
-            id,
-        );
+        self.call_service(env, backup, self.ids.restore, &args, id);
         task.phase = ExecPhase::AwaitRestore {
             original: err.clone(),
         };
@@ -542,7 +487,7 @@ impl MageNode {
         found: FindReply,
     ) {
         let loc = NodeId::from_raw(found.location);
-        if let Some(name) = task.object_id {
+        if let Some(name) = task.spec.object {
             self.registry
                 .update(CompKey::object(name), Located::new(loc, found.incarnation));
         }
@@ -575,7 +520,7 @@ impl MageNode {
         task: &mut ExecTask,
     ) -> Result<Option<NodeId>, MageError> {
         let me = env.node();
-        let Some(name) = task.object_id else {
+        let Some(name) = task.spec.object else {
             return Err(MageError::BadPlan("action requires an object".into()));
         };
         let key = CompKey::object(name);
@@ -614,13 +559,7 @@ impl MageNode {
                     home: task.spec.home_hint,
                     retried: false,
                 };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    id,
-                );
+                self.call_service(env, start, self.ids.find, &args, id);
                 Ok(None)
             }
             None => Err(MageError::NotFound(self.name_str(name))),
@@ -641,7 +580,7 @@ impl MageNode {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
                         let loc = NodeId::from_raw(found.location);
-                        if let Some(name) = task.object_id {
+                        if let Some(name) = task.spec.object {
                             self.registry.update(
                                 CompKey::object(name),
                                 Located::new(loc, found.incarnation),
@@ -673,7 +612,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     match resume {
@@ -725,7 +664,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     self.exec_begin_guard(env, id, task);
@@ -739,7 +678,7 @@ impl MageNode {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
                         let dest = NodeId::from_raw(found.location);
-                        if let Some(name) = task.object_id {
+                        if let Some(name) = task.spec.object {
                             self.registry.update(
                                 CompKey::object(name),
                                 Located::new(dest, found.incarnation),
@@ -762,7 +701,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     self.exec_begin_action(env, id, task);
@@ -785,13 +724,7 @@ impl MageNode {
                         if dest == me {
                             self.exec_begin_action(env, id, task);
                         } else {
-                            env.call(
-                                dest,
-                                self.ids.service,
-                                self.ids.receive_class,
-                                mage_codec::to_bytes(&class_args).expect("class args encode"),
-                                id,
-                            );
+                            self.call_service(env, dest, self.ids.receive_class, &class_args, id);
                             task.phase = ExecPhase::AwaitPushClass { dest };
                             self.tasks.insert(id, Task::Exec(Box::new(task)));
                         }
@@ -824,21 +757,15 @@ impl MageNode {
                         ),
                     };
                     let args = proto::InstantiateArgs {
-                        class: task.class_id,
-                        name: task.object_id.expect("instantiate has an object name"),
+                        class: task.spec.class,
+                        name: task.spec.object.expect("instantiate has an object name"),
                         state,
                         visibility,
                         durability,
                         backup,
                         replace,
                     };
-                    env.call(
-                        dest,
-                        self.ids.service,
-                        self.ids.instantiate,
-                        mage_codec::to_bytes(&args).expect("instantiate args encode"),
-                        id,
-                    );
+                    self.call_service(env, dest, self.ids.instantiate, &args, id);
                     task.phase = ExecPhase::AwaitInstantiate {
                         dest,
                         retried_class: true,
@@ -865,7 +792,7 @@ impl MageNode {
                             return;
                         }
                     };
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry
                             .update(CompKey::object(name), Located::new(dest, incarnation));
                     }
@@ -875,25 +802,19 @@ impl MageNode {
                     self.exec_begin_invoke(env, id, task);
                 }
                 Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if self.classes.contains(&task.class_id) {
+                    if self.classes.contains(&task.spec.class) {
                         // We have the class: push it to the target
                         // (traditional REV ships local code to the server).
                         let def = self
                             .lib
-                            .get(&task.spec.class)
+                            .get(&self.syms.resolve_lossy(task.spec.class))
                             .expect("cached class defined");
                         let class_args = proto::ReceiveClassArgs {
-                            class: task.class_id,
+                            class: task.spec.class,
                             code: vec![0u8; def.code_size() as usize],
                             has_static_fields: def.has_static_fields(),
                         };
-                        env.call(
-                            dest,
-                            self.ids.service,
-                            self.ids.receive_class,
-                            mage_codec::to_bytes(&class_args).expect("class args encode"),
-                            id,
-                        );
+                        self.call_service(env, dest, self.ids.receive_class, &class_args, id);
                         task.phase = ExecPhase::AwaitPushClass { dest };
                         self.tasks.insert(id, Task::Exec(Box::new(task)));
                     } else {
@@ -909,7 +830,7 @@ impl MageNode {
             },
             ExecPhase::AwaitInvoke => match result {
                 Ok(bytes) => {
-                    task.result = Some(bytes.to_vec());
+                    task.result = Some(bytes);
                     self.exec_begin_unlock(env, id, task);
                 }
                 Err(ref e)
@@ -930,7 +851,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     match self.exec_resolve_location(env, id, &mut task) {

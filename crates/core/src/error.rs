@@ -5,16 +5,15 @@ use std::fmt;
 
 use mage_rmi::RmiError;
 use mage_sim::SimError;
-use serde::{Deserialize, Serialize};
 
 use crate::coercion::Situation;
 use crate::component::ModelKind;
 
 /// A failure surfaced to MAGE application code.
 ///
-/// Serializable so that failures inside the simulated runtime cross the
-/// driver boundary intact (the runtime facade decodes them back).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Failures inside the simulated runtime reach the driver as typed values
+/// (a node completes its op with `Result<Outcome, MageError>`).
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MageError {
     /// A component could not be located anywhere in the system.

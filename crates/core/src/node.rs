@@ -13,6 +13,7 @@
 //! every internal table (hosted objects, registry, locks, parked finds) is
 //! keyed by ids rather than strings.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ use crate::component::{Durability, Visibility};
 use crate::engine::{MoveOrigin, Task};
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
-use crate::proto::{self, methods, Outcome};
+use crate::proto::{self, methods, Command, Outcome};
 use crate::registry::{CompKey, Incarnation, IncarnationMinter, Kind, Located, Registry};
 use crate::security::TrustPolicy;
 
@@ -265,6 +266,20 @@ impl MageNode {
         }
     }
 
+    /// Calls system-service `method` on `to` with encoded `args`; the
+    /// reply reaches [`MageNode::step_task`] under `token`.
+    pub(crate) fn call_service<T: serde::Serialize + ?Sized>(
+        &self,
+        env: &mut Env<'_, '_>,
+        to: NodeId,
+        method: NameId,
+        args: &T,
+        token: u64,
+    ) {
+        let args = mage_codec::to_bytes(args).expect("service args encode");
+        env.call(to, self.ids.service, method, args, token);
+    }
+
     pub(crate) fn spawn_task(&mut self, task: Task) -> u64 {
         let id = self.next_task;
         self.next_task += 1;
@@ -278,7 +293,7 @@ impl MageNode {
         op: OpId,
         result: Result<Outcome, crate::error::MageError>,
     ) {
-        env.complete_op(op, Bytes::from(proto::encode_completion(&result)));
+        env.complete_op(op, Box::new(result));
     }
 
     // ---- server-side handlers (MageServer / MageExternalServer) ----
@@ -328,17 +343,16 @@ impl MageNode {
             home: args.home,
             retried: args.retried,
         });
-        env.call(
+        self.call_service(
+            env,
             next,
-            self.ids.service,
             self.ids.find,
-            mage_codec::to_bytes(&proto::FindArgs {
+            &proto::FindArgs {
                 key: args.key,
                 visited,
                 home: args.home,
                 retried: args.retried,
-            })
-            .expect("find args encode"),
+            },
             token,
         );
         CallOutcome::Deferred
@@ -490,9 +504,8 @@ impl MageNode {
             return Err(Fault::NotBound(self.name_str(name)));
         }
         let mut hosted = self.objects.remove(&name).expect("checked above");
-        let node_name = self.name.clone();
         let (result, consumed, hop) = {
-            let mut menv = MobileEnv::new(env.node(), &node_name, env.now(), env.rng());
+            let mut menv = MobileEnv::new(env.node(), &self.name, env.now(), env.rng());
             let result = hosted.object.invoke(method, args, &mut menv);
             let consumed = menv.consumed();
             let hop = menv.take_hop_request();
@@ -754,10 +767,9 @@ impl MageNode {
 
     // ---- driver commands ----
 
-    fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: proto::Command) {
+    fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: Command) {
         match cmd {
-            proto::Command::DeployClass { op, class } => {
-                let op = OpId::from_raw(op);
+            Command::DeployClass { op, class } => {
                 if !self.lib.contains(&class) {
                     let err = crate::error::MageError::ClassUnavailable(class);
                     self.complete(env, op, Err(err));
@@ -777,7 +789,7 @@ impl MageNode {
                     }),
                 );
             }
-            proto::Command::CreateObject {
+            Command::CreateObject {
                 op,
                 class,
                 name,
@@ -786,45 +798,37 @@ impl MageNode {
                 durability,
                 backup,
             } => {
-                let op = OpId::from_raw(op);
                 let policy = HostPolicy {
                     visibility,
                     durability,
                     backup: backup.map(NodeId::from_raw),
                 };
-                let result = self.create_local_object(env, &class, &name, &state, policy, false);
+                let result = self.create_local_object(env, class, name, &state, policy, false);
                 self.complete(env, op, result);
             }
-            proto::Command::Find {
-                op,
-                name,
-                home_hint,
-            } => {
-                let key = CompKey::parse(&self.syms, &name);
-                self.start_client_find(env, OpId::from_raw(op), key, home_hint);
+            Command::Find { op, key, home_hint } => {
+                self.start_client_find(env, op, key, home_hint);
             }
-            proto::Command::Lock {
+            Command::Lock {
                 op,
                 name,
                 target,
                 home_hint,
             } => {
-                let name = self.syms.intern(&name);
-                self.start_client_lock(env, OpId::from_raw(op), name, target, home_hint);
+                self.start_client_lock(env, op, name, target, home_hint);
             }
-            proto::Command::Unlock {
+            Command::Unlock {
                 op,
                 name,
                 home_hint,
             } => {
-                let name = self.syms.intern(&name);
-                self.start_client_unlock(env, OpId::from_raw(op), name, home_hint);
+                self.start_client_unlock(env, op, name, home_hint);
             }
-            proto::Command::Execute { op, spec } => {
+            Command::Execute { op, spec } => {
                 env.charge(self.config.bind_overhead);
-                self.start_exec(env, OpId::from_raw(op), spec);
+                self.exec_start(env, op, spec);
             }
-            proto::Command::SetTrust { op, allow } => {
+            Command::SetTrust { op, allow } => {
                 self.trust = match allow {
                     None => TrustPolicy::TrustAll,
                     Some(ids) => TrustPolicy::allow_raw(ids),
@@ -832,14 +836,14 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
                     }),
                 );
             }
-            proto::Command::SetQuota {
+            Command::SetQuota {
                 op,
                 max_objects,
                 max_classes,
@@ -851,27 +855,26 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
                     }),
                 );
             }
-            proto::Command::AllowStaticClasses { op, allow } => {
+            Command::AllowStaticClasses { op, allow } => {
                 self.config.allow_static_classes = allow;
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
                     }),
                 );
             }
-            proto::Command::SeedRegistry { op, name, loc } => {
-                let key = CompKey::parse(&self.syms, &name);
+            Command::SeedRegistry { op, key, loc } => {
                 // Admin seeds construct pathological chains on purpose;
                 // they carry no identity knowledge.
                 self.registry
@@ -879,7 +882,7 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
@@ -892,22 +895,22 @@ impl MageNode {
     pub(crate) fn create_local_object(
         &mut self,
         env: &mut Env<'_, '_>,
-        class: &str,
-        name: &str,
+        class_id: NameId,
+        name_id: NameId,
         state: &[u8],
         policy: HostPolicy,
         replace: bool,
     ) -> Result<Outcome, crate::error::MageError> {
-        let class_id = self.syms.intern(class);
+        let class = self.syms.resolve_lossy(class_id);
         if !self.classes.contains(&class_id) {
-            return Err(crate::error::MageError::ClassUnavailable(class.to_owned()));
+            return Err(crate::error::MageError::ClassUnavailable(class.to_string()));
         }
         let def = self
             .lib
-            .get(class)
-            .ok_or_else(|| crate::error::MageError::ClassUnavailable(class.to_owned()))?;
-        let name_id = self.syms.intern(name);
+            .get(&class)
+            .ok_or_else(|| crate::error::MageError::ClassUnavailable(class.to_string()))?;
         if let Some(existing) = self.objects.get(&name_id) {
+            let name = self.name_str(name_id);
             if !replace {
                 return Err(crate::error::MageError::BadPlan(format!(
                     "object {name} already exists here"
@@ -1003,13 +1006,7 @@ impl MageNode {
                 retried_class: false,
             },
         }));
-        env.call(
-            backup,
-            self.ids.service,
-            self.ids.checkpoint,
-            mage_codec::to_bytes(&args).expect("checkpoint args encode"),
-            token,
-        );
+        self.call_service(env, backup, self.ids.checkpoint, &args, token);
     }
 
     /// Accepts (or refuses as stale) a durability snapshot. Returns
@@ -1183,11 +1180,11 @@ pub(crate) fn reply_ok<T: serde::Serialize>(value: &T) -> CallOutcome {
 }
 
 impl App for MageNode {
-    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Bytes) {
-        match mage_codec::from_bytes::<proto::Command>(&payload) {
-            Ok(cmd) => self.handle_command(env, cmd),
-            Err(e) => env.note(format!("bad driver command: {e}")),
-        }
+    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Box<dyn Any>) {
+        let cmd = payload
+            .downcast::<Command>()
+            .expect("MageNode is driven by proto::Command");
+        self.handle_command(env, *cmd);
     }
 
     fn on_call(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> CallOutcome {
@@ -1292,9 +1289,5 @@ impl MageNode {
         origin: MoveOrigin,
     ) {
         self.begin_move_out(env, name, dest, origin);
-    }
-
-    fn start_exec(&mut self, env: &mut Env<'_, '_>, op: OpId, spec: proto::ExecSpec) {
-        self.exec_start(env, op, spec);
     }
 }

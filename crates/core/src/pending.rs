@@ -2,8 +2,8 @@
 //!
 //! Every [`Session`](crate::Session) operation has an `_async` form that
 //! injects its command into the simulated world and immediately returns a
-//! [`Pending<T>`] — a typed handle to the eventual result. Decoding is
-//! deferred to [`Pending::wait`], so a driver can issue a whole batch of
+//! [`Pending<T>`] — a typed handle to the eventual result. Collecting it
+//! is deferred to [`Pending::wait`], so a driver can issue a whole batch of
 //! operations (across several sessions), pump the world with
 //! [`Runtime::step`](crate::Runtime::step) or
 //! [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and only
@@ -17,7 +17,7 @@ use std::rc::Rc;
 use mage_sim::OpId;
 
 use crate::error::MageError;
-use crate::proto::{self, Outcome};
+use crate::proto::Outcome;
 use crate::runtime::{Directory, Inner};
 use crate::session::SessionState;
 
@@ -68,7 +68,7 @@ impl<T> Pending<T> {
     /// `is_done` and [`wait`](Pending::wait) agree: once `is_done` returns
     /// `true`, `wait` returns without advancing virtual time.
     pub fn is_done(&self) -> bool {
-        self.inner.borrow().world.op_result(self.op).is_some()
+        self.inner.borrow().world.op_done(self.op)
     }
 
     /// Runs the world until the operation completes, then decodes its
@@ -76,13 +76,12 @@ impl<T> Pending<T> {
     ///
     /// # Errors
     ///
-    /// Propagates the operation's failure, a simulation stall, or a decode
-    /// failure.
+    /// Propagates the operation's failure, a simulation stall, or a
+    /// failure to unmarshal an invocation result.
     pub fn wait(mut self) -> Result<T, MageError> {
         let decode = self.decode.take().expect("wait consumes the handle once");
-        let bytes = self.inner.borrow_mut().world.block_on(self.op)?;
-        let outcome = proto::decode_completion(&bytes)??;
         let mut inner = self.inner.borrow_mut();
+        let outcome = inner.wait(self.op)?;
         let mut state = self.state.borrow_mut();
         decode(outcome, &mut inner.dir, &mut state)
     }

@@ -4,8 +4,17 @@
 //! are RMI remote objects; here they are methods of one well-known service
 //! object, [`SERVICE`], reachable on every node. Mobility attributes
 //! "boil down to RMI calls" (§4.2) against these methods.
+//!
+//! The argument structs below travel between nodes and are encoded with
+//! `mage_codec`. The driver types at the end ([`Command`], [`ExecSpec`],
+//! [`Outcome`]) never cross a wire: a session hands its node a typed
+//! command through [`World::inject`](mage_sim::World::inject) and takes the
+//! typed completion back, so they carry interned ids and shared buffers
+//! instead of being serializable.
 
+use bytes::Bytes;
 use mage_rmi::NameId;
+use mage_sim::OpId;
 use serde::{Deserialize, Serialize};
 
 use crate::component::{Durability, Visibility};
@@ -97,6 +106,7 @@ pub struct UnlockArgs {
 }
 
 /// Arguments of [`methods::INVOKE`]. Reply: `Vec<u8>` (marshalled result).
+/// Callers encode the borrowed twin [`InvokeArgsRef`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InvokeArgs {
     /// Interned name of the target object.
@@ -110,6 +120,35 @@ pub struct InvokeArgs {
     /// typed `StaleIdentity` fault carrying the fresh incarnation instead
     /// of silently executing against the impostor.
     pub expected: Option<Incarnation>,
+}
+
+/// The encoding side of [`InvokeArgs`]: the same fields and the same
+/// bytes on the wire, with the arguments borrowed from the caller's plan
+/// instead of copied into the struct.
+#[derive(Debug, Clone, Copy)]
+pub struct InvokeArgsRef<'a> {
+    /// Interned name of the target object.
+    pub name: NameId,
+    /// Interned method name.
+    pub method: NameId,
+    /// Marshalled arguments.
+    pub args: &'a [u8],
+    /// Incarnation the caller believes it is invoking.
+    pub expected: Option<Incarnation>,
+}
+
+// Written out by hand because the derive does not take lifetimes; the
+// field order is `InvokeArgs`'s.
+impl Serialize for InvokeArgsRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut out = serializer.serialize_struct("InvokeArgs", 4)?;
+        out.serialize_field("name", &self.name)?;
+        out.serialize_field("method", &self.method)?;
+        out.serialize_field("args", self.args)?;
+        out.serialize_field("expected", &self.expected)?;
+        out.end()
+    }
 }
 
 /// Arguments of [`methods::MOVE_TO`]. Reply: [`FindReply`] (destination
@@ -230,7 +269,7 @@ pub struct RestoreArgs {
 }
 
 /// How an `Execute` command acts on the component before any invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActionSpec {
     /// Invoke at a known namespace without moving anything (RPC; also the
     /// coerced forms of REV/MA when the object is already at the target).
@@ -268,24 +307,24 @@ pub enum ActionSpec {
 }
 
 /// What to invoke once the action has placed the component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvokeSpec {
-    /// Method name.
-    pub method: String,
+    /// Interned method name.
+    pub method: NameId,
     /// Marshalled arguments.
-    pub args: Vec<u8>,
+    pub args: Bytes,
     /// Fire-and-forget (mobile agents: "the result stays at the remote
     /// host", §5).
     pub one_way: bool,
 }
 
 /// A fully resolved bind/invoke plan executed by the client node's engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecSpec {
-    /// Component class name.
-    pub class: String,
-    /// Object name (`None` only for pure factory instantiation).
-    pub object: Option<String>,
+    /// Interned component class name.
+    pub class: NameId,
+    /// Interned object name (`None` only for pure factory instantiation).
+    pub object: Option<NameId>,
     /// Where the runtime believes the object currently is (from the find
     /// step); lets the engine skip a second lookup.
     pub location_hint: Option<u32>,
@@ -315,24 +354,25 @@ pub struct ExecSpec {
     pub guard: bool,
 }
 
-/// Commands injected by the experiment driver into a MAGE node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Commands injected by the experiment driver into a MAGE node. Each
+/// completes its op with a `Result<Outcome, MageError>`.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Make a class available in this namespace (out-of-band deployment).
     DeployClass {
-        /// Raw op id to complete.
-        op: u64,
+        /// Operation to complete.
+        op: OpId,
         /// Class name (must exist in the world's class library).
         class: String,
     },
     /// Create and host an object in this namespace.
     CreateObject {
-        /// Raw op id to complete.
-        op: u64,
-        /// Class name.
-        class: String,
-        /// Object name to register.
-        name: String,
+        /// Operation to complete.
+        op: OpId,
+        /// Interned class name.
+        class: NameId,
+        /// Interned object name to register.
+        name: NameId,
         /// Constructor state.
         state: Vec<u8>,
         /// Object visibility.
@@ -344,19 +384,19 @@ pub enum Command {
     },
     /// Locate a component.
     Find {
-        /// Raw op id to complete.
-        op: u64,
-        /// Component name.
-        name: String,
+        /// Operation to complete.
+        op: OpId,
+        /// Component key.
+        key: CompKey,
         /// Origin-server hint.
         home_hint: Option<u32>,
     },
     /// Acquire a lock on an object (finding it first if necessary).
     Lock {
-        /// Raw op id to complete.
-        op: u64,
-        /// Object name.
-        name: String,
+        /// Operation to complete.
+        op: OpId,
+        /// Interned object name.
+        name: NameId,
         /// Raw id of the computation target.
         target: u32,
         /// Origin-server hint.
@@ -364,17 +404,17 @@ pub enum Command {
     },
     /// Release a lock.
     Unlock {
-        /// Raw op id to complete.
-        op: u64,
-        /// Object name.
-        name: String,
+        /// Operation to complete.
+        op: OpId,
+        /// Interned object name.
+        name: NameId,
         /// Origin-server hint.
         home_hint: Option<u32>,
     },
     /// Run a bind/invoke plan.
     Execute {
-        /// Raw op id to complete.
-        op: u64,
+        /// Operation to complete.
+        op: OpId,
         /// The plan.
         spec: ExecSpec,
     },
@@ -382,15 +422,15 @@ pub enum Command {
     /// (`None` = trust all, the paper's default: "MAGE trusts its
     /// constituent servers", §7).
     SetTrust {
-        /// Raw op id to complete.
-        op: u64,
+        /// Operation to complete.
+        op: OpId,
         /// Allowed peer raw ids, or `None` to trust everyone.
         allow: Option<Vec<u32>>,
     },
     /// Set admission quotas for this namespace.
     SetQuota {
-        /// Raw op id to complete.
-        op: u64,
+        /// Operation to complete.
+        op: OpId,
         /// Maximum hosted objects (`None` = unlimited).
         max_objects: Option<u64>,
         /// Maximum cached classes (`None` = unlimited).
@@ -398,8 +438,8 @@ pub enum Command {
     },
     /// Permit or refuse replication of classes with static fields (§4.2).
     AllowStaticClasses {
-        /// Raw op id to complete.
-        op: u64,
+        /// Operation to complete.
+        op: OpId,
         /// Whether to allow them.
         allow: bool,
     },
@@ -407,17 +447,17 @@ pub enum Command {
     /// for a component, so tests can construct pathological forwarding
     /// chains (stale self-pointers, cycles) deliberately.
     SeedRegistry {
-        /// Raw op id to complete.
-        op: u64,
-        /// Component name (`"class:"` prefix for classes).
-        name: String,
+        /// Operation to complete.
+        op: OpId,
+        /// Component key.
+        key: CompKey,
         /// Raw node id the entry should point at.
         loc: u32,
     },
 }
 
-/// Successful completion payload for driver operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+/// Successful completion of a driver operation.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Outcome {
     /// Raw id of the namespace where the component ended up (or was
     /// invoked).
@@ -425,24 +465,11 @@ pub struct Outcome {
     /// Incarnation of the object acted upon ([`Incarnation::NONE`] when
     /// the operation tracked no object identity).
     pub incarnation: Incarnation,
-    /// Invocation result, if the operation invoked something and waited.
-    pub result: Option<Vec<u8>>,
+    /// Invocation result, if the operation invoked something and waited
+    /// (a view into the reply frame, not a copy).
+    pub result: Option<Bytes>,
     /// Lock kind, for lock operations.
     pub lock_kind: Option<LockKind>,
-}
-
-/// Encodes a driver completion payload.
-pub fn encode_completion(result: &Result<Outcome, MageError>) -> Vec<u8> {
-    mage_codec::to_bytes(result).expect("completion payload encodes")
-}
-
-/// Decodes a driver completion payload.
-///
-/// # Errors
-///
-/// Returns a [`MageError::Codec`] if the payload is malformed.
-pub fn decode_completion(bytes: &[u8]) -> Result<Result<Outcome, MageError>, MageError> {
-    mage_codec::from_bytes(bytes).map_err(MageError::from)
 }
 
 /// Maps a server-side fault into the corresponding [`MageError`].
@@ -470,39 +497,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exec_spec_roundtrips() {
-        let spec = ExecSpec {
-            class: "GeoDataFilterImpl".into(),
-            object: Some("geoData".into()),
-            location_hint: Some(1),
-            expected_incarnation: Some(Incarnation::from_raw(6)),
-            identity_pinned: true,
-            home_hint: Some(0),
-            backup_hint: Some(3),
-            action: ActionSpec::MoveTo { node: 2 },
-            invoke: Some(InvokeSpec {
-                method: "filterData".into(),
-                args: vec![1, 2],
-                one_way: false,
-            }),
-            guard: true,
+    fn borrowed_invoke_args_encode_like_owned_ones() {
+        let owned = InvokeArgs {
+            name: NameId::from_raw(4),
+            method: NameId::from_raw(9),
+            args: vec![1, 200, 3],
+            expected: Some(Incarnation::from_raw(6)),
         };
-        let cmd = Command::Execute { op: 7, spec };
-        let bytes = mage_codec::to_bytes(&cmd).unwrap();
-        assert_eq!(mage_codec::from_bytes::<Command>(&bytes).unwrap(), cmd);
-    }
-
-    #[test]
-    fn completion_roundtrips_both_arms() {
-        let ok: Result<Outcome, MageError> = Ok(Outcome {
-            location: 3,
-            incarnation: Incarnation::from_raw(4),
-            result: Some(vec![9]),
-            lock_kind: Some(LockKind::Stay),
-        });
-        assert_eq!(decode_completion(&encode_completion(&ok)).unwrap(), ok);
-        let err: Result<Outcome, MageError> = Err(MageError::NotFound("x".into()));
-        assert_eq!(decode_completion(&encode_completion(&err)).unwrap(), err);
+        let borrowed = InvokeArgsRef {
+            name: owned.name,
+            method: owned.method,
+            args: &owned.args,
+            expected: owned.expected,
+        };
+        let bytes = mage_codec::to_bytes(&borrowed).unwrap();
+        assert_eq!(bytes, mage_codec::to_bytes(&owned).unwrap());
+        assert_eq!(mage_codec::from_bytes::<InvokeArgs>(&bytes).unwrap(), owned);
     }
 
     #[test]

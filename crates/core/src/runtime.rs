@@ -41,13 +41,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mage_rmi::{Config as RmiConfig, Endpoint, NameId, SymbolTable};
-use mage_sim::{LinkSpec, Network, NodeId, SimDuration, SimTime, World};
+use mage_sim::{LinkSpec, Network, NodeId, OpId, SimDuration, SimTime, World};
+use serde::Serialize;
 
 use crate::class::{ClassDef, ClassLibrary};
 use crate::component::Visibility;
 use crate::error::MageError;
 use crate::node::{MageNode, NodeConfig};
-use crate::proto::{self, Command, Outcome};
+use crate::proto::{Command, Outcome};
 use crate::registry::{CompKey, IncarnationMinter};
 use crate::session::Session;
 
@@ -78,6 +79,8 @@ pub(crate) struct Inner {
     pub dir: Directory,
     /// The world-wide symbol table shared with every node and endpoint.
     pub syms: Arc<SymbolTable>,
+    /// Encoding buffer for call arguments (see [`Inner::marshal`]).
+    scratch: Vec<u8>,
 }
 
 impl Inner {
@@ -88,22 +91,39 @@ impl Inner {
             .ok_or_else(|| MageError::BadPlan(format!("unknown namespace {name:?}")))
     }
 
-    pub fn inject(&mut self, node: NodeId, cmd: Command) {
-        let payload = Bytes::from(mage_codec::to_bytes(&cmd).expect("commands encode"));
-        self.world.inject(node, "mage-cmd", payload);
+    /// Marshals call arguments into the shared buffer an invocation plan
+    /// carries to its node: one allocation for the buffer, none for an
+    /// empty argument list.
+    pub fn marshal<A: Serialize + ?Sized>(&mut self, args: &A) -> Result<Bytes, MageError> {
+        self.scratch.clear();
+        mage_codec::to_bytes_in(args, &mut self.scratch)?;
+        Ok(if self.scratch.is_empty() {
+            Bytes::new()
+        } else {
+            Bytes::copy_from_slice(&self.scratch)
+        })
     }
 
-    /// Injects a command and blocks until its completion decodes.
+    /// Hands `node` a typed command (no encoding: the driver shares the
+    /// node's process).
+    pub fn inject(&mut self, node: NodeId, cmd: Command) {
+        self.world.inject(node, "mage-cmd", Box::new(cmd));
+    }
+
+    /// Runs the world until `op` completes and takes its outcome.
+    pub fn wait(&mut self, op: OpId) -> Result<Outcome, MageError> {
+        self.world.block_on::<Result<Outcome, MageError>>(op)?
+    }
+
+    /// Injects a command and blocks until it completes.
     pub fn command_sync(
         &mut self,
         node: NodeId,
-        build: impl FnOnce(u64) -> Command,
+        build: impl FnOnce(OpId) -> Command,
     ) -> Result<Outcome, MageError> {
         let op = self.world.begin_op();
-        let cmd = build(op.as_raw());
-        self.inject(node, cmd);
-        let bytes = self.world.block_on(op)?;
-        proto::decode_completion(&bytes)?
+        self.inject(node, build(op));
+        self.wait(op)
     }
 }
 
@@ -257,6 +277,7 @@ impl RuntimeBuilder {
                 ids: Arc::clone(&ids),
                 dir: Directory::default(),
                 syms,
+                scratch: Vec::new(),
             })),
             ids,
             names,
@@ -502,14 +523,9 @@ impl Runtime {
     ) -> Result<(), MageError> {
         let id = self.node_id(node)?;
         let loc = self.node_id(at)?.as_raw();
-        let component = component.to_owned();
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::SeedRegistry {
-                op,
-                name: component,
-                loc,
-            })?;
+        let mut inner = self.inner.borrow_mut();
+        let key = CompKey::parse(&inner.syms, component);
+        inner.command_sync(id, move |op| Command::SeedRegistry { op, key, loc })?;
         Ok(())
     }
 
@@ -523,8 +539,8 @@ impl Runtime {
     /// Processes a single simulation event, if any is due.
     ///
     /// Returns `false` when the world is idle. This is the finest-grained
-    /// way to drive a batch of in-flight [`Pending`] operations and
-    /// observe their interleaving.
+    /// way to drive a batch of in-flight [`Pending`](crate::Pending)
+    /// operations and observe their interleaving.
     pub fn step(&mut self) -> bool {
         self.inner.borrow_mut().world.step()
     }

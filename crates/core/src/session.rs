@@ -39,8 +39,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use mage_rmi::{NameId, SymbolTable};
-use mage_sim::NodeId;
+use mage_sim::{NodeId, OpId};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -65,6 +66,7 @@ pub struct Stub {
     pub(crate) object: String,
     pub(crate) object_id: NameId,
     pub(crate) class: String,
+    pub(crate) class_id: NameId,
     pub(crate) home: Option<NodeId>,
     /// Incarnation of the object this stub was bound against. Invocations
     /// carry it; if the name has since been re-bound to a different
@@ -131,16 +133,19 @@ struct BindContext {
     object: String,
     object_id: NameId,
     class: String,
+    class_id: NameId,
     coerced: Coerced,
     is_factory: bool,
 }
 
-fn receipt_from(
+/// Builds a bind's stub from its outcome and refreshes the caches; the
+/// invocation result stays in `outcome` for the caller to decode.
+fn stub_from(
     ctx: BindContext,
     outcome: &Outcome,
     dir: &mut Directory,
     state: &mut SessionState,
-) -> BindReceipt {
+) -> Stub {
     let at = NodeId::from_raw(outcome.location);
     let key = CompKey::object(ctx.object_id);
     state
@@ -149,20 +154,26 @@ fn receipt_from(
     if ctx.is_factory {
         dir.homes.insert(key, at);
     }
-    BindReceipt {
-        stub: Stub {
-            client: ctx.client,
-            at,
-            object: ctx.object.clone(),
-            object_id: ctx.object_id,
-            class: ctx.class,
-            home: dir.homes.get(&key).copied(),
-            incarnation: outcome.incarnation,
-        },
-        coerced: ctx.coerced,
-        lock_kind: outcome.lock_kind,
-        result: outcome.result.clone(),
+    Stub {
+        client: ctx.client,
+        at,
+        object: ctx.object,
+        object_id: ctx.object_id,
+        class: ctx.class,
+        class_id: ctx.class_id,
+        home: dir.homes.get(&key).copied(),
+        incarnation: outcome.incarnation,
     }
+}
+
+/// The marshalled result an awaited invocation must carry.
+fn expect_result(result: Option<Bytes>) -> Result<Bytes, MageError> {
+    result.ok_or_else(|| MageError::Rmi("invocation returned no result".into()))
+}
+
+/// Unmarshals an invocation result straight out of the reply frame.
+fn decode_result<R: DeserializeOwned>(result: Option<Bytes>) -> Result<R, MageError> {
+    mage_codec::from_bytes(&expect_result(result)?).map_err(MageError::from)
 }
 
 /// A client handle bound to one namespace of a running deployment.
@@ -221,18 +232,22 @@ impl Session {
         self.inner.borrow().node_id(name)
     }
 
+    /// Marshals call arguments (see [`Inner::marshal`]).
+    fn marshal<A: Serialize + ?Sized>(&self, args: &A) -> Result<Bytes, MageError> {
+        self.inner.borrow_mut().marshal(args)
+    }
+
     /// Injects a command and blocks until its outcome arrives.
-    fn command(&self, build: impl FnOnce(u64) -> Command) -> Result<Outcome, MageError> {
+    fn command(&self, build: impl FnOnce(OpId) -> Command) -> Result<Outcome, MageError> {
         self.inner.borrow_mut().command_sync(self.client, build)
     }
 
     /// Injects a command and returns a typed handle to its outcome.
-    fn issue<T>(&self, build: impl FnOnce(u64) -> Command, decode: DecodeFn<T>) -> Pending<T> {
+    fn issue<T>(&self, build: impl FnOnce(OpId) -> Command, decode: DecodeFn<T>) -> Pending<T> {
         let op = {
             let mut inner = self.inner.borrow_mut();
             let op = inner.world.begin_op();
-            let cmd = build(op.as_raw());
-            inner.inject(self.client, cmd);
+            inner.inject(self.client, build(op));
             op
         };
         Pending::new(op, Rc::clone(&self.inner), Rc::clone(&self.state), decode)
@@ -297,14 +312,14 @@ impl Session {
             }),
         };
 
-        let (class_owned, name_owned, state_owned) = (class.clone(), name.clone(), state);
+        let (class_id, object_id) = (self.syms.intern(&class), self.syms.intern(&name));
         let backup_raw = backup_node.map(|n| n.as_raw());
         let outcome = if target == self.client {
             self.command(move |op| Command::CreateObject {
                 op,
-                class: class_owned,
-                name: name_owned,
-                state: state_owned,
+                class: class_id,
+                name: object_id,
+                state,
                 visibility,
                 durability,
                 backup: backup_raw,
@@ -312,17 +327,16 @@ impl Session {
         } else {
             // Remote birth: the ordinary instantiate ladder (with class
             // logistics) places the object at the attribute's target.
-            let class_key = CompKey::class(self.syms.intern(&class));
             let home_hint = self
                 .inner
                 .borrow()
                 .dir
                 .homes
-                .get(&class_key)
+                .get(&CompKey::class(class_id))
                 .map(|n| n.as_raw());
             let exec = ExecSpec {
-                class: class_owned,
-                object: Some(name_owned),
+                class: class_id,
+                object: Some(object_id),
                 location_hint: None,
                 expected_incarnation: None,
                 identity_pinned: false,
@@ -330,7 +344,7 @@ impl Session {
                 backup_hint: backup_raw,
                 action: ActionSpec::Instantiate {
                     node: target.as_raw(),
-                    state: state_owned,
+                    state,
                     visibility,
                     durability,
                     backup: backup_raw,
@@ -344,7 +358,6 @@ impl Session {
         };
 
         let at = NodeId::from_raw(outcome.location);
-        let object_id = self.syms.intern(&name);
         let key = CompKey::object(object_id);
         let mut inner = self.inner.borrow_mut();
         inner.dir.homes.insert(key, at);
@@ -371,37 +384,13 @@ impl Session {
                 object: name,
                 object_id,
                 class,
+                class_id,
                 home: Some(at),
                 incarnation: outcome.incarnation,
             },
             durability,
             pinned,
         })
-    }
-
-    /// Creates an object of `class` named `name` in this namespace.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the class is not deployed here or the name is taken.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `session.create(ObjectSpec::new(name).class(class).state(state).visibility(v))`"
-    )]
-    pub fn create_object<T: Serialize>(
-        &self,
-        class: &str,
-        name: &str,
-        state: &T,
-        visibility: Visibility,
-    ) -> Result<Stub, MageError> {
-        self.create(
-            ObjectSpec::new(name)
-                .class(class)
-                .state(state)
-                .visibility(visibility),
-        )
-        .map(ObjectHandle::into_stub)
     }
 
     // ---- find ----
@@ -424,13 +413,8 @@ impl Session {
     pub fn find_async(&self, name: &str) -> Result<Pending<NodeId>, MageError> {
         let key = CompKey::parse(&self.syms, name);
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
         Ok(self.issue(
-            move |op| Command::Find {
-                op,
-                name: name_owned,
-                home_hint,
-            },
+            move |op| Command::Find { op, key, home_hint },
             Box::new(move |outcome, _dir, state| {
                 let loc = NodeId::from_raw(outcome.location);
                 state
@@ -470,6 +454,7 @@ impl Session {
             object: stub.object.clone(),
             object_id: stub.object_id,
             class: stub.class.clone(),
+            class_id: stub.class_id,
             home: stub.home,
             incarnation: entry.incarnation,
         })
@@ -514,7 +499,7 @@ impl Session {
         let (spec, ctx) = self.plan_exec(attr, None)?;
         Ok(self.issue(
             move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state).stub)),
+            Box::new(move |outcome, dir, state| Ok(stub_from(ctx, &outcome, dir, state))),
         ))
     }
 
@@ -530,7 +515,15 @@ impl Session {
         let (spec, ctx) = self.plan_exec(attr, None)?;
         Ok(self.issue(
             move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state))),
+            Box::new(move |outcome, dir, state| {
+                let coerced = ctx.coerced;
+                Ok(BindReceipt {
+                    stub: stub_from(ctx, &outcome, dir, state),
+                    coerced,
+                    lock_kind: outcome.lock_kind,
+                    result: outcome.result.map(|bytes| bytes.to_vec()),
+                })
+            }),
         ))
     }
 
@@ -572,20 +565,20 @@ impl Session {
         R: DeserializeOwned,
     {
         let invoke = InvokeSpec {
-            method: method.name().to_owned(),
-            args: mage_codec::to_bytes(args)?,
+            method: self.syms.intern(method.name()),
+            args: self.marshal(args)?,
             one_way: attr.one_way(),
         };
         let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
         Ok(self.issue(
             move |op| Command::Execute { op, spec },
             Box::new(move |outcome, dir, state| {
-                let receipt = receipt_from(ctx, &outcome, dir, state);
-                let result = match receipt.result {
+                let stub = stub_from(ctx, &outcome, dir, state);
+                let result = match outcome.result {
                     Some(bytes) => Some(mage_codec::from_bytes(&bytes)?),
                     None => None,
                 };
-                Ok((receipt.stub, result))
+                Ok((stub, result))
             }),
         ))
     }
@@ -604,16 +597,16 @@ impl Session {
         args: Vec<u8>,
     ) -> Result<(Stub, Option<Vec<u8>>), MageError> {
         let invoke = InvokeSpec {
-            method: method.to_owned(),
-            args,
+            method: self.syms.intern(method),
+            args: Bytes::from(args),
             one_way: attr.one_way(),
         };
         let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
         let outcome = self.command(move |op| Command::Execute { op, spec })?;
         let mut inner = self.inner.borrow_mut();
         let mut state = self.state.borrow_mut();
-        let receipt = receipt_from(ctx, &outcome, &mut inner.dir, &mut state);
-        Ok((receipt.stub, receipt.result))
+        let stub = stub_from(ctx, &outcome, &mut inner.dir, &mut state);
+        Ok((stub, outcome.result.map(|bytes| bytes.to_vec())))
     }
 
     /// Consults the attribute's plan against a view of the system with the
@@ -815,8 +808,8 @@ impl Session {
         });
         let inner = self.inner.borrow();
         let spec = ExecSpec {
-            class: class.clone(),
-            object: Some(object_name.clone()),
+            class: class_id,
+            object: Some(base_id),
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation,
             identity_pinned: false,
@@ -838,6 +831,7 @@ impl Session {
                 object: object_name,
                 object_id: base_id,
                 class,
+                class_id,
                 coerced,
                 is_factory,
             },
@@ -855,7 +849,7 @@ impl Session {
     /// `StaleIdentity`, even when the session already knows about a
     /// replacement. Rebinding to the replacement is an explicit act
     /// ([`Session::rebind`]), never a side effect of a cache refresh.
-    fn invoke_spec(&self, stub: &Stub, method: &str, args: Vec<u8>, one_way: bool) -> ExecSpec {
+    fn invoke_spec(&self, stub: &Stub, method: NameId, args: Bytes, one_way: bool) -> ExecSpec {
         self.invoke_spec_with(stub, method, args, one_way, true)
     }
 
@@ -865,8 +859,8 @@ impl Session {
     fn invoke_spec_with(
         &self,
         stub: &Stub,
-        method: &str,
-        args: Vec<u8>,
+        method: NameId,
+        args: Bytes,
         one_way: bool,
         pinned: bool,
     ) -> ExecSpec {
@@ -878,8 +872,8 @@ impl Session {
             .map(|entry| entry.node)
             .unwrap_or(stub.at);
         ExecSpec {
-            class: stub.class.clone(),
-            object: Some(stub.object.clone()),
+            class: stub.class_id,
+            object: Some(stub.object_id),
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
@@ -893,7 +887,7 @@ impl Session {
                 .map(|n| n.as_raw()),
             action: ActionSpec::InvokeAt { node: at.as_raw() },
             invoke: Some(InvokeSpec {
-                method: method.to_owned(),
+                method,
                 args,
                 one_way,
             }),
@@ -911,8 +905,8 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let bytes = self.call_raw(stub, method.name(), mage_codec::to_bytes(args)?)?;
-        mage_codec::from_bytes(&bytes).map_err(MageError::from)
+        let method = self.syms.intern(method.name());
+        decode_result(self.invoke_through(stub, method, self.marshal(args)?, true)?)
     }
 
     /// Starts a typed invocation without blocking.
@@ -930,7 +924,8 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let spec = self.invoke_spec(stub, method.name(), mage_codec::to_bytes(args)?, false);
+        let method = self.syms.intern(method.name());
+        let spec = self.invoke_spec(stub, method, self.marshal(args)?, false);
         let object_key = CompKey::object(stub.object_id);
         Ok(self.issue(
             move |op| Command::Execute { op, spec },
@@ -939,10 +934,7 @@ impl Session {
                     object_key,
                     Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
                 );
-                let bytes = outcome
-                    .result
-                    .ok_or_else(|| MageError::Rmi("invocation returned no result".into()))?;
-                mage_codec::from_bytes(&bytes).map_err(MageError::from)
+                decode_result(outcome.result)
             }),
         ))
     }
@@ -953,27 +945,28 @@ impl Session {
     ///
     /// Propagates invocation faults.
     pub fn call_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<Vec<u8>, MageError> {
-        self.invoke_through(stub, method, args, true)
+        let method = self.syms.intern(method);
+        let result = self.invoke_through(stub, method, Bytes::from(args), true)?;
+        Ok(expect_result(result)?.to_vec())
     }
 
     /// Shared blocking-invocation core: runs the invoke ladder with the
-    /// given identity pinning and refreshes the session cache.
+    /// given identity pinning, refreshes the session cache and returns the
+    /// marshalled result.
     fn invoke_through(
         &self,
         stub: &Stub,
-        method: &str,
-        args: Vec<u8>,
+        method: NameId,
+        args: Bytes,
         pinned: bool,
-    ) -> Result<Vec<u8>, MageError> {
+    ) -> Result<Option<Bytes>, MageError> {
         let spec = self.invoke_spec_with(stub, method, args, false, pinned);
         let outcome = self.command(move |op| Command::Execute { op, spec })?;
         self.state.borrow_mut().cached_loc.insert(
             CompKey::object(stub.object_id),
             Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
         );
-        outcome
-            .result
-            .ok_or_else(|| MageError::Rmi("invocation returned no result".into()))
+        Ok(outcome.result)
     }
 
     /// Invokes a typed method through an [`ObjectHandle`], applying its
@@ -1007,19 +1000,19 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let bytes = mage_codec::to_bytes(args)?;
-        let first = self.invoke_through(&handle.stub, method.name(), bytes.clone(), handle.pinned);
+        let (method, bytes) = (self.syms.intern(method.name()), self.marshal(args)?);
+        let first = self.invoke_through(&handle.stub, method, bytes.clone(), handle.pinned);
         let out = match first {
             Err(MageError::StaleIdentity { .. }) if handle.durability.is_replicated() => {
                 let fresh = self.rebind(&handle.stub)?;
                 handle.stub = fresh;
                 self.inner.borrow_mut().world.bump_metric("auto_rebinds");
-                self.invoke_through(&handle.stub, method.name(), bytes, handle.pinned)?
+                self.invoke_through(&handle.stub, method, bytes, handle.pinned)?
             }
             other => other?,
         };
         self.refresh_handle(handle);
-        mage_codec::from_bytes(&out).map_err(MageError::from)
+        decode_result(out)
     }
 
     /// Updates a handle's stub from the session cache (location always;
@@ -1062,7 +1055,7 @@ impl Session {
     where
         A: Serialize,
     {
-        self.send_raw_async(stub, method.name(), mage_codec::to_bytes(args)?)
+        self.send_bytes_async(stub, self.syms.intern(method.name()), self.marshal(args)?)
     }
 
     /// Fire-and-forget with a dynamic method name and pre-marshalled
@@ -1072,14 +1065,15 @@ impl Session {
     ///
     /// Propagates placement errors.
     pub fn send_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<(), MageError> {
-        self.send_raw_async(stub, method, args)?.wait()
+        self.send_bytes_async(stub, self.syms.intern(method), Bytes::from(args))?
+            .wait()
     }
 
-    fn send_raw_async(
+    fn send_bytes_async(
         &self,
         stub: &Stub,
-        method: &str,
-        args: Vec<u8>,
+        method: NameId,
+        args: Bytes,
     ) -> Result<Pending<()>, MageError> {
         let spec = self.invoke_spec(stub, method, args, true);
         Ok(self.issue(
@@ -1110,11 +1104,10 @@ impl Session {
         let target = self.node_id(target)?;
         let key = CompKey::object(self.syms.intern(name));
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
         Ok(self.issue(
             move |op| Command::Lock {
                 op,
-                name: name_owned,
+                name: key.id,
                 target: target.as_raw(),
                 home_hint,
             },
@@ -1143,11 +1136,10 @@ impl Session {
     pub fn unlock_async(&self, name: &str) -> Result<Pending<()>, MageError> {
         let key = CompKey::object(self.syms.intern(name));
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
         Ok(self.issue(
             move |op| Command::Unlock {
                 op,
-                name: name_owned,
+                name: key.id,
                 home_hint,
             },
             Box::new(|_outcome, _dir, _state| Ok(())),

@@ -8,8 +8,7 @@
 //! visibility, an optional mobility attribute deciding the *birthplace*,
 //! a [`Durability`] policy deciding what survives a host crash, and
 //! whether stubs derived from the handle pin identity. New policies get
-//! one front door instead of another positional parameter on
-//! `create_object`.
+//! one front door instead of another positional creation parameter.
 //!
 //! ```
 //! use mage_core::workload_support::{methods, test_object_class};

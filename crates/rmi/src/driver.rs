@@ -3,62 +3,67 @@
 //! This is the pure-RMI client used as the paper's *Java's RMI* baseline:
 //! no MAGE machinery, just a stub call to a named object on a known node.
 
+use std::any::Any;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
 use bytes::Bytes;
 use mage_sim::{NodeId, OpId, SimError, World};
-use serde::{Deserialize, Serialize};
 
 use crate::endpoint::{App, Config, Endpoint, Env};
 use crate::error::RmiError;
 use crate::object::RemoteObject;
 
-/// Driver command understood by [`DriverClient`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One plain RMI call issued by the driver: injected into a
+/// [`DriverClient`] as a typed value (see [`World::inject`]), and handed
+/// back as the op's completion with [`result`](DriverCmd::result) filled
+/// in, so the command's allocation carries the answer too.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriverCmd {
-    /// Raw [`OpId`] to complete when the call finishes.
-    pub op: u64,
-    /// Raw id of the target node.
-    pub to: u32,
+    /// Operation to complete when the call finishes.
+    pub op: OpId,
+    /// Target node.
+    pub to: NodeId,
     /// Name of the remote object.
-    pub object: String,
+    pub object: Arc<str>,
     /// Method to invoke.
-    pub method: String,
+    pub method: Arc<str>,
     /// Marshalled arguments.
     pub args: Vec<u8>,
+    /// The call's outcome: `None` when injected, set on completion.
+    pub result: Option<Result<Bytes, RmiError>>,
 }
 
-/// Completion payload: the call's result or a stringified client error.
-type DriveOutcome = Result<Vec<u8>, String>;
-
-/// App that executes one plain RMI call per injected [`DriverCmd`].
+/// App that executes one plain RMI call per injected [`DriverCmd`] and
+/// completes its op with that command, `result` filled in.
 #[derive(Debug, Default)]
-pub struct DriverClient;
+pub struct DriverClient {
+    /// Commands whose calls are in flight, by call token (the raw op id).
+    in_flight: HashMap<u64, Box<DriverCmd>>,
+}
 
 impl App for DriverClient {
-    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Bytes) {
-        match mage_codec::from_bytes::<DriverCmd>(&payload) {
-            Ok(cmd) => {
-                env.call(
-                    NodeId::from_raw(cmd.to),
-                    cmd.object,
-                    cmd.method,
-                    cmd.args,
-                    cmd.op,
-                );
-            }
-            Err(err) => env.note(format!("bad driver command: {err}")),
-        }
+    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Box<dyn Any>) {
+        let cmd = payload
+            .downcast::<DriverCmd>()
+            .expect("DriverClient is driven by DriverCmd");
+        let token = cmd.op.as_raw();
+        env.call(cmd.to, &*cmd.object, &*cmd.method, &cmd.args, token);
+        self.in_flight.insert(token, cmd);
     }
 
     fn on_reply(&mut self, env: &mut Env<'_, '_>, token: u64, result: Result<Bytes, RmiError>) {
-        let outcome: DriveOutcome = result.map(|b| b.to_vec()).map_err(|e| e.to_string());
-        let bytes = mage_codec::to_bytes(&outcome).expect("outcome encodes");
-        env.complete_op(OpId::from_raw(token), Bytes::from(bytes));
+        if let Some(mut cmd) = self.in_flight.remove(&token) {
+            cmd.result = Some(result);
+            env.complete_op(cmd.op, cmd);
+        }
     }
 }
 
 /// Builds a client endpoint (driver-driven, no bound objects).
 pub fn client_endpoint(cfg: Config) -> Endpoint<DriverClient> {
-    Endpoint::new(DriverClient, cfg)
+    Endpoint::new(DriverClient::default(), cfg)
 }
 
 /// Builds a server endpoint hosting one object bound under `name`.
@@ -67,9 +72,28 @@ pub fn server_endpoint(
     name: &str,
     object: Box<dyn RemoteObject>,
 ) -> Endpoint<DriverClient> {
-    let mut endpoint = Endpoint::new(DriverClient, cfg);
+    let mut endpoint = Endpoint::new(DriverClient::default(), cfg);
     endpoint.bind(name, object);
     endpoint
+}
+
+thread_local! {
+    /// Names [`drive_call`] has issued commands for, shared so a repeated
+    /// call carries its names without copying them.
+    static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+}
+
+/// The shared copy of `name` (allocated on its first use only).
+fn shared_name(name: &str) -> Arc<str> {
+    NAMES.with(|names| {
+        let mut names = names.borrow_mut();
+        if let Some(shared) = names.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        names.insert(Arc::clone(&shared));
+        shared
+    })
 }
 
 /// Synchronously executes one RMI call from `client` to `object`@`server`,
@@ -89,34 +113,15 @@ pub fn drive_call(
 ) -> Result<Result<Vec<u8>, String>, SimError> {
     let op = world.begin_op();
     let cmd = DriverCmd {
-        op: op.as_raw(),
-        to: server.as_raw(),
-        object: object.to_owned(),
-        method: method.to_owned(),
+        op,
+        to: server,
+        object: shared_name(object),
+        method: shared_name(method),
         args,
+        result: None,
     };
-    let payload = Bytes::from(mage_codec::to_bytes(&cmd).expect("command encodes"));
-    world.inject(client, "drive-call", payload);
-    let completion = world.block_on(op)?;
-    let outcome: DriveOutcome =
-        mage_codec::from_bytes(&completion).expect("completion payload decodes");
-    Ok(outcome)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn driver_cmd_roundtrips() {
-        let cmd = DriverCmd {
-            op: 3,
-            to: 1,
-            object: "counter".into(),
-            method: "add".into(),
-            args: vec![5],
-        };
-        let bytes = mage_codec::to_bytes(&cmd).unwrap();
-        assert_eq!(mage_codec::from_bytes::<DriverCmd>(&bytes).unwrap(), cmd);
-    }
+    world.inject(client, "drive-call", Box::new(cmd));
+    let done: DriverCmd = world.block_on(op)?;
+    let result = done.result.expect("a completed call carries its result");
+    Ok(result.map(|b| b.to_vec()).map_err(|e| e.to_string()))
 }

@@ -36,6 +36,7 @@
 //! machine that can originate calls, answer calls not handled by the local
 //! object registry, and defer replies while it performs nested calls.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -182,8 +183,10 @@ pub trait App {
     /// Called once when the node starts.
     fn on_start(&mut self, _env: &mut Env<'_, '_>) {}
 
-    /// Called for payloads injected by the experiment driver.
-    fn on_driver(&mut self, _env: &mut Env<'_, '_>, _payload: Bytes) {}
+    /// Called for typed commands injected by the experiment driver (see
+    /// [`World::inject`](mage_sim::World::inject)); the app downcasts to
+    /// the command type it understands.
+    fn on_driver(&mut self, _env: &mut Env<'_, '_>, _payload: Box<dyn Any>) {}
 
     /// Called for inbound calls that no locally bound object handles.
     fn on_call(&mut self, _env: &mut Env<'_, '_>, _from: NodeId, call: InboundCall) -> CallOutcome {
@@ -685,14 +688,10 @@ impl<'a, 'c> Env<'a, 'c> {
         self.ctx.cancel_timer(id);
     }
 
-    /// Completes a driver operation with a payload.
-    pub fn complete_op(&mut self, op: OpId, payload: Bytes) {
-        self.ctx.complete(op, payload);
-    }
-
-    /// Completes a driver operation with a failure.
-    pub fn fail_op(&mut self, op: OpId, message: impl Into<String>) {
-        self.ctx.fail(op, message);
+    /// Completes a driver operation with a typed result (see
+    /// [`Context::complete`]).
+    pub fn complete_op(&mut self, op: OpId, result: Box<dyn Any>) {
+        self.ctx.complete(op, result);
     }
 
     /// Emits a trace annotation from this node.
@@ -988,12 +987,12 @@ impl<A: App> Actor for Endpoint<A> {
         self.app.on_start(&mut env);
     }
 
+    fn on_driver(&mut self, ctx: &mut Context<'_>, payload: Box<dyn Any>) {
+        let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
+        self.app.on_driver(&mut env, payload);
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-        if from.is_driver() {
-            let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
-            self.app.on_driver(&mut env, payload);
-            return;
-        }
         let msg = match WireMsg::decode(&payload) {
             Ok(msg) => msg,
             Err(err) => {

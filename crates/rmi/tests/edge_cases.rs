@@ -132,7 +132,11 @@ fn malformed_wire_bytes_are_ignored_not_fatal() {
     let server = world.add_node("s", server_ep);
     // Driver payloads reach the app; ServerOnly ignores them. Then verify
     // the endpoint still serves calls.
-    world.inject(server, "garbage", Bytes::from_static(&[0xFF, 0x13, 0x37]));
+    world.inject(
+        server,
+        "garbage",
+        Box::new(Bytes::from_static(&[0xFF, 0x13, 0x37])),
+    );
     world.run_until_idle().unwrap();
     let out = drive_call(&mut world, client, server, "counter", "inc", vec![])
         .unwrap()

@@ -6,6 +6,7 @@
 //! succeed; a crashed-and-restarted server is re-taught the interned name
 //! strings its previous incarnation had acknowledged.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -28,10 +29,11 @@ struct CaptureApp {
 }
 
 impl App for CaptureApp {
-    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Bytes) {
-        let (to, object, method, token): (u32, String, String, u64) =
-            mage_codec::from_bytes(&payload).expect("driver command decodes");
-        env.call(NodeId::from_raw(to), object, method, b"", token);
+    fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Box<dyn Any>) {
+        let (to, object, method, token) = *payload
+            .downcast::<(NodeId, &'static str, &'static str, u64)>()
+            .expect("driver command type");
+        env.call(to, object, method, b"", token);
     }
 
     fn on_reply(&mut self, _env: &mut Env<'_, '_>, token: u64, result: Result<Bytes, RmiError>) {
@@ -84,9 +86,7 @@ fn capture_world(seed: u64) -> (World, NodeId, NodeId, Captured) {
 }
 
 fn issue(world: &mut World, client: NodeId, server: NodeId, token: u64) {
-    let cmd = mage_codec::to_bytes(&(server.as_raw(), "echo".to_owned(), "poke".to_owned(), token))
-        .unwrap();
-    world.inject(client, "cmd", Bytes::from(cmd));
+    world.inject(client, "cmd", Box::new((server, "echo", "poke", token)));
 }
 
 proptest! {

@@ -151,26 +151,22 @@ fn call_succeeds_after_partition_heals_mid_call() {
     world.partition(client, server);
     let op = world.begin_op();
     let cmd = mage_rmi::DriverCmd {
-        op: op.as_raw(),
-        to: server.as_raw(),
+        op,
+        to: server,
         object: "counter".into(),
         method: "inc".into(),
         args: vec![],
+        result: None,
     };
-    world.inject(
-        client,
-        "drive-call",
-        Bytes::from(mage_codec::to_bytes(&cmd).unwrap()),
-    );
+    world.inject(client, "drive-call", Box::new(cmd));
     // Let the first transmission be dropped, then heal; a retransmission
     // must get through.
     world
         .run_until(mage_sim::SimTime::from_micros(10_000))
         .unwrap();
     world.heal(client, server);
-    let completion = world.block_on(op).unwrap();
-    let outcome: Result<Vec<u8>, String> = mage_codec::from_bytes(&completion).unwrap();
-    assert!(outcome.is_ok());
+    let done: mage_rmi::DriverCmd = world.block_on(op).unwrap();
+    assert!(matches!(done.result, Some(Ok(_))));
     assert_eq!(hits.get(), 1);
 }
 
@@ -301,23 +297,19 @@ fn duplicate_driver_ops_do_not_confuse_endpoints() {
     for _ in 0..4 {
         let op = world.begin_op();
         let cmd = mage_rmi::DriverCmd {
-            op: op.as_raw(),
-            to: server.as_raw(),
+            op,
+            to: server,
             object: "counter".into(),
             method: "inc".into(),
             args: vec![],
+            result: None,
         };
-        world.inject(
-            client,
-            "drive-call",
-            Bytes::from(mage_codec::to_bytes(&cmd).unwrap()),
-        );
+        world.inject(client, "drive-call", Box::new(cmd));
         ops.push(op);
     }
     for op in ops {
-        let completion = world.block_on(op).unwrap();
-        let outcome: Result<Vec<u8>, String> = mage_codec::from_bytes(&completion).unwrap();
-        assert!(outcome.is_ok());
+        let done: mage_rmi::DriverCmd = world.block_on(op).unwrap();
+        assert!(matches!(done.result, Some(Ok(_))));
     }
     assert_eq!(hits.get(), 4);
 }

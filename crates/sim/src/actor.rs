@@ -1,6 +1,7 @@
 //! The actor abstraction: per-node protocol logic driven by messages and
 //! timers.
 
+use std::any::Any;
 use std::borrow::Cow;
 
 use bytes::Bytes;
@@ -80,11 +81,16 @@ pub trait Actor {
     /// Called once when the node is added to the world.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
-    /// Called for every delivered message.
-    ///
-    /// `from` is [`NodeId::DRIVER`] for payloads injected by the experiment
-    /// driver rather than sent by a peer node.
+    /// Called for every message delivered from a peer node.
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes);
+
+    /// Called for every payload the experiment driver injects with
+    /// [`World::inject`](crate::World::inject).
+    ///
+    /// The driver shares the actor's process, so its commands arrive as
+    /// typed values rather than encoded bytes; the actor downcasts to the
+    /// command type it understands.
+    fn on_driver(&mut self, _ctx: &mut Context<'_>, _payload: Box<dyn Any>) {}
 
     /// Called when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _tag: u64) {}
@@ -108,7 +114,7 @@ pub(crate) enum Effect {
     CancelTimer(TimerId),
     CompleteOp {
         op: OpId,
-        result: Result<Bytes, String>,
+        result: Box<dyn Any>,
     },
     Note(String),
     Count(&'static str),
@@ -235,20 +241,12 @@ impl<'a> Context<'a> {
         self.effects.push(Effect::CancelTimer(id));
     }
 
-    /// Completes a driver operation successfully.
-    pub fn complete(&mut self, op: OpId, result: Bytes) {
-        self.effects.push(Effect::CompleteOp {
-            op,
-            result: Ok(result),
-        });
-    }
-
-    /// Completes a driver operation with an application-level failure.
-    pub fn fail(&mut self, op: OpId, message: impl Into<String>) {
-        self.effects.push(Effect::CompleteOp {
-            op,
-            result: Err(message.into()),
-        });
+    /// Completes a driver operation with a typed result, which
+    /// [`World::block_on`](crate::World::block_on) hands back by value.
+    /// Application-level failures travel inside the value (for example
+    /// as a `Result`).
+    pub fn complete(&mut self, op: OpId, result: Box<dyn Any>) {
+        self.effects.push(Effect::CompleteOp { op, result });
     }
 
     /// Records a free-form trace annotation attributed to this node.
@@ -290,7 +288,7 @@ mod tests {
         let t = ctx.set_timer(SimDuration::from_millis(1), 7);
         ctx.cancel_timer(t);
         ctx.note("hello");
-        ctx.complete(OpId(3), Bytes::new());
+        ctx.complete(OpId(3), Box::new(()));
         assert_eq!(ctx.effects.len(), 5);
         assert!(matches!(ctx.effects[0], Effect::Send { .. }));
         assert!(matches!(ctx.effects[1], Effect::SetTimer { tag: 7, .. }));

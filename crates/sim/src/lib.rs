@@ -30,7 +30,8 @@
 //! let a = world.add_node("client", Sink);
 //! let b = world.add_node("server", Sink);
 //! world.set_link_bidi(a, b, LinkSpec::ethernet_10mbps());
-//! world.inject(a, "boot", Bytes::new());
+//! // Driver commands are typed values, handed to `Actor::on_driver`.
+//! world.inject(a, "boot", Box::new(()));
 //! world.run_until_idle()?;
 //! # Ok(())
 //! # }

@@ -1,6 +1,7 @@
 //! The world: a deterministic discrete-event scheduler over actors and the
 //! network fabric.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::error::Error;
@@ -30,8 +31,6 @@ pub enum SimError {
     Stalled,
     /// The event budget was exhausted; the protocol is probably livelocked.
     BudgetExhausted,
-    /// The operation completed with an application-level failure.
-    Op(String),
 }
 
 impl fmt::Display for SimError {
@@ -39,12 +38,19 @@ impl fmt::Display for SimError {
         match self {
             SimError::Stalled => write!(f, "simulation stalled before the operation completed"),
             SimError::BudgetExhausted => write!(f, "event budget exhausted (livelock?)"),
-            SimError::Op(msg) => write!(f, "operation failed: {msg}"),
         }
     }
 }
 
 impl Error for SimError {}
+
+/// What a delivery carries: an encoded message from a peer, or a typed
+/// value injected by the driver (no wire between them, so no encoding).
+#[derive(Debug)]
+enum Payload {
+    Wire(Bytes),
+    Driver(Box<dyn Any>),
+}
 
 #[derive(Debug)]
 enum EventKind {
@@ -52,7 +58,7 @@ enum EventKind {
         from: NodeId,
         to: NodeId,
         label: Label,
-        payload: Bytes,
+        payload: Payload,
         msg_id: u64,
         /// Sender incarnation at send time; a mismatch at delivery means
         /// the sender crashed while the message was in flight.
@@ -110,7 +116,7 @@ struct NodeSlot {
 
 enum OpSlot {
     Pending,
-    Done(Result<Bytes, String>),
+    Done(Box<dyn Any>),
     /// The driver abandoned the operation; its eventual result is
     /// discarded instead of being retained forever.
     Forgotten,
@@ -122,23 +128,32 @@ enum OpSlot {
 /// # Examples
 ///
 /// ```
+/// use std::any::Any;
+///
 /// use bytes::Bytes;
 /// use mage_sim::{Actor, Context, NodeId, World};
 ///
 /// struct Echo;
 /// impl Actor for Echo {
 ///     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-///         if !from.is_driver() {
-///             ctx.send(from, "echo-rsp", payload);
+///         if &payload[..] == b"ping" {
+///             ctx.send(from, "pong", Bytes::from_static(b"pong"));
+///         }
+///     }
+///
+///     fn on_driver(&mut self, ctx: &mut Context<'_>, payload: Box<dyn Any>) {
+///         if let Ok(peer) = payload.downcast::<NodeId>() {
+///             ctx.send(*peer, "ping", Bytes::from_static(b"ping"));
 ///         }
 ///     }
 /// }
 ///
 /// let mut world = World::new(42);
 /// let a = world.add_node("a", Echo);
-/// let _b = world.add_node("b", Echo);
-/// world.inject(a, "start", Bytes::new());
+/// let b = world.add_node("b", Echo);
+/// world.inject(a, "start", Box::new(b));
 /// world.run_until_idle().unwrap();
+/// assert_eq!(world.metrics().net.sent, 2);
 /// ```
 pub struct World {
     clock: SimTime,
@@ -158,6 +173,9 @@ pub struct World {
     next_timer: u64,
     next_msg: u64,
     event_budget: u64,
+    /// Effect buffer lent to every dispatch's [`Context`] and drained
+    /// afterwards, so steady-state handlers allocate nothing for it.
+    effects: Vec<Effect>,
 }
 
 impl World {
@@ -187,6 +205,7 @@ impl World {
             next_timer: 0,
             next_msg: 0,
             event_budget: DEFAULT_EVENT_BUDGET,
+            effects: Vec::new(),
         }
     }
 
@@ -398,12 +417,10 @@ impl World {
         id
     }
 
-    /// The result of `op` if it has completed.
-    pub fn op_result(&self, op: OpId) -> Option<&Result<Bytes, String>> {
-        match self.ops.get(&op) {
-            Some(OpSlot::Done(result)) => Some(result),
-            _ => None,
-        }
+    /// Whether `op` has completed (its result is waiting for
+    /// [`World::block_on`]).
+    pub fn op_done(&self, op: OpId) -> bool {
+        matches!(self.ops.get(&op), Some(OpSlot::Done(_)))
     }
 
     /// Abandons an operation the driver no longer cares about: any stored
@@ -420,8 +437,12 @@ impl World {
 
     /// Injects a driver payload for delivery to `to` at the current instant.
     ///
-    /// The receiving actor observes `from == NodeId::DRIVER`.
-    pub fn inject(&mut self, to: NodeId, label: impl Into<Label>, payload: Bytes) {
+    /// The payload is a typed value handed to the receiving actor's
+    /// [`Actor::on_driver`] as is: the driver is not a network peer, so
+    /// nothing is encoded, and the injection costs the fabric no bytes
+    /// (traces record it with size 0). It still takes its place in the
+    /// event order like any delivery.
+    pub fn inject(&mut self, to: NodeId, label: impl Into<Label>, payload: Box<dyn Any>) {
         let msg_id = self.next_msg;
         self.next_msg += 1;
         let label = label.into();
@@ -431,7 +452,7 @@ impl World {
                 from: NodeId::DRIVER,
                 to,
                 label: label.as_str().to_owned(),
-                bytes: payload.len() as u64,
+                bytes: 0,
                 msg_id,
             });
         }
@@ -442,7 +463,7 @@ impl World {
                 from: NodeId::DRIVER,
                 to,
                 label,
-                payload,
+                payload: Payload::Driver(payload),
                 msg_id,
                 from_epoch: 0,
                 to_epoch,
@@ -503,7 +524,10 @@ impl World {
                         msg_id,
                     });
                 }
-                self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, payload));
+                self.with_actor(to, |actor, ctx| match payload {
+                    Payload::Wire(bytes) => actor.on_message(ctx, from, bytes),
+                    Payload::Driver(value) => actor.on_driver(ctx, value),
+                });
             }
             EventKind::Timer {
                 node,
@@ -572,20 +596,31 @@ impl World {
         Ok(())
     }
 
-    /// Runs until `op` completes and returns its payload.
+    /// Runs until `op` completes and returns its typed result by value.
     ///
     /// # Errors
     ///
     /// * [`SimError::Stalled`] — the queue drained first.
     /// * [`SimError::BudgetExhausted`] — the event budget ran out.
-    /// * [`SimError::Op`] — the operation completed with a failure.
-    pub fn block_on(&mut self, op: OpId) -> Result<Bytes, SimError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the actor completed `op` with a value that is not a `T`
+    /// (the driver and the actor disagree on the operation's result type).
+    pub fn block_on<T: Any>(&mut self, op: OpId) -> Result<T, SimError> {
         let mut budget = self.event_budget;
         loop {
-            if let Some(OpSlot::Done(result)) = self.ops.get(&op) {
-                let result = result.clone();
-                self.ops.remove(&op);
-                return result.map_err(SimError::Op);
+            if self.op_done(op) {
+                let Some(OpSlot::Done(result)) = self.ops.remove(&op) else {
+                    unreachable!("checked above");
+                };
+                let result = result.downcast::<T>().unwrap_or_else(|_| {
+                    panic!(
+                        "{op:?} completed with a value that is not a {}",
+                        std::any::type_name::<T>()
+                    )
+                });
+                return Ok(*result);
             }
             if !self.step() {
                 return Err(SimError::Stalled);
@@ -621,14 +656,16 @@ impl World {
             trace_on,
             &self.epochs,
         );
+        ctx.effects = std::mem::take(&mut self.effects);
         run(actor.as_mut(), &mut ctx);
-        let effects = std::mem::take(&mut ctx.effects);
+        let mut effects = std::mem::take(&mut ctx.effects);
         self.nodes[idx].actor = Some(actor);
-        self.apply_effects(node, effects);
+        self.apply_effects(node, &mut effects);
+        self.effects = effects;
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {
-        for effect in effects {
+    fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect>) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send {
                     to,
@@ -661,7 +698,7 @@ impl World {
                                     from: node,
                                     to,
                                     label,
-                                    payload,
+                                    payload: Payload::Wire(payload),
                                     msg_id,
                                     from_epoch,
                                     to_epoch,
@@ -762,37 +799,33 @@ impl World {
 mod tests {
     use super::*;
 
-    /// Replies to `ping` with `pong`; completes op embedded in driver cmd.
+    /// Replies to `ping` with `pong`; completes the op named by the driver
+    /// command once the pong is back.
     struct Ponger;
 
     impl Actor for Ponger {
         fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-            if from.is_driver() {
-                // payload = op id (8 LE bytes) followed by target node.
-                let op = OpId::from_raw(u64::from_le_bytes(payload[..8].try_into().unwrap()));
-                let target =
-                    NodeId::from_raw(u32::from_le_bytes(payload[8..12].try_into().unwrap()));
-                let mut fwd = Vec::from(&payload[..8]);
-                fwd.push(b'!');
-                ctx.send(target, "ping", Bytes::from(fwd));
-                // Remember op by stashing it in the payload we sent; the
-                // pong comes back with the same 8 bytes.
-                let _ = op;
-            } else if payload.last() == Some(&b'!') {
+            if payload.last() == Some(&b'!') {
                 let mut rsp = Vec::from(&payload[..8]);
                 rsp.push(b'?');
                 ctx.send(from, "pong", Bytes::from(rsp));
             } else {
                 let op = OpId::from_raw(u64::from_le_bytes(payload[..8].try_into().unwrap()));
-                ctx.complete(op, Bytes::from_static(b"done"));
+                ctx.complete(op, Box::new("done"));
             }
+        }
+
+        fn on_driver(&mut self, ctx: &mut Context<'_>, payload: Box<dyn Any>) {
+            let (op, target) = *payload.downcast::<(OpId, NodeId)>().unwrap();
+            // The ping carries the op id; the pong brings it back.
+            let mut fwd = op.as_raw().to_le_bytes().to_vec();
+            fwd.push(b'!');
+            ctx.send(target, "ping", Bytes::from(fwd));
         }
     }
 
-    fn driver_payload(op: OpId, target: NodeId) -> Bytes {
-        let mut v = op.as_raw().to_le_bytes().to_vec();
-        v.extend_from_slice(&target.as_raw().to_le_bytes());
-        Bytes::from(v)
+    fn driver_payload(op: OpId, target: NodeId) -> Box<dyn Any> {
+        Box::new((op, target))
     }
 
     #[test]
@@ -802,8 +835,44 @@ mod tests {
         let b = world.add_node("b", Ponger);
         let op = world.begin_op();
         world.inject(a, "cmd", driver_payload(op, b));
-        let out = world.block_on(op).unwrap();
-        assert_eq!(&out[..], b"done");
+        let out: &str = world.block_on(op).unwrap();
+        assert_eq!(out, "done");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a")]
+    fn block_on_with_the_wrong_result_type_panics() {
+        let mut world = World::new(1);
+        let a = world.add_node("a", Ponger);
+        let b = world.add_node("b", Ponger);
+        let op = world.begin_op();
+        world.inject(a, "cmd", driver_payload(op, b));
+        let _ = world.block_on::<u64>(op);
+    }
+
+    #[test]
+    fn injection_is_delivered_but_costs_the_fabric_nothing() {
+        let mut world = World::new(1);
+        world.trace_mut().enable();
+        let a = world.add_node("a", Ponger);
+        let b = world.add_node("b", Ponger);
+        let op = world.begin_op();
+        world.inject(a, "cmd", driver_payload(op, b));
+        world.block_on::<&str>(op).unwrap();
+        // Ping and pong cross the fabric; the injection is one more
+        // delivery but no send and no bytes.
+        assert_eq!(world.metrics().net.sent, 2);
+        assert_eq!(world.metrics().net.delivered, 3);
+        let driver_bytes: Vec<u64> = world
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Send { from, bytes, .. } if from.is_driver() => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(driver_bytes, vec![0]);
     }
 
     #[test]
@@ -818,7 +887,7 @@ mod tests {
         );
         let op = world.begin_op();
         world.inject(a, "cmd", driver_payload(op, b));
-        world.block_on(op).unwrap();
+        world.block_on::<&str>(op).unwrap();
         // One round trip = 20 ms.
         assert_eq!(world.now(), SimTime::from_micros(20_000));
     }
@@ -838,7 +907,7 @@ mod tests {
             );
             let op = world.begin_op();
             world.inject(a, "cmd", driver_payload(op, b));
-            world.block_on(op).unwrap();
+            world.block_on::<&str>(op).unwrap();
             (world.now(), world.metrics().net.sent)
         };
         assert_eq!(run(99), run(99));
@@ -852,7 +921,7 @@ mod tests {
         world.partition(a, b);
         let op = world.begin_op();
         world.inject(a, "cmd", driver_payload(op, b));
-        assert_eq!(world.block_on(op), Err(SimError::Stalled));
+        assert_eq!(world.block_on::<&str>(op), Err(SimError::Stalled));
         assert_eq!(world.metrics().net.dropped, 1);
     }
 
@@ -870,10 +939,10 @@ mod tests {
         world.inject(a, "cmd", driver_payload(op, b));
         world.run_until(SimTime::from_micros(5_000)).unwrap();
         // Ping still in flight; op unresolved and clock exactly at deadline.
-        assert!(world.op_result(op).is_none());
+        assert!(!world.op_done(op));
         assert_eq!(world.now(), SimTime::from_micros(5_000));
         world.run_until_idle().unwrap();
-        assert!(world.op_result(op).is_some());
+        assert!(world.op_done(op));
     }
 
     #[test]
@@ -938,18 +1007,23 @@ mod tests {
                 let me = ctx.node();
                 ctx.send(me, "loop", payload);
             }
+
+            fn on_driver(&mut self, ctx: &mut Context<'_>, _payload: Box<dyn Any>) {
+                let me = ctx.node();
+                ctx.send(me, "loop", Bytes::new());
+            }
         }
         let mut world = World::new(1);
         let a = world.add_node("a", Looper);
         world.set_event_budget(100);
-        world.inject(a, "loop", Bytes::new());
+        world.inject(a, "loop", Box::new(()));
         assert_eq!(world.run_until_idle(), Err(SimError::BudgetExhausted));
     }
 
     #[test]
     fn sim_error_display() {
         assert!(SimError::Stalled.to_string().contains("stalled"));
-        assert!(SimError::Op("x".into()).to_string().contains('x'));
+        assert!(SimError::BudgetExhausted.to_string().contains("budget"));
     }
 
     #[test]
@@ -966,7 +1040,7 @@ mod tests {
         world.inject(a, "cmd", driver_payload(op, b));
         // Ping departs immediately; crash b while it is on the wire.
         world.crash(b);
-        assert_eq!(world.block_on(op), Err(SimError::Stalled));
+        assert_eq!(world.block_on::<&str>(op), Err(SimError::Stalled));
         assert_eq!(world.metrics().net.dropped, 1);
     }
 
@@ -985,7 +1059,7 @@ mod tests {
         // Let the ping depart, then crash the sender: crash-stop also
         // invalidates its in-flight output.
         world.crash(a);
-        assert_eq!(world.block_on(op), Err(SimError::Stalled));
+        assert_eq!(world.block_on::<&str>(op), Err(SimError::Stalled));
         assert!(world.metrics().net.dropped >= 1);
     }
 
@@ -994,13 +1068,12 @@ mod tests {
     }
 
     impl Actor for CountingActor {
-        fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
-            if !from.is_driver() {
-                return;
-            }
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}
+
+        fn on_driver(&mut self, ctx: &mut Context<'_>, payload: Box<dyn Any>) {
             self.seen += 1;
-            let op = OpId::from_raw(u64::from_le_bytes(payload[..8].try_into().unwrap()));
-            ctx.complete(op, Bytes::from(self.seen.to_le_bytes().to_vec()));
+            let op = *payload.downcast::<OpId>().unwrap();
+            ctx.complete(op, Box::new(self.seen));
         }
     }
 
@@ -1010,9 +1083,8 @@ mod tests {
         let a = world.add_node_with("a", || Box::new(CountingActor { seen: 0 }));
         let ask = |world: &mut World| -> u64 {
             let op = world.begin_op();
-            world.inject(a, "ask", Bytes::from(op.as_raw().to_le_bytes().to_vec()));
-            let out = world.block_on(op).unwrap();
-            u64::from_le_bytes(out[..].try_into().unwrap())
+            world.inject(a, "ask", Box::new(op));
+            world.block_on(op).unwrap()
         };
         assert_eq!(ask(&mut world), 1);
         assert_eq!(ask(&mut world), 2);
@@ -1034,8 +1106,8 @@ mod tests {
         let a = world.add_node_with("a", || Box::new(CountingActor { seen: 0 }));
         world.crash(a);
         let op = world.begin_op();
-        world.inject(a, "ask", Bytes::from(op.as_raw().to_le_bytes().to_vec()));
-        assert_eq!(world.block_on(op), Err(SimError::Stalled));
+        world.inject(a, "ask", Box::new(op));
+        assert_eq!(world.block_on::<u64>(op), Err(SimError::Stalled));
         assert_eq!(world.metrics().net.dropped, 1);
     }
 
@@ -1088,11 +1160,11 @@ mod tests {
             let op = world.begin_op();
             world.inject(a, "cmd", driver_payload(op, b));
             world.crash(b);
-            let _ = world.block_on(op);
+            let _ = world.block_on::<&str>(op);
             world.restart(b);
             let op = world.begin_op();
             world.inject(a, "cmd", driver_payload(op, b));
-            world.block_on(op).unwrap();
+            world.block_on::<&str>(op).unwrap();
             (
                 world.now(),
                 world.metrics().net.sent,

@@ -1,13 +1,16 @@
 //! Property tests for the simulator's core guarantees: determinism, causal
 //! ordering and conservation of messages.
 
+use std::any::Any;
+
 use bytes::Bytes;
 use mage_sim::{Actor, Context, LinkSpec, NodeId, SimDuration, SimTime, TraceEvent, World};
 use proptest::prelude::*;
 
 /// A gossiping actor: every received message is forwarded to the next node
 /// (ring topology) with one byte appended, until the payload reaches a
-/// configured size.
+/// configured size. A driver injection starts the gossip from an empty
+/// payload.
 struct Gossip {
     ring_size: u32,
     stop_at: usize,
@@ -23,6 +26,10 @@ impl Actor for Gossip {
         next.push(payload.len() as u8);
         let target = NodeId::from_raw((ctx.node().as_raw() + 1) % self.ring_size);
         ctx.send(target, "gossip", Bytes::from(next));
+    }
+
+    fn on_driver(&mut self, ctx: &mut Context<'_>, _payload: Box<dyn Any>) {
+        self.on_message(ctx, NodeId::DRIVER, Bytes::new());
     }
 }
 
@@ -69,7 +76,7 @@ proptest! {
     ) {
         let run = || {
             let mut world = build_ring(seed, nodes, latency_us, jitter_us, 40);
-            world.inject(NodeId::from_raw(0), "start", Bytes::new());
+            world.inject(NodeId::from_raw(0), "start", Box::new(()));
             world.run_until_idle().unwrap();
             fingerprint(&world)
         };
@@ -95,7 +102,7 @@ proptest! {
                 }
             }
         }
-        world.inject(NodeId::from_raw(0), "start", Bytes::new());
+        world.inject(NodeId::from_raw(0), "start", Box::new(()));
         world.run_until_idle().unwrap();
         let m = world.metrics();
         // Driver injection counts as a delivery but not a network send.
@@ -110,7 +117,7 @@ proptest! {
     ) {
         let mut world = build_ring(seed, 3, latency_us, 0, 30);
         world.trace_mut().enable();
-        world.inject(NodeId::from_raw(0), "start", Bytes::new());
+        world.inject(NodeId::from_raw(0), "start", Box::new(()));
         world.run_until_idle().unwrap();
         let mut last = SimTime::ZERO;
         for event in world.trace().events() {
@@ -129,7 +136,7 @@ proptest! {
     ) {
         let mut world = build_ring(seed, 4, latency_us, jitter_us, 24);
         world.trace_mut().enable();
-        world.inject(NodeId::from_raw(0), "start", Bytes::new());
+        world.inject(NodeId::from_raw(0), "start", Box::new(()));
         world.run_until_idle().unwrap();
         let events = world.trace().events();
         for event in events {
@@ -149,7 +156,7 @@ proptest! {
 fn partitioned_ring_drops_exactly_one_message() {
     let mut world = build_ring(11, 3, 100, 0, 10);
     world.partition(NodeId::from_raw(0), NodeId::from_raw(1));
-    world.inject(NodeId::from_raw(0), "start", Bytes::new());
+    world.inject(NodeId::from_raw(0), "start", Box::new(()));
     world.run_until_idle().unwrap();
     assert_eq!(world.metrics().net.dropped, 1);
     assert_eq!(world.metrics().net.sent, 1);
@@ -160,7 +167,7 @@ fn healed_partition_allows_progress() {
     let mut world = build_ring(11, 3, 100, 0, 4);
     world.partition(NodeId::from_raw(0), NodeId::from_raw(1));
     world.heal(NodeId::from_raw(0), NodeId::from_raw(1));
-    world.inject(NodeId::from_raw(0), "start", Bytes::new());
+    world.inject(NodeId::from_raw(0), "start", Box::new(()));
     world.run_until_idle().unwrap();
     assert_eq!(world.metrics().net.dropped, 0);
     assert!(world.metrics().net.delivered > 1);
