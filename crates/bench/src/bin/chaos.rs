@@ -1,8 +1,8 @@
 //! Chaos soak smoke: mixed-model operations, lock cycles, stub
 //! invocations and replicated-object traffic under seeded crashes,
-//! restarts and partitions — run on three fixed seeds (the third with a
-//! replication-heavy mix), each twice (replay) with full trace-invariant
-//! checking.
+//! restarts and partitions — run on four fixed seeds (the third with a
+//! replication-heavy mix, the fourth also reading the replicated object),
+//! each twice (replay) with full trace-invariant checking.
 //!
 //! Asserts the fault-tolerance tentpole invariants:
 //!
@@ -16,6 +16,10 @@
 //!   id, no response accepted by a dead incarnation, no lock grant to a
 //!   purged waiter, snapshot epochs monotone per backup, no restore
 //!   serving state older than the last acknowledged checkpoint;
+//! * checkpoint by reference: on the seed that reads the replicated
+//!   object, unchanged snapshots are confirmed rather than re-shipped,
+//!   and some confirmations are refused (then re-shipped in full) under
+//!   the same faults;
 //! * per-seed determinism: the replay digest matches event-for-event.
 //!
 //! Writes `CHAOS.json` for CI to archive; CI fails the job if any
@@ -28,8 +32,10 @@ use std::time::Instant;
 
 use mage_workloads::chaos::{run_checked, ChaosConfig, ChaosReport, InvariantReport};
 
-/// Two inherited seeds with the default mix, plus a replication-heavy
-/// seed that leans on the durable object and its crash-recovery path.
+/// Two inherited seeds with the default mix, a replication-heavy seed
+/// that leans on the durable object and its crash-recovery path, and a
+/// seed that also reads it, so checkpoints run as confirmations and
+/// coalesce onto in-flight snapshots while faults land.
 fn seed_configs() -> Vec<ChaosConfig> {
     let base = ChaosConfig {
         hosts: 6,
@@ -47,6 +53,14 @@ fn seed_configs() -> Vec<ChaosConfig> {
             seed: 4242,
             fault_percent: 18,
             durable_percent: 30,
+            stub_percent: 10,
+            ..base
+        },
+        ChaosConfig {
+            seed: 5150,
+            fault_percent: 18,
+            durable_percent: 30,
+            durable_get_percent: 50,
             stub_percent: 10,
             ..base
         },
@@ -110,6 +124,12 @@ fn soak(cfg: ChaosConfig) -> SeedOutcome {
         report.snapshots > 0 && report.restores > 0 && report.durable_recoveries > 0,
         "seed {seed} must exercise crash→restore→rebind recovery: {report:?}"
     );
+    if cfg.durable_get_percent > 0 {
+        assert!(
+            report.confirmations > 0 && report.refused_confirmations > 0,
+            "seed {seed} must confirm unchanged snapshots and see some refused: {report:?}"
+        );
+    }
 
     SeedOutcome {
         cfg,
@@ -184,6 +204,10 @@ fn main() {
             report.durable_recreates
         );
         println!(
+            "  checkpoint by reference: {} confirmations ({} refused)",
+            report.confirmations, report.refused_confirmations
+        );
+        println!(
             "  locks: {} cycles completed under the adversary ({} stale-identity refusals)",
             report.lock_cycles, report.stale_lock_refusals
         );
@@ -206,10 +230,18 @@ fn main() {
         );
         println!("  digest: {:#018x} (replay identical)\n", report.digest);
 
+        // Seeds that never read the replicated object keep the entry
+        // layout they were recorded with.
+        let reads = cfg.durable_get_percent > 0;
+        let get_share = if reads {
+            format!(", \"durable_get_percent\": {}", cfg.durable_get_percent)
+        } else {
+            String::new()
+        };
         let _ = writeln!(json, "    {{");
         let _ = writeln!(
             json,
-            "      \"config\": {{ \"seed\": {}, \"hosts\": {}, \"ops\": {}, \"fault_percent\": {}, \"lock_percent\": {}, \"stub_percent\": {}, \"durable_percent\": {}, \"midflight_percent\": {} }},",
+            "      \"config\": {{ \"seed\": {}, \"hosts\": {}, \"ops\": {}, \"fault_percent\": {}, \"lock_percent\": {}, \"stub_percent\": {}, \"durable_percent\": {}{get_share}, \"midflight_percent\": {} }},",
             cfg.seed, cfg.hosts, cfg.ops, cfg.fault_percent, cfg.lock_percent, cfg.stub_percent, cfg.durable_percent, cfg.midflight_percent
         );
         let _ = writeln!(
@@ -249,6 +281,13 @@ fn main() {
             report.stale_replies_dropped,
             report.world_rebinds
         );
+        if reads {
+            let _ = writeln!(
+                json,
+                "      \"confirmations\": {{ \"sent\": {}, \"refused\": {} }},",
+                report.confirmations, report.refused_confirmations
+            );
+        }
         let _ = writeln!(
             json,
             "      \"invariants\": {{ \"execs\": {}, \"duplicate_execs\": {}, \"rsp_accepts\": {}, \"stale_rsp_accepts\": {}, \"stale_rsp_dropped\": {}, \"grants\": {}, \"stale_grants\": {}, \"checkpoints\": {}, \"ckpt_regressions\": {}, \"restores\": {}, \"stale_restores\": {}, \"violations\": {} }},",

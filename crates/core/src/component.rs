@@ -36,7 +36,10 @@ pub enum Durability {
     /// the last *acknowledged* checkpoint — a restore serves the newest
     /// snapshot the backup holds, never older (and the chaos harness
     /// checks exactly that invariant). A synchronous mode is a ROADMAP
-    /// follow-on.
+    /// follow-on. A snapshot byte-identical to the last acknowledged one
+    /// is confirmed by `(incarnation, epoch)` instead of re-shipped; a
+    /// refused confirmation re-ships it in full, so the window is the
+    /// same.
     ///
     /// Crashes and partitions are deliberately indistinguishable (no
     /// failure-detector oracle), so a restore triggered by an

@@ -14,6 +14,8 @@
 //! Tasks carry interned [`NameId`]s / [`CompKey`]s; strings are resolved
 //! only on error paths.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use mage_rmi::{Env, Fault, NameId, ReplyHandle, RmiError};
 use mage_sim::{NodeId, OpId};
@@ -56,17 +58,22 @@ pub(crate) enum Task {
     Checkpoint(CheckpointTask),
 }
 
-/// Whether a checkpoint task awaits the snapshot ack or an interposed
+/// Whether a checkpoint task awaits the backup's answer or an interposed
 /// class push (the backup must hold the class to be able to restore).
 pub(crate) enum CkptPhase {
     SentCheckpoint { retried_class: bool },
     SentClass,
 }
 
+/// A checkpoint in flight to a backup home: a full snapshot, or a
+/// confirmation of one the backup acknowledged earlier.
 pub(crate) struct CheckpointTask {
-    pub name: NameId,
     pub dest: NodeId,
-    pub args: proto::CheckpointArgs,
+    pub head: proto::CheckpointHeader,
+    /// The full snapshot, shared with the object's
+    /// [`ShippedSnapshot`](crate::node::ShippedSnapshot) record and kept
+    /// for the re-send after a class push; `None` for a confirmation.
+    pub state: Option<Arc<Vec<u8>>>,
     pub phase: CkptPhase,
 }
 
@@ -364,10 +371,9 @@ impl MageNode {
 
     // ---- durability checkpoint shipping ----
 
-    /// Drives one checkpoint to its backup home. Failures other than a
-    /// recoverable `ClassMissing` are abandoned: the next mutation ships a
-    /// strictly fresher snapshot, and a dead backup cannot be helped by
-    /// retrying into it.
+    /// Drives one checkpoint to its backup home and settles its answer
+    /// (see [`MageNode::settle_checkpoint`]). A `ClassMissing` fault
+    /// pushes the class and re-sends once.
     fn step_checkpoint(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -377,18 +383,22 @@ impl MageNode {
     ) {
         match task.phase {
             CkptPhase::SentCheckpoint { retried_class } => match result {
-                Ok(_) => {} // stored, or refused as stale; either way done
+                Ok(reply) => {
+                    let held = decode::<bool>(&reply).unwrap_or(false);
+                    self.settle_checkpoint(env, &task, held);
+                }
                 Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    let class_name = self.syms.resolve_lossy(task.args.class);
+                    let class_name = self.syms.resolve_lossy(task.head.class);
                     let Some(def) = self.lib.get(&class_name) else {
                         env.note(format!(
                             "checkpoint of {} dropped: class {class_name} undefined",
-                            self.name_str(task.name)
+                            self.name_str(task.head.name)
                         ));
+                        self.settle_checkpoint(env, &task, false);
                         return;
                     };
                     let class_args = proto::ReceiveClassArgs {
-                        class: task.args.class,
+                        class: task.head.class,
                         code: vec![0u8; def.code_size() as usize],
                         has_static_fields: def.has_static_fields(),
                     };
@@ -400,15 +410,16 @@ impl MageNode {
                     if env.trace_enabled() {
                         env.note(format!(
                             "checkpoint of {} to {} dropped: {e}",
-                            self.name_str(task.name),
+                            self.name_str(task.head.name),
                             task.dest
                         ));
                     }
+                    self.settle_checkpoint(env, &task, false);
                 }
             },
             CkptPhase::SentClass => match result {
                 Ok(_) => {
-                    self.call_service(env, task.dest, self.ids.checkpoint, &task.args, token);
+                    self.send_checkpoint(env, token, &task);
                     task.phase = CkptPhase::SentCheckpoint {
                         retried_class: true,
                     };
@@ -421,8 +432,24 @@ impl MageNode {
                             task.dest
                         ));
                     }
+                    self.settle_checkpoint(env, &task, false);
                 }
             },
+        }
+    }
+
+    /// Sends `task`'s full snapshot, or its confirmation, under `token`.
+    pub(crate) fn send_checkpoint(&self, env: &mut Env<'_, '_>, token: u64, task: &CheckpointTask) {
+        let method = self.ids.checkpoint;
+        match &task.state {
+            Some(state) => {
+                let args = proto::CheckpointArgsRef {
+                    head: &task.head,
+                    state,
+                };
+                self.call_service(env, task.dest, method, &args, token);
+            }
+            None => self.call_service(env, task.dest, method, &task.head.confirmation(), token),
         }
     }
 

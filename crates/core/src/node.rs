@@ -24,7 +24,7 @@ use mage_sim::{NodeId, OpId, SimDuration};
 use crate::admission::Quotas;
 use crate::class::ClassLibrary;
 use crate::component::{Durability, Visibility};
-use crate::engine::{MoveOrigin, Task};
+use crate::engine::{CheckpointTask, CkptPhase, MoveOrigin, Task};
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
 use crate::proto::{self, methods, Command, Outcome};
@@ -124,9 +124,27 @@ pub(crate) struct Hosted {
     /// valid; when the object is (or comes to be) hosted *at* its backup
     /// home, checkpoints become local stores.
     pub backup: Option<NodeId>,
-    /// Monotonic snapshot epoch: bumped before every checkpoint, carried
-    /// across moves, so the backup can refuse stale snapshots.
+    /// Monotonic snapshot epoch: bumped before every full checkpoint,
+    /// carried across moves, so the backup can refuse stale snapshots.
     pub snapshot_epoch: u64,
+    /// The last full snapshot shipped to a remote backup home (never
+    /// carried across moves or restores: a new host starts empty).
+    pub shipped: Option<ShippedSnapshot>,
+}
+
+/// The last full snapshot a replicated object shipped to its remote
+/// backup home. A fresh snapshot that is byte-identical to it is
+/// confirmed (or, while it is in flight, coalesced) instead of shipped.
+pub(crate) struct ShippedSnapshot {
+    /// The shipped bytes, shared with the in-flight checkpoint task.
+    pub state: Arc<Vec<u8>>,
+    /// Epoch the bytes were shipped under.
+    pub epoch: u64,
+    /// The backup acknowledged storing them.
+    pub acked: bool,
+    /// A later invocation produced the same bytes while the shipment was
+    /// in flight and relies on it: if it is not stored, ship again.
+    pub coalesced: bool,
 }
 
 /// A durability snapshot held for a replicated object whose primary lives
@@ -568,16 +586,16 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> CallOutcome {
-        let args: proto::ReceiveArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
         if !self.trust.admits(from) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept objects from {from}",
                 self.name
             ))));
         }
+        let args: proto::ReceiveArgs = match mage_codec::from_bytes(call.args()) {
+            Ok(args) => args,
+            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
+        };
         if !self.quotas.admits_object(self.objects.len()) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "object quota exceeded in namespace {}",
@@ -611,6 +629,7 @@ impl MageNode {
                 durability: args.durability,
                 backup: args.backup.map(NodeId::from_raw),
                 snapshot_epoch: args.snapshot_epoch,
+                shipped: None,
             },
         );
         self.locks.install(args.name, args.locks);
@@ -631,16 +650,16 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> CallOutcome {
-        let args: proto::ReceiveClassArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
         if !self.trust.admits(from) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept classes from {from}",
                 self.name
             ))));
         }
+        let args: proto::ReceiveClassArgs = match mage_codec::from_bytes(call.args()) {
+            Ok(args) => args,
+            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
+        };
         if args.has_static_fields && !self.config.allow_static_classes {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "class {} has static fields; replication would fork static state",
@@ -693,16 +712,16 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> CallOutcome {
-        let args: proto::InstantiateArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
         if !self.trust.admits(from) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept instantiation from {from}",
                 self.name
             ))));
         }
+        let args: proto::InstantiateArgs = match mage_codec::from_bytes(call.args()) {
+            Ok(args) => args,
+            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
+        };
         if !self.quotas.admits_object(self.objects.len()) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "object quota exceeded in namespace {}",
@@ -756,6 +775,7 @@ impl MageNode {
                 durability: args.durability,
                 backup: args.backup.map(NodeId::from_raw),
                 snapshot_epoch: 0,
+                shipped: None,
             },
         );
         self.registry
@@ -942,6 +962,7 @@ impl MageNode {
                 durability: policy.durability,
                 backup: policy.backup,
                 snapshot_epoch: 0,
+                shipped: None,
             },
         );
         self.registry
@@ -958,11 +979,14 @@ impl MageNode {
 
     // ---- durability: checkpoint & restore ----
 
-    /// Ships a durability snapshot of `name` to its fixed backup home (a
-    /// no-op for volatile objects and objects hosted *at* their backup,
-    /// where the snapshot is stored locally instead). Bumps the object's
-    /// snapshot epoch; delivery failures are abandoned — the next
-    /// mutation ships a strictly fresher snapshot anyway.
+    /// Checkpoints `name` to its fixed backup home (a no-op for volatile
+    /// objects; an object hosted *at* its backup stores the snapshot
+    /// locally instead). A snapshot byte-identical to the last one shipped
+    /// is not shipped again: once the backup acknowledged it, a
+    /// confirmation naming its `(incarnation, epoch)` goes out instead;
+    /// while it is still in flight, nothing does, and
+    /// [`settle_checkpoint`](Self::settle_checkpoint) re-ships should it
+    /// fail. Only a full snapshot bumps the epoch.
     pub(crate) fn ship_checkpoint(&mut self, env: &mut Env<'_, '_>, name: NameId) {
         let me = env.node();
         let Some(hosted) = self.objects.get_mut(&name) else {
@@ -981,13 +1005,26 @@ impl MageNode {
                 return;
             }
         };
-        hosted.snapshot_epoch += 1;
-        let args = proto::CheckpointArgs {
+        // Exact byte equality, never a hash: a false match would lose data.
+        let confirmed_epoch = match &mut hosted.shipped {
+            Some(shipped) if backup != me && *shipped.state == state => {
+                if !shipped.acked {
+                    shipped.coalesced = true;
+                    return;
+                }
+                Some(shipped.epoch)
+            }
+            _ => None,
+        };
+        let epoch = confirmed_epoch.unwrap_or_else(|| {
+            hosted.snapshot_epoch += 1;
+            hosted.snapshot_epoch
+        });
+        let head = proto::CheckpointHeader {
             name,
             class: hosted.class,
-            state,
             incarnation: hosted.incarnation,
-            epoch: hosted.snapshot_epoch,
+            epoch,
             home: hosted.home.as_raw(),
             visibility: hosted.visibility,
             durability: hosted.durability,
@@ -995,18 +1032,74 @@ impl MageNode {
         if backup == me {
             // Hosted at the backup home: the snapshot is a local store
             // (no wire, but the same monotonicity discipline).
-            self.store_backup(env, args);
+            self.store_backup(env, head.with_state(state));
             return;
         }
-        let token = self.spawn_task(Task::Checkpoint(crate::engine::CheckpointTask {
-            name,
+        let state = if confirmed_epoch.is_some() {
+            env.count("checkpoint_confirms");
+            None
+        } else {
+            let state = Arc::new(state);
+            hosted.shipped = Some(ShippedSnapshot {
+                state: Arc::clone(&state),
+                epoch: head.epoch,
+                acked: false,
+                coalesced: false,
+            });
+            Some(state)
+        };
+        let token = self.spawn_task(Task::Checkpoint(CheckpointTask {
             dest: backup,
-            args: args.clone(),
-            phase: crate::engine::CkptPhase::SentCheckpoint {
+            head,
+            state,
+            phase: CkptPhase::SentCheckpoint {
                 retried_class: false,
             },
         }));
-        self.call_service(env, backup, self.ids.checkpoint, &args, token);
+        if let Some(Task::Checkpoint(task)) = self.tasks.get(&token) {
+            self.send_checkpoint(env, token, task);
+        }
+    }
+
+    /// Settles the backup's answer to `task` against the object's
+    /// shipped-snapshot record, if that record still describes `task`'s
+    /// snapshot. `held` means the backup stored the full snapshot, or
+    /// confirmed it holds it. Anything else (refused as stale, unknown
+    /// to a restarted backup, or the call failed) clears the record; a
+    /// confirmation, or a shipment an invocation coalesced onto, is then
+    /// replaced by a full snapshot straight away, so every completed
+    /// invocation's state still reaches the backup or is confirmed there.
+    pub(crate) fn settle_checkpoint(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        task: &CheckpointTask,
+        held: bool,
+    ) {
+        let head = &task.head;
+        let confirm = task.state.is_none();
+        if confirm && !held {
+            env.count("checkpoint_confirms_refused");
+        }
+        let Some(hosted) = self
+            .objects
+            .get_mut(&head.name)
+            .filter(|h| h.incarnation == head.incarnation)
+        else {
+            return;
+        };
+        let Some(shipped) = hosted.shipped.as_mut().filter(|s| s.epoch == head.epoch) else {
+            return;
+        };
+        if held {
+            shipped.acked = true;
+            shipped.coalesced = false;
+            return;
+        }
+        let reship = confirm || shipped.coalesced;
+        hosted.shipped = None;
+        if reship {
+            self.ship_checkpoint(env, head.name);
+        }
     }
 
     /// Accepts (or refuses as stale) a durability snapshot. Returns
@@ -1060,16 +1153,24 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> CallOutcome {
-        let args: proto::CheckpointArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
         if !self.trust.admits(from) {
             return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept checkpoints from {from}",
                 self.name
             ))));
         }
+        let args = match proto::CheckpointCall::decode(call.args()) {
+            Ok(proto::CheckpointCall::Full(args)) => args,
+            Ok(proto::CheckpointCall::Confirm(confirm)) => {
+                // Stores nothing: the answer only says whether this backup
+                // still holds exactly the snapshot the primary names.
+                let held = self.backups.get(&confirm.name).is_some_and(|held| {
+                    (held.incarnation, held.epoch) == (confirm.incarnation, confirm.epoch)
+                });
+                return reply_ok(&held);
+            }
+            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
+        };
         // The backup must be able to *restore* — it needs the class. The
         // primary pushes it on this fault, exactly like a move would.
         if !self.classes.contains(&args.class) {
@@ -1145,6 +1246,7 @@ impl MageNode {
                 // moves away again.
                 backup: Some(me),
                 snapshot_epoch: epoch,
+                shipped: None,
             },
         );
         self.registry.update(key, Located::new(me, incarnation));

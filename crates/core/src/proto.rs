@@ -235,9 +235,11 @@ pub struct InstantiateArgs {
     pub replace: bool,
 }
 
-/// Arguments of [`methods::CHECKPOINT`]. Reply: `bool` (`true` when the
-/// snapshot was stored, `false` when it was refused as stale — the
-/// backup's snapshot epochs are monotone per object name).
+/// Arguments of [`methods::CHECKPOINT`] carrying a full snapshot. Reply:
+/// `bool` (`true` when the snapshot was stored, `false` when it was
+/// refused as stale — the backup's snapshot epochs are monotone per
+/// object name). Primaries encode the borrowed twin
+/// [`CheckpointArgsRef`]; backups decode through [`CheckpointCall`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointArgs {
     /// Interned name of the replicated object.
@@ -258,6 +260,121 @@ pub struct CheckpointArgs {
     pub visibility: Visibility,
     /// Durability policy the restored object inherits.
     pub durability: Durability,
+}
+
+/// Everything a checkpoint says about its object except the state: what
+/// a primary keeps beside an in-flight snapshot, and what a confirmation
+/// is cut from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckpointHeader {
+    /// Interned name of the replicated object.
+    pub name: NameId,
+    /// Its interned class name.
+    pub class: NameId,
+    /// Incarnation of the primary at snapshot time.
+    pub incarnation: Incarnation,
+    /// Snapshot epoch.
+    pub epoch: u64,
+    /// Raw id of the object's origin server.
+    pub home: u32,
+    /// Visibility the restored object would have.
+    pub visibility: Visibility,
+    /// Durability policy the restored object inherits.
+    pub durability: Durability,
+}
+
+impl CheckpointHeader {
+    /// The owned full-snapshot arguments for `state`.
+    pub fn with_state(&self, state: Vec<u8>) -> CheckpointArgs {
+        CheckpointArgs {
+            name: self.name,
+            class: self.class,
+            state,
+            incarnation: self.incarnation,
+            epoch: self.epoch,
+            home: self.home,
+            visibility: self.visibility,
+            durability: self.durability,
+        }
+    }
+
+    /// The confirmation naming this snapshot.
+    pub fn confirmation(&self) -> CheckpointConfirm {
+        CheckpointConfirm {
+            name: self.name,
+            incarnation: self.incarnation,
+            epoch: self.epoch,
+        }
+    }
+}
+
+/// The encoding side of [`CheckpointArgs`]: the same bytes on the wire,
+/// with the state borrowed from the snapshot the primary keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointArgsRef<'a> {
+    /// Everything but the state.
+    pub head: &'a CheckpointHeader,
+    /// Snapshot of the object's heap state.
+    pub state: &'a [u8],
+}
+
+// Written out by hand because the derive does not take lifetimes; the
+// field order is `CheckpointArgs`'s.
+impl Serialize for CheckpointArgsRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let head = self.head;
+        let mut out = serializer.serialize_struct("CheckpointArgs", 8)?;
+        out.serialize_field("name", &head.name)?;
+        out.serialize_field("class", &head.class)?;
+        out.serialize_field("state", self.state)?;
+        out.serialize_field("incarnation", &head.incarnation)?;
+        out.serialize_field("epoch", &head.epoch)?;
+        out.serialize_field("home", &head.home)?;
+        out.serialize_field("visibility", &head.visibility)?;
+        out.serialize_field("durability", &head.durability)?;
+        out.end()
+    }
+}
+
+/// The other form of a [`methods::CHECKPOINT`] call: the primary's fresh
+/// snapshot is byte-identical to the one the backup acknowledged, so it
+/// names that snapshot instead of shipping it again. Reply: `bool`,
+/// `true` only when the backup still holds exactly `(incarnation,
+/// epoch)` for the name; `false` tells the primary to re-ship in full.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointConfirm {
+    /// Interned name of the replicated object.
+    pub name: NameId,
+    /// Incarnation of the acknowledged snapshot.
+    pub incarnation: Incarnation,
+    /// Epoch of the acknowledged snapshot.
+    pub epoch: u64,
+}
+
+/// A decoded [`methods::CHECKPOINT`] call.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CheckpointCall {
+    /// A full snapshot to store.
+    Full(CheckpointArgs),
+    /// A confirmation of a snapshot the backup should already hold.
+    Confirm(CheckpointConfirm),
+}
+
+impl CheckpointCall {
+    /// Decodes either form. A confirmation is three integers; a full
+    /// snapshot encodes at least eight fields, and the codec refuses
+    /// trailing bytes, so a full snapshot never decodes as one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the full form's decode error when neither form fits.
+    pub fn decode(bytes: &[u8]) -> Result<Self, mage_codec::DecodeError> {
+        match mage_codec::from_bytes::<CheckpointConfirm>(bytes) {
+            Ok(confirm) => Ok(CheckpointCall::Confirm(confirm)),
+            Err(_) => mage_codec::from_bytes(bytes).map(CheckpointCall::Full),
+        }
+    }
 }
 
 /// Arguments of [`methods::RESTORE`]. Reply: [`FindReply`] — where the
@@ -572,20 +689,25 @@ mod tests {
 
     #[test]
     fn checkpoint_and_restore_args_roundtrip() {
-        let ckpt = CheckpointArgs {
+        let head = CheckpointHeader {
             name: NameId::from_raw(4),
             class: NameId::from_raw(7),
-            state: vec![9, 9],
             incarnation: Incarnation::from_raw(3),
             epoch: 12,
             home: 1,
             visibility: Visibility::Public,
             durability: Durability::Replicated { backups: 1 },
         };
+        let ckpt = head.with_state(vec![9, 200, 9]);
         let bytes = mage_codec::to_bytes(&ckpt).unwrap();
+        let borrowed = CheckpointArgsRef {
+            head: &head,
+            state: &ckpt.state,
+        };
+        assert_eq!(mage_codec::to_bytes(&borrowed).unwrap(), bytes);
         assert_eq!(
-            mage_codec::from_bytes::<CheckpointArgs>(&bytes).unwrap(),
-            ckpt
+            CheckpointCall::decode(&bytes).unwrap(),
+            CheckpointCall::Full(ckpt)
         );
         let restore = RestoreArgs {
             name: NameId::from_raw(4),
@@ -595,6 +717,35 @@ mod tests {
             mage_codec::from_bytes::<RestoreArgs>(&bytes).unwrap(),
             restore
         );
+    }
+
+    #[test]
+    fn confirmations_and_full_snapshots_never_decode_as_each_other() {
+        let head = CheckpointHeader {
+            name: NameId::from_raw(300),
+            class: NameId::from_raw(7),
+            incarnation: Incarnation::from_raw(u64::MAX),
+            epoch: 1 << 40,
+            home: 2,
+            visibility: Visibility::Public,
+            durability: Durability::Replicated { backups: 1 },
+        };
+        let confirm = head.confirmation();
+        let bytes = mage_codec::to_bytes(&confirm).unwrap();
+        assert_eq!(
+            CheckpointCall::decode(&bytes).unwrap(),
+            CheckpointCall::Confirm(confirm)
+        );
+        for state in [vec![], vec![0x80; 3], vec![1, 2, 3]] {
+            let full = head.with_state(state);
+            let bytes = mage_codec::to_bytes(&full).unwrap();
+            assert!(bytes.len() > mage_codec::to_bytes(&confirm).unwrap().len());
+            assert_eq!(
+                CheckpointCall::decode(&bytes).unwrap(),
+                CheckpointCall::Full(full)
+            );
+        }
+        assert!(CheckpointCall::decode(&[0x80]).is_err());
     }
 
     #[test]

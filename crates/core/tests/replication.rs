@@ -4,10 +4,15 @@
 //! only as a typed `StaleIdentity` followed by a (possibly automatic)
 //! rebind.
 
-use mage_core::attribute::Rev;
+use mage_core::attribute::{Cle, Rev};
+use mage_core::object::{args_as, result_from};
 use mage_core::workload_support::{methods, test_object_class};
-use mage_core::{Durability, MageError, ObjectSpec, Runtime};
+use mage_core::{
+    ClassDef, Durability, MageError, MobileEnv, MobileObject, ObjectHandle, ObjectSpec, Runtime,
+};
+use mage_rmi::{Config as RmiConfig, Fault};
 use mage_sim::TraceEvent;
+use serde::{Deserialize, Serialize};
 
 fn world(nodes: &[&str]) -> Runtime {
     let mut rt = Runtime::builder()
@@ -294,4 +299,248 @@ fn spec_can_place_birth_through_a_mobility_attribute() {
     // The class rode the instantiate ladder to sensor1 and the creation
     // checkpoint landed at the lab.
     assert!(rt.world().metrics().counter("snapshots_stored") >= 1);
+}
+
+// ---- checkpoint by reference ----
+
+/// A counter carrying 1 KiB of state, so a full snapshot is big next to a
+/// confirmation that names it.
+#[derive(Debug, Default, Serialize, Deserialize)]
+struct Padded {
+    value: i64,
+    payload: Vec<u8>,
+}
+
+impl MobileObject for Padded {
+    fn class_name(&self) -> &str {
+        "Padded"
+    }
+
+    fn snapshot(&self) -> Result<Vec<u8>, Fault> {
+        result_from(self)
+    }
+
+    fn invoke(
+        &mut self,
+        method: &str,
+        _args: &[u8],
+        _env: &mut MobileEnv<'_>,
+    ) -> Result<Vec<u8>, Fault> {
+        match method {
+            "inc" => {
+                self.value += 1;
+                result_from(&self.value)
+            }
+            "get" => result_from(&self.value),
+            other => Err(Fault::NoSuchMethod {
+                object: "padded".into(),
+                method: other.into(),
+            }),
+        }
+    }
+}
+
+fn padded_class() -> ClassDef {
+    ClassDef::new("Padded", 2_048, |state| {
+        let obj: Padded = if state.is_empty() {
+            Padded::default()
+        } else {
+            args_as(state)?
+        };
+        Ok(Box::new(obj))
+    })
+}
+
+/// A traced world of `a`, `b`, `c` holding a replicated `Padded` counter
+/// hosted at `a` and backed up at `b`; `rmi` sets the retry budget.
+fn padded_world(rmi: RmiConfig) -> Runtime {
+    let mut rt = Runtime::builder()
+        .fast()
+        .rmi_config(rmi)
+        .nodes(["a", "b", "c"])
+        .class(padded_class())
+        .trace(true)
+        .build();
+    rt.deploy_class("Padded", "a").unwrap();
+    let padded = Padded {
+        value: 0,
+        payload: (0..1024).map(|i| (i * 31 % 251) as u8).collect(),
+    };
+    rt.session("a")
+        .unwrap()
+        .create(
+            ObjectSpec::new("counter")
+                .class("Padded")
+                .state(&padded)
+                .durability(Durability::Replicated { backups: 1 })
+                .backup("b"),
+        )
+        .unwrap();
+    rt
+}
+
+/// Payload bytes of every `checkpoint` call sent so far, in order.
+fn checkpoint_sends(rt: &Runtime) -> Vec<u64> {
+    rt.world()
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Send { label, bytes, .. } if label == "call:mage.checkpoint" => {
+                Some(*bytes)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn counter(rt: &Runtime, name: &str) -> u64 {
+    rt.world().metrics().counter(name)
+}
+
+/// Crashes `a` and increments through a pinned handle from `c`: the
+/// restore at `b` must continue from `value`.
+fn assert_restore_continues_from(rt: &mut Runtime, value: i64) {
+    let c = rt.session("c").unwrap();
+    let stub = c.bind(&Cle::new("Padded", "counter")).unwrap();
+    let mut handle = ObjectHandle::new(stub, Durability::Replicated { backups: 1 }, true);
+    rt.crash("a").unwrap();
+    assert_eq!(
+        c.call_handle(&mut handle, methods::INC, &()).unwrap(),
+        value + 1
+    );
+    assert_eq!(rt.node_name(handle.location()), Some("b"));
+}
+
+#[test]
+fn repeated_reads_confirm_the_snapshot_instead_of_reshipping_it() {
+    let mut rt = padded_world(RmiConfig::zero_cost());
+    let a = rt.session("a").unwrap();
+    let stub = a.bind(&Cle::new("Padded", "counter")).unwrap();
+    assert_eq!(a.call(&stub, methods::INC, &()).unwrap(), 1);
+    rt.run_until_idle().unwrap();
+    let full = *checkpoint_sends(&rt).last().unwrap();
+    let stored = counter(&rt, "snapshots_stored");
+    let before = checkpoint_sends(&rt).len();
+
+    for _ in 0..10 {
+        assert_eq!(a.call(&stub, methods::GET, &()).unwrap(), 1);
+    }
+    rt.run_until_idle().unwrap();
+
+    // Every read still checkpoints, but by naming the acknowledged
+    // snapshot: nothing new is stored, and ten confirmations together
+    // weigh less than one full snapshot.
+    let confirms = &checkpoint_sends(&rt)[before..];
+    assert_eq!(confirms.len(), 10);
+    assert_eq!(counter(&rt, "checkpoint_confirms"), 10);
+    assert_eq!(counter(&rt, "checkpoint_confirms_refused"), 0);
+    assert_eq!(counter(&rt, "snapshots_stored"), stored);
+    assert!(full > 1024, "a full snapshot carries the state: {full} B");
+    assert!(
+        confirms.iter().sum::<u64>() < full,
+        "ten confirmations {confirms:?} must weigh less than one {full} B snapshot"
+    );
+    assert_restore_continues_from(&mut rt, 1);
+}
+
+#[test]
+fn restarted_backup_refuses_the_confirmation_and_is_reseeded() {
+    let mut rt = padded_world(RmiConfig::zero_cost());
+    let a = rt.session("a").unwrap();
+    let stub = a.bind(&Cle::new("Padded", "counter")).unwrap();
+    assert_eq!(a.call(&stub, methods::INC, &()).unwrap(), 1);
+    rt.run_until_idle().unwrap();
+    let stored = counter(&rt, "snapshots_stored");
+
+    // The backup loses its acknowledged copy.
+    rt.crash("b").unwrap();
+    rt.restart("b").unwrap();
+
+    assert_eq!(a.call(&stub, methods::GET, &()).unwrap(), 1);
+    rt.run_until_idle().unwrap();
+    assert_eq!(counter(&rt, "checkpoint_confirms"), 1);
+    assert_eq!(counter(&rt, "checkpoint_confirms_refused"), 1);
+    assert_eq!(
+        counter(&rt, "snapshots_stored"),
+        stored + 1,
+        "the refused confirmation must re-seed the backup in full"
+    );
+    assert_restore_continues_from(&mut rt, 1);
+}
+
+#[test]
+fn read_coalesced_onto_a_lost_snapshot_reships_it() {
+    // One retransmission: the snapshot's call is attempted twice.
+    let rmi = RmiConfig {
+        max_retries: 1,
+        ..RmiConfig::zero_cost()
+    };
+    let mut rt = padded_world(rmi);
+    let a = rt.session("a").unwrap();
+    let stub = a.bind(&Cle::new("Padded", "counter")).unwrap();
+    rt.run_until_idle().unwrap();
+    let stored = counter(&rt, "snapshots_stored");
+
+    // The INC ships value 1 into a cut link; the pipelined GET finds the
+    // same bytes still unacknowledged and sends nothing.
+    rt.partition_between("a", "b").unwrap();
+    let sent = checkpoint_sends(&rt).len();
+    let inc = a.call_async(&stub, methods::INC, &()).unwrap();
+    let get = a.call_async(&stub, methods::GET, &()).unwrap();
+    while !(inc.is_done() && get.is_done()) {
+        assert!(rt.step());
+    }
+    assert_eq!(inc.wait().unwrap(), 1);
+    assert_eq!(get.wait().unwrap(), 1);
+    assert_eq!(checkpoint_sends(&rt).len(), sent + 1);
+    assert_eq!(counter(&rt, "checkpoint_confirms"), 0);
+
+    // Both attempts die on the cut; heal before the call gives up.
+    while checkpoint_sends(&rt).len() < sent + 2 {
+        assert!(rt.step());
+    }
+    rt.heal_between("a", "b").unwrap();
+    rt.run_until_idle().unwrap();
+
+    // The lost shipment had a read coalesced onto it, so the primary
+    // shipped the state again in full, and that copy was stored.
+    let resent = &checkpoint_sends(&rt)[sent..];
+    assert_eq!(resent.len(), 3, "{resent:?}");
+    assert!(resent.iter().all(|&bytes| bytes > 1024), "{resent:?}");
+    assert_eq!(counter(&rt, "snapshots_stored"), stored + 1);
+    assert_restore_continues_from(&mut rt, 1);
+}
+
+#[test]
+fn backup_refuses_a_confirmation_of_a_snapshot_it_no_longer_holds() {
+    let mut rt = padded_world(RmiConfig::zero_cost());
+    let a = rt.session("a").unwrap();
+    let stub = a.bind(&Cle::new("Padded", "counter")).unwrap();
+    assert_eq!(a.call(&stub, methods::INC, &()).unwrap(), 1);
+    let c = rt.session("c").unwrap();
+    let mut theirs = ObjectHandle::new(
+        c.bind(&Cle::new("Padded", "counter")).unwrap(),
+        Durability::Replicated { backups: 1 },
+        true,
+    );
+    rt.run_until_idle().unwrap();
+
+    // Cut off from a, c restores the counter at b under a younger
+    // incarnation and writes to it there.
+    rt.partition_between("a", "c").unwrap();
+    assert_eq!(c.call_handle(&mut theirs, methods::INC, &()).unwrap(), 2);
+    assert_eq!(rt.node_name(theirs.location()), Some("b"));
+    rt.run_until_idle().unwrap();
+    let stored = counter(&rt, "snapshots_stored");
+
+    // The forked old primary still reads its own copy; b holds the same
+    // name, but not the snapshot a names, so it must refuse. a's full
+    // re-ship is then refused as stale.
+    assert_eq!(a.call(&stub, methods::GET, &()).unwrap(), 1);
+    rt.run_until_idle().unwrap();
+    assert_eq!(counter(&rt, "checkpoint_confirms"), 1);
+    assert_eq!(counter(&rt, "checkpoint_confirms_refused"), 1);
+    assert_eq!(counter(&rt, "snapshots_stored"), stored);
+    assert_eq!(c.call_handle(&mut theirs, methods::GET, &()).unwrap(), 2);
 }

@@ -360,6 +360,32 @@ fn trust_policy_blocks_migration_into_namespace() {
 }
 
 #[test]
+fn untrusted_sender_is_denied_before_its_payload_is_decoded() {
+    let mut rt = fast_runtime(&["lab", "fortress"]);
+    rt.set_trust("fortress", Some(&["lab"])).unwrap();
+    let fortress = rt.node_id("fortress").unwrap();
+    let mut world = rt.world_mut();
+    let intruder = world.add_node(
+        "intruder",
+        mage_rmi::client_endpoint(mage_rmi::Config::zero_cost()),
+    );
+    // A payload no argument struct decodes from: an unterminated varint.
+    for method in ["receive", "receiveClass", "instantiate", "checkpoint"] {
+        let err = mage_rmi::drive_call(
+            &mut world,
+            intruder,
+            fortress,
+            "mage",
+            method,
+            vec![0xff; 9],
+        )
+        .unwrap()
+        .unwrap_err();
+        assert!(err.contains("access denied"), "{method}: {err}");
+    }
+}
+
+#[test]
 fn quota_refuses_excess_objects() {
     let mut rt = fast_runtime(&["lab", "tiny"]);
     rt.deploy_class("TestObject", "lab").unwrap();

@@ -23,7 +23,9 @@
 //! The run drives thousands of REV/GREV/COD/CLE/mobile-agent operations
 //! (some guarded with §4.4 locks), explicit lock/unlock cycles,
 //! stub-pinned invocations against two volatile shared objects, and
-//! policy-handle invocations of a replicated object, while a seeded
+//! policy-handle invocations of a replicated object (writes, plus reads
+//! when [`ChaosConfig::durable_get_percent`] is set, whose unchanged
+//! snapshots are confirmed rather than re-shipped), while a seeded
 //! adversary crashes nodes, restarts them empty, cuts and heals links —
 //! and, for a slice of the operations, injects the fault *while the
 //! protocol is mid-flight* (crash during `receive`/`receiveClass`, cuts
@@ -85,6 +87,11 @@ pub struct ChaosConfig {
     /// `Durability::Replicated` object (the crash-recovery surface:
     /// checkpoints, restores, auto-rebinds).
     pub durable_percent: u8,
+    /// Percent of those replicated-object invocations that are `GET`s
+    /// rather than `INC`s: reads leave the snapshot unchanged, so their
+    /// checkpoints are confirmations or coalesce onto an in-flight one.
+    /// At 0 no random draw is made for it.
+    pub durable_get_percent: u8,
     /// Record a full trace and check protocol invariants over it.
     pub check_invariants: bool,
 }
@@ -100,6 +107,7 @@ impl Default for ChaosConfig {
             stub_percent: 15,
             midflight_percent: 10,
             durable_percent: 15,
+            durable_get_percent: 0,
             check_invariants: false,
         }
     }
@@ -149,6 +157,13 @@ pub struct ChaosReport {
     pub durable_recreates: usize,
     /// World metric: durability snapshots accepted at backup homes.
     pub snapshots: u64,
+    /// World metric: checkpoints sent as confirmations of an unchanged,
+    /// acknowledged snapshot instead of the snapshot itself.
+    pub confirmations: u64,
+    /// World metric: confirmations the backup did not answer `true`
+    /// (it no longer held that snapshot, or the call failed); when the
+    /// snapshot is still the object's latest, it is re-shipped in full.
+    pub refused_confirmations: u64,
     /// World metric: objects restored from a backup snapshot.
     pub restores: u64,
     /// World metric: invocations refused with a typed `StaleIdentity`.
@@ -380,6 +395,8 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         durable_recoveries: 0,
         durable_recreates: 0,
         snapshots: 0,
+        confirmations: 0,
+        refused_confirmations: 0,
         restores: 0,
         stale_refusals: 0,
         stale_lock_refusals: 0,
@@ -494,6 +511,13 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
             // StaleIdentity that `call_handle` resolves by automatic
             // rebind — the restored object serves its checkpointed state.
             report.durable_ops += 1;
+            let method = if cfg.durable_get_percent > 0
+                && rng.gen_range(0..100u8) < cfg.durable_get_percent
+            {
+                methods::GET
+            } else {
+                methods::INC
+            };
             if handles[client].is_none() {
                 handles[client] = session
                     .bind(&Cle::new("TestObject", DURABLE))
@@ -505,7 +529,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
             match handles[client].as_mut() {
                 Some(handle) => {
                     let before = handle.incarnation();
-                    match session.call_handle(handle, methods::INC, &()) {
+                    match session.call_handle(handle, method, &()) {
                         Ok(v) => {
                             if handle.incarnation() != before {
                                 // The call outlived a crash of the
@@ -659,6 +683,8 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         report.sent = metrics.net.sent;
         report.dropped = metrics.net.dropped;
         report.snapshots = metrics.counter("snapshots_stored");
+        report.confirmations = metrics.counter("checkpoint_confirms");
+        report.refused_confirmations = metrics.counter("checkpoint_confirms_refused");
         report.restores = metrics.counter("snapshot_restores");
         report.stale_refusals = metrics.counter("stale_identity_refusals");
         report.stale_lock_refusals = metrics.counter("stale_lock_refusals");
@@ -885,6 +911,26 @@ mod tests {
         assert!(inv.checkpoints > 0, "{inv:?}");
         assert!(inv.restores > 0, "{inv:?}");
         assert!(report.restores >= inv.restores as u64);
+    }
+
+    #[test]
+    fn durable_reads_confirm_snapshots_under_faults() {
+        let (report, inv) = run_checked(&ChaosConfig {
+            seed: 11,
+            hosts: 5,
+            ops: 800,
+            fault_percent: 30,
+            durable_percent: 30,
+            durable_get_percent: 50,
+            check_invariants: true,
+            ..ChaosConfig::default()
+        })
+        .unwrap();
+        let inv = inv.expect("invariant checking was requested");
+        assert_eq!(inv.violations(), 0, "{inv:?}");
+        assert_eq!(report.stalled + report.other_errors, 0, "{report:?}");
+        assert!(report.confirmations > 0, "{report:?}");
+        assert!(report.durable_recoveries > 0, "{report:?}");
     }
 
     #[test]
