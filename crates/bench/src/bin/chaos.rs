@@ -20,6 +20,8 @@
 //!   object, unchanged snapshots are confirmed rather than re-shipped,
 //!   and some confirmations are refused (then re-shipped in full) under
 //!   the same faults;
+//! * fail fast on a dead peer: every seed has some operation skip a
+//!   peer that died under it instead of spending another retry budget;
 //! * per-seed determinism: the replay digest matches event-for-event.
 //!
 //! Writes `CHAOS.json` for CI to archive; CI fails the job if any
@@ -124,6 +126,10 @@ fn soak(cfg: ChaosConfig) -> SeedOutcome {
         report.snapshots > 0 && report.restores > 0 && report.durable_recoveries > 0,
         "seed {seed} must exercise crash→restore→rebind recovery: {report:?}"
     );
+    assert!(
+        report.dead_peer_skips > 0,
+        "seed {seed} must skip a peer that died under an operation: {report:?}"
+    );
     if cfg.durable_get_percent > 0 {
         assert!(
             report.confirmations > 0 && report.refused_confirmations > 0,
@@ -206,6 +212,10 @@ fn main() {
         println!(
             "  checkpoint by reference: {} confirmations ({} refused)",
             report.confirmations, report.refused_confirmations
+        );
+        println!(
+            "  dead peers: {} resolutions skipped a peer that died under their op",
+            report.dead_peer_skips
         );
         println!(
             "  locks: {} cycles completed under the adversary ({} stale-identity refusals)",
@@ -303,6 +313,11 @@ fn main() {
             inv.restores,
             inv.stale_restores,
             inv.violations()
+        );
+        let _ = writeln!(
+            json,
+            "      \"dead_peer_skips\": {},",
+            report.dead_peer_skips
         );
         let _ = writeln!(
             json,

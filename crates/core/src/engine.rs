@@ -167,6 +167,23 @@ pub(crate) enum ExecPhase {
     },
 }
 
+impl ExecPhase {
+    /// Whether the awaited call is one its peer answers on receipt, so an
+    /// exhausted retry budget proves the peer dead for the rest of the op.
+    /// Finds, locks and moves do not qualify: a live peer may hold them
+    /// while it waits on a third party.
+    fn answered_on_receipt(&self) -> bool {
+        matches!(
+            self,
+            ExecPhase::AwaitInvoke
+                | ExecPhase::AwaitRestore { .. }
+                | ExecPhase::AwaitInstantiate { .. }
+                | ExecPhase::AwaitFetchClass { .. }
+                | ExecPhase::AwaitPushClass { .. }
+        )
+    }
+}
+
 pub(crate) struct ExecTask {
     pub op: OpId,
     pub spec: proto::ExecSpec,
@@ -185,6 +202,32 @@ pub(crate) struct ExecTask {
     /// Whether the once-only backup consultation has been spent (the
     /// durability mirror of the find walk's once-only home retry).
     pub restore_tried: bool,
+    /// Peers this op has seen exhaust a retry budget on a call answered
+    /// on receipt; location resolution never contacts them again. Empty
+    /// (and unallocated) unless a peer died under the op.
+    pub dead_peers: Vec<NodeId>,
+}
+
+impl ExecTask {
+    /// Records the peer of a failed call as dead for the rest of the op
+    /// when the failure proves it (see [`ExecPhase::answered_on_receipt`]).
+    pub(crate) fn note_dead_peer(&mut self, result: &Result<Bytes, RmiError>) {
+        if let Err(RmiError::PeerUnreachable { peer, .. }) = result {
+            if self.phase.answered_on_receipt() && !self.dead_peers.contains(peer) {
+                self.dead_peers.push(*peer);
+            }
+        }
+    }
+
+    /// Whether location resolution must pass over `peer` because it died
+    /// under this op; counts the skip when it does.
+    pub(crate) fn skip_dead(&self, env: &mut Env<'_, '_>, peer: NodeId) -> bool {
+        let dead = self.dead_peers.contains(&peer);
+        if dead {
+            env.count("dead_peer_skips");
+        }
+        dead
+    }
 }
 
 /// Maps a failed RMI call into the [`MageError`] a driver op reports.

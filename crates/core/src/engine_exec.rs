@@ -69,6 +69,7 @@ impl MageNode {
             retries: self.config.race_retries,
             failure: None,
             restore_tried: false,
+            dead_peers: Vec::new(),
         };
         self.exec_begin_guard(env, id, task);
     }
@@ -512,7 +513,10 @@ impl MageNode {
     }
 
     /// Resolves the component's location from local knowledge or issues a
-    /// find (in which case the caller parks the task).
+    /// find (in which case the caller parks the task). Knowledge naming a
+    /// peer that died under this op is passed over, and a find that would
+    /// have to start at a dead home fails at once with the `Unreachable`
+    /// the walk would reach after spending its retries on that peer.
     fn exec_resolve_location(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -531,7 +535,7 @@ impl MageNode {
             return Ok(Some(me));
         }
         if let Some(entry) = self.registry.lookup(key) {
-            if entry.node != me {
+            if entry.node != me && !task.skip_dead(env, entry.node) {
                 if !task.spec.identity_pinned {
                     task.cinc = Some(entry.incarnation).filter(|inc| !inc.is_none());
                 }
@@ -539,7 +543,7 @@ impl MageNode {
             }
         }
         if let Some(hint) = task.spec.location_hint.map(NodeId::from_raw) {
-            if hint != me {
+            if hint != me && !task.skip_dead(env, hint) {
                 if !task.spec.identity_pinned {
                     task.cinc = task.spec.expected_incarnation;
                 }
@@ -552,6 +556,9 @@ impl MageNode {
             .map(NodeId::from_raw)
             .filter(|h| *h != me);
         match start {
+            Some(home) if task.skip_dead(env, home) => Err(MageError::Unreachable {
+                peer: home.as_raw(),
+            }),
             Some(start) => {
                 let args = proto::FindArgs {
                     key,
@@ -575,6 +582,7 @@ impl MageNode {
         mut task: ExecTask,
         result: Result<Bytes, RmiError>,
     ) {
+        task.note_dead_peer(&result);
         match task.phase {
             ExecPhase::AwaitFind { resume } => match result {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {

@@ -178,6 +178,56 @@ fn partitioned_call_fails_typed_and_heals() {
     assert_eq!(loc, rt.node_id("home").unwrap());
 }
 
+/// Guard for the dead-peer rule: only a call its peer answers on receipt
+/// proves the peer dead. A client's stub names a host that has crashed:
+/// its invocation spends one budget there, then the engine re-finds from
+/// the live home, whose registry still forwards to the crashed host. The
+/// home holds that find while its own call to the dead host runs out, so
+/// the client's budget expires first and reports the home unreachable.
+/// The home is alive, so the op must not fail fast with
+/// `Unreachable { home }`: its retried find reaches the repaired home and
+/// ends `NotFound`.
+#[test]
+fn find_held_by_a_live_hop_does_not_fail_fast() {
+    let mut rt = runtime(&["h0", "x", "c"]);
+    let s0 = rt.session("h0").unwrap();
+    s0.create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    let sx = rt.session("x").unwrap();
+    sx.bind_invoke(&Grev::new("TestObject", "obj", "x"), methods::INC, &())
+        .unwrap();
+    let sc = rt.session("c").unwrap();
+    let stub = sc.bind(&Cle::new("TestObject", "obj")).unwrap();
+    assert_eq!(stub.location(), rt.node_id("x").unwrap());
+    rt.crash("x").unwrap();
+
+    let err = sc.call(&stub, methods::INC, &()).unwrap_err();
+    assert!(
+        matches!(err, MageError::NotFound(_)),
+        "a live hop holding a find must not be marked dead, got {err:?}"
+    );
+}
+
+/// A peer is dead only for the op that saw it exhaust a budget: once
+/// the partition heals, the next call through the same stub reaches it.
+#[test]
+fn dead_peer_mark_ends_with_its_op() {
+    let mut rt = runtime(&["home", "far"]);
+    let home = rt.session("home").unwrap();
+    home.create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    let far = rt.session("far").unwrap();
+    let stub = far.bind(&Cle::new("TestObject", "obj")).unwrap();
+
+    rt.partition_between("home", "far").unwrap();
+    let err = far.call(&stub, methods::INC, &()).unwrap_err();
+    let peer = rt.node_id("home").unwrap().as_raw();
+    assert_eq!(err, MageError::Unreachable { peer });
+
+    rt.heal_between("home", "far").unwrap();
+    assert_eq!(far.call(&stub, methods::INC, &()).unwrap(), 1);
+}
+
 /// A migration whose target crashed aborts cleanly: the bind resolves to
 /// a typed error, the object re-homes at the source and stays usable.
 #[test]

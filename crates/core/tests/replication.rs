@@ -11,14 +11,16 @@ use mage_core::{
     ClassDef, Durability, MageError, MobileEnv, MobileObject, ObjectHandle, ObjectSpec, Runtime,
 };
 use mage_rmi::{Config as RmiConfig, Fault};
-use mage_sim::TraceEvent;
+use mage_sim::{LinkSpec, SimDuration, TraceEvent};
 use serde::{Deserialize, Serialize};
 
+/// A traced world: some tests count the frames sent to a dead host.
 fn world(nodes: &[&str]) -> Runtime {
     let mut rt = Runtime::builder()
         .fast()
         .nodes(nodes.iter().copied())
         .class(test_object_class())
+        .trace(true)
         .build();
     rt.deploy_class("TestObject", nodes[0]).unwrap();
     rt
@@ -136,6 +138,143 @@ fn volatile_objects_still_die_with_their_host() {
         "volatile object must not be restored: {err:?}"
     );
     assert_eq!(rt.world().metrics().counter("snapshot_restores"), 0);
+}
+
+// ---- one retry budget per dead peer ----
+
+/// Frames addressed to `node` so far, delivered or not.
+fn sends_to(rt: &Runtime, node: &str) -> usize {
+    let id = rt.node_id(node).unwrap();
+    rt.world()
+        .trace()
+        .events()
+        .iter()
+        .filter(|event| matches!(event, TraceEvent::Send { to, .. } if *to == id))
+        .count()
+}
+
+/// One call's retry budget: the first send plus every retransmission,
+/// and the virtual time they take to run out.
+fn one_budget() -> (usize, SimDuration) {
+    let rmi = RmiConfig::zero_cost();
+    let attempts = u64::from(rmi.max_retries) + 1;
+    (attempts as usize, rmi.call_timeout.saturating_mul(attempts))
+}
+
+/// `a` hosts (and is home to) a replicated counter backed up at `b`; a
+/// client at `c` calls it after `a` crashes. The invocation spends one
+/// budget on `a`, which proves `a` dead for the rest of the op, so the
+/// re-find fails fast at the dead home and the backup is consulted at
+/// once — no further budget goes to `a`.
+fn recovery_costs_one_budget(pinned: bool) {
+    let (attempts, budget) = one_budget();
+    let mut rt = world(&["a", "b", "c"]);
+    let a = rt.session("a").unwrap();
+    let mut handle = a.create(replicated_counter("b").pinned(pinned)).unwrap();
+    assert_eq!(a.call_handle(&mut handle, methods::INC, &()).unwrap(), 1);
+    let c = rt.session("c").unwrap();
+    let mut theirs = ObjectHandle::new(handle.stub().clone(), handle.durability(), pinned);
+    rt.run_until_idle().unwrap();
+
+    rt.crash("a").unwrap();
+    let (sent, start) = (sends_to(&rt, "a"), rt.now());
+    assert_eq!(c.call_handle(&mut theirs, methods::INC, &()).unwrap(), 2);
+    let took = rt.now() - start;
+
+    assert_eq!(
+        sends_to(&rt, "a") - sent,
+        attempts,
+        "one budget to the dead host"
+    );
+    assert_eq!(rt.node_name(theirs.location()), Some("b"));
+    assert!(counter(&rt, "dead_peer_skips") >= 1);
+    // On this zero-latency, zero-cost world the restore and the retried
+    // invocation take no virtual time: the whole recovery is one budget.
+    assert_eq!(took, budget, "recovery took {took}, one budget is {budget}");
+}
+
+#[test]
+fn pinned_recovery_sends_one_budget_to_the_dead_primary() {
+    recovery_costs_one_budget(true);
+}
+
+#[test]
+fn unpinned_recovery_sends_one_budget_to_the_dead_primary() {
+    recovery_costs_one_budget(false);
+}
+
+#[test]
+fn volatile_object_surfaces_unreachable_after_one_budget() {
+    let (attempts, budget) = one_budget();
+    let mut rt = world(&["a", "b", "c"]);
+    let a = rt.session("a").unwrap();
+    let handle = a
+        .create(ObjectSpec::new("counter").class("TestObject"))
+        .unwrap();
+    let c = rt.session("c").unwrap();
+    let stub = handle.stub().clone();
+    rt.run_until_idle().unwrap();
+
+    rt.crash("a").unwrap();
+    let (sent, start) = (sends_to(&rt, "a"), rt.now());
+    let err = c.call_raw(&stub, "inc", Vec::new()).unwrap_err();
+    let took = rt.now() - start;
+
+    let host = rt.node_id("a").unwrap().as_raw();
+    assert_eq!(err, MageError::Unreachable { peer: host });
+    assert_eq!(sends_to(&rt, "a") - sent, attempts, "one budget, not four");
+    assert_eq!(took, budget);
+}
+
+/// The asynchronous-checkpoint loss window, pinned: a write whose success
+/// reply reached the client is lost when the primary crashes before the
+/// backup has its snapshot. The restore serves the older value.
+#[test]
+fn write_acknowledged_before_its_checkpoint_lands_is_lost_on_crash() {
+    let mut rt = world(&["a", "b", "c"]);
+    let a = rt.session("a").unwrap();
+    a.create(replicated_counter("b")).unwrap();
+    let c = rt.session("c").unwrap();
+    let mut handle = ObjectHandle::new(
+        c.bind(&Cle::new("TestObject", "counter")).unwrap(),
+        Durability::Replicated { backups: 1 },
+        false,
+    );
+    assert_eq!(c.call_handle(&mut handle, methods::INC, &()).unwrap(), 1);
+    rt.run_until_idle().unwrap();
+    let stored = counter(&rt, "snapshots_stored");
+
+    // 1. Slow the primary→backup link.
+    let (ida, idb) = (rt.node_id("a").unwrap(), rt.node_id("b").unwrap());
+    rt.world_mut().set_link_bidi(
+        ida,
+        idb,
+        LinkSpec::ideal().with_latency(SimDuration::from_millis(50)),
+    );
+
+    // 2. The second write's success reply reaches the client while the
+    // snapshot of value 2 is still on the slow link.
+    let sent = checkpoint_sends(&rt).len();
+    let write = c.call_async(handle.stub(), methods::INC, &()).unwrap();
+    while !write.is_done() {
+        assert!(rt.step());
+    }
+    assert_eq!(write.wait().unwrap(), 2);
+    assert_eq!(checkpoint_sends(&rt).len(), sent + 1, "snapshot shipped");
+    assert_eq!(
+        counter(&rt, "snapshots_stored"),
+        stored,
+        "but not yet stored"
+    );
+
+    // 3. The primary crashes before the backup acks; the snapshot in
+    // flight dies with its sender.
+    rt.crash("a").unwrap();
+
+    // 4. The restore serves the last acknowledged snapshot: value 1.
+    assert_eq!(c.call_handle(&mut handle, methods::GET, &()).unwrap(), 1);
+    assert_eq!(rt.node_name(handle.location()), Some("b"));
+    assert_eq!(counter(&rt, "snapshot_restores"), 1);
 }
 
 #[test]

@@ -174,6 +174,10 @@ pub struct ChaosReport {
     pub stale_replies_dropped: u64,
     /// World metric: stub rebinds (explicit and handle-automatic).
     pub world_rebinds: u64,
+    /// World metric: times an operation's location resolution passed over
+    /// a peer that died under it, or failed fast at a dead home, instead
+    /// of spending another retry budget there.
+    pub dead_peer_skips: u64,
     /// Fault actions applied.
     pub crashes: usize,
     /// Nodes brought back.
@@ -402,6 +406,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         stale_lock_refusals: 0,
         stale_replies_dropped: 0,
         world_rebinds: 0,
+        dead_peer_skips: 0,
         crashes: 0,
         restarts: 0,
         partitions: 0,
@@ -690,6 +695,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         report.stale_lock_refusals = metrics.counter("stale_lock_refusals");
         report.stale_replies_dropped = metrics.counter("stale_replies_dropped");
         report.world_rebinds = metrics.counter("rebinds") + metrics.counter("auto_rebinds");
+        report.dead_peer_skips = metrics.counter("dead_peer_skips");
     }
     report.elapsed_us = (rt.now() - start).as_micros();
 
