@@ -12,6 +12,8 @@
 //! * `f32`/`f64`: little-endian IEEE-754 bytes
 //! * `bool` and `Option` tags: one byte (`0`/`1`)
 //! * strings, byte strings, sequences, maps: varint length prefix
+//!   (a `Vec<u8>` is a sequence, one varint per byte; wrap bulk bytes in
+//!   [`ByteBuf`] to encode them as a byte string, one raw copy)
 //! * structs and tuples: fields back-to-back, no framing
 //! * enums: varint variant index followed by the payload
 //!
@@ -43,9 +45,11 @@ pub mod error;
 pub mod frame;
 pub mod varint;
 
+mod byte_buf;
 mod de;
 mod ser;
 
+pub use byte_buf::ByteBuf;
 pub use de::{from_bytes, from_bytes_prefix, Deserializer};
 pub use error::{DecodeError, EncodeError};
 pub use frame::FrameReader;

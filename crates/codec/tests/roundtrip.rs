@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use mage_codec::{ByteBuf, DecodeError};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -121,6 +122,50 @@ fn float_specials_roundtrip() {
     assert!(nan.is_nan());
 }
 
+/// The layout a borrowed `&[u8]` decodes from: a length varint, then
+/// the raw bytes.
+fn raw_bytes_layout(v: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    mage_codec::varint::encode_u64(v.len() as u64, &mut out);
+    out.extend_from_slice(v);
+    out
+}
+
+#[test]
+fn byte_buf_shares_the_borrowed_slice_layout() {
+    let contents: Vec<u8> = (0..=255u8).collect();
+    let wire = mage_codec::to_bytes(&ByteBuf(contents.clone())).unwrap();
+    assert_eq!(wire, raw_bytes_layout(&contents));
+    let borrowed: &[u8] = mage_codec::from_bytes(&wire).unwrap();
+    assert_eq!(borrowed, &contents[..]);
+    let owned: ByteBuf = mage_codec::from_bytes(&raw_bytes_layout(&contents)).unwrap();
+    assert_eq!(owned.0, contents);
+}
+
+#[test]
+fn byte_buf_length_past_the_end_is_eof() {
+    let mut wire = mage_codec::to_bytes(&ByteBuf(vec![0xFF; 16])).unwrap();
+    wire.truncate(wire.len() - 1);
+    assert_eq!(
+        mage_codec::from_bytes::<ByteBuf>(&wire).unwrap_err(),
+        DecodeError::UnexpectedEof
+    );
+}
+
+#[test]
+fn byte_buf_huge_claimed_length_errors_without_allocating_it() {
+    // Reserving either claim up front would abort the process, not return.
+    for claim in [1u64 << 40, u64::MAX] {
+        let mut wire = Vec::new();
+        mage_codec::varint::encode_u64(claim, &mut wire);
+        wire.extend_from_slice(&[0xAB; 8]);
+        assert!(
+            mage_codec::from_bytes::<ByteBuf>(&wire).is_err(),
+            "claim {claim}"
+        );
+    }
+}
+
 proptest! {
     #[test]
     fn prop_u64_roundtrips(v in any::<u64>()) {
@@ -140,6 +185,24 @@ proptest! {
     #[test]
     fn prop_byte_vectors_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
         prop_assert_eq!(roundtrip(&v), v);
+    }
+
+    #[test]
+    fn prop_byte_bufs_roundtrip_as_length_plus_raw_copy(v in proptest::collection::vec(any::<u8>(), 0..1024)) {
+        let wire = mage_codec::to_bytes(&ByteBuf(v.clone())).unwrap();
+        let mut expected = mage_codec::to_bytes(&v.len()).unwrap();
+        expected.extend_from_slice(&v);
+        prop_assert_eq!(&wire, &expected);
+        prop_assert_eq!(mage_codec::from_bytes::<ByteBuf>(&wire).unwrap().0, v.clone());
+        prop_assert_eq!(mage_codec::from_bytes::<&[u8]>(&wire).unwrap(), &v[..]);
+    }
+
+    #[test]
+    fn prop_all_ff_byte_bufs_roundtrip(len in 0usize..2048) {
+        let v = ByteBuf(vec![0xFF; len]);
+        let wire = mage_codec::to_bytes(&v).unwrap();
+        prop_assert_eq!(wire.len(), mage_codec::to_bytes(&len).unwrap().len() + len);
+        prop_assert_eq!(mage_codec::from_bytes::<ByteBuf>(&wire).unwrap(), v);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mage_codec::ByteBuf;
 use mage_rmi::{Env, Fault, NameId, ReplyHandle, RmiError};
 use mage_sim::{NodeId, OpId};
 
@@ -442,7 +443,7 @@ impl MageNode {
                     };
                     let class_args = proto::ReceiveClassArgs {
                         class: task.head.class,
-                        code: vec![0u8; def.code_size() as usize],
+                        code: ByteBuf(vec![0u8; def.code_size() as usize]),
                         has_static_fields: def.has_static_fields(),
                     };
                     self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);
@@ -894,7 +895,7 @@ impl MageNode {
         let receive_args = proto::ReceiveArgs {
             name,
             class,
-            state,
+            state: ByteBuf(state),
             home: home.as_raw(),
             visibility,
             version,
@@ -954,7 +955,7 @@ impl MageNode {
                     };
                     let class_args = proto::ReceiveClassArgs {
                         class: task.receive_args.class,
-                        code: vec![0u8; def.code_size() as usize],
+                        code: ByteBuf(vec![0u8; def.code_size() as usize]),
                         has_static_fields: def.has_static_fields(),
                     };
                     self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);

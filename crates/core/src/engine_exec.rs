@@ -8,6 +8,7 @@
 //! transfer slipped in on demand.
 
 use bytes::Bytes;
+use mage_codec::ByteBuf;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
@@ -284,7 +285,7 @@ impl MageNode {
                     let args = proto::InstantiateArgs {
                         class: task.spec.class,
                         name: object_id,
-                        state,
+                        state: ByteBuf(state),
                         visibility,
                         durability,
                         backup,
@@ -767,7 +768,7 @@ impl MageNode {
                     let args = proto::InstantiateArgs {
                         class: task.spec.class,
                         name: task.spec.object.expect("instantiate has an object name"),
-                        state,
+                        state: ByteBuf(state),
                         visibility,
                         durability,
                         backup,
@@ -819,7 +820,7 @@ impl MageNode {
                             .expect("cached class defined");
                         let class_args = proto::ReceiveClassArgs {
                             class: task.spec.class,
-                            code: vec![0u8; def.code_size() as usize],
+                            code: ByteBuf(vec![0u8; def.code_size() as usize]),
                             has_static_fields: def.has_static_fields(),
                         };
                         self.call_service(env, dest, self.ids.receive_class, &class_args, id);

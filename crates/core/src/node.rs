@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mage_codec::ByteBuf;
 use mage_rmi::{App, CallOutcome, Env, Fault, InboundCall, NameId, ReplyHandle, SymbolTable};
 use mage_sim::{NodeId, OpId, SimDuration};
 
@@ -701,7 +702,7 @@ impl MageNode {
         };
         reply_ok(&proto::ReceiveClassArgs {
             class: args.class,
-            code: vec![0u8; def.code_size() as usize],
+            code: ByteBuf(vec![0u8; def.code_size() as usize]),
             has_static_fields: def.has_static_fields(),
         })
     }

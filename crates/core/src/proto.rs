@@ -13,6 +13,7 @@
 //! instead of being serializable.
 
 use bytes::Bytes;
+use mage_codec::ByteBuf;
 use mage_rmi::NameId;
 use mage_sim::OpId;
 use serde::{Deserialize, Serialize};
@@ -170,8 +171,9 @@ pub struct ReceiveArgs {
     /// else the receiver faults `ClassMissing` and the sender pushes the
     /// class first).
     pub class: NameId,
-    /// Weak-migration snapshot of the object's heap state.
-    pub state: Vec<u8>,
+    /// Weak-migration snapshot of the object's heap state, shipped as one
+    /// raw copy.
+    pub state: ByteBuf,
     /// Raw id of the object's origin server.
     pub home: u32,
     /// Public/private visibility.
@@ -199,7 +201,7 @@ pub struct ReceiveClassArgs {
     /// Interned class name.
     pub class: NameId,
     /// Simulated class file bytes (size drives transfer and load cost).
-    pub code: Vec<u8>,
+    pub code: ByteBuf,
     /// Whether the class declares static fields (receivers refuse these by
     /// default, §4.2).
     pub has_static_fields: bool,
@@ -221,8 +223,9 @@ pub struct InstantiateArgs {
     pub class: NameId,
     /// Interned name to register the new object under.
     pub name: NameId,
-    /// Constructor state passed to the class factory.
-    pub state: Vec<u8>,
+    /// Constructor state passed to the class factory, shipped as one raw
+    /// copy.
+    pub state: ByteBuf,
     /// Visibility of the new object.
     pub visibility: Visibility,
     /// Durability policy of the new object.
@@ -247,7 +250,9 @@ pub struct CheckpointArgs {
     /// Its interned class name (must be cached at the backup, else the
     /// backup faults `ClassMissing` and the primary pushes the class).
     pub class: NameId,
-    /// Snapshot of the object's heap state.
+    /// Snapshot of the object's heap state. Not yet a [`ByteBuf`]: the
+    /// benchmark harness keeps every round, so a faster durable workload
+    /// would trip its memory bound (ROADMAP item 1).
     pub state: Vec<u8>,
     /// Incarnation of the primary at snapshot time.
     pub incarnation: Incarnation,
@@ -670,7 +675,7 @@ mod tests {
         let args = ReceiveArgs {
             name: NameId::from_raw(4),
             class: NameId::from_raw(7),
-            state: vec![1, 2, 3],
+            state: ByteBuf(vec![1, 200, 3]),
             home: 0,
             visibility: Visibility::Public,
             version: 4,

@@ -386,6 +386,58 @@ fn untrusted_sender_is_denied_before_its_payload_is_decoded() {
 }
 
 #[test]
+fn trusted_malformed_receive_is_refused_and_installs_nothing() {
+    let mut rt = fast_runtime(&["lab", "fortress"]);
+    with_object(&mut rt, "lab", "victim");
+    rt.deploy_class("TestObject", "fortress").unwrap();
+    // Room for exactly one object: a half-installed receive would leave
+    // none for the honest move below.
+    rt.set_quota("fortress", Some(1), None).unwrap();
+    let fortress = rt.node_id("fortress").unwrap();
+    let lab = rt.node_id("lab").unwrap();
+    {
+        let mut world = rt.world_mut();
+        let sender = world.add_node(
+            "sender",
+            mage_rmi::client_endpoint(mage_rmi::Config::zero_cost()),
+        );
+        // The symbol table numbers names densely from 0 and this runtime
+        // interns far fewer than 64, so one of these ids names `victim`.
+        for raw in 0..64 {
+            let id = mage_rmi::NameId::from_raw(raw);
+            // `ReceiveArgs` opens with name, class and the state's length
+            // prefix: this one claims 16 state bytes and only 8 follow.
+            let mut payload = mage_codec::to_bytes(&(id, id, 16u8)).unwrap();
+            payload.extend_from_slice(&[0xAB; 8]);
+            let err =
+                mage_rmi::drive_call(&mut world, sender, fortress, "mage", "receive", payload)
+                    .unwrap()
+                    .unwrap_err();
+            assert!(
+                err.contains("application fault: unexpected end of input"),
+                "id {raw}: {err}"
+            );
+        }
+    }
+    // No registry entry: fortress still finds `victim` at lab.
+    let at_fortress = rt.session("fortress").unwrap();
+    assert_eq!(at_fortress.find("victim").unwrap(), lab);
+    // No object: the one-object quota still admits the real move, and the
+    // node serves the moved object as usual.
+    let (stub, value) = rt
+        .session("lab")
+        .unwrap()
+        .bind_invoke(
+            &Rev::new("TestObject", "victim", "fortress"),
+            methods::INC,
+            &(),
+        )
+        .unwrap();
+    assert_eq!(stub.location(), fortress);
+    assert_eq!(value, Some(1));
+}
+
+#[test]
 fn quota_refuses_excess_objects() {
     let mut rt = fast_runtime(&["lab", "tiny"]);
     rt.deploy_class("TestObject", "lab").unwrap();
