@@ -88,22 +88,15 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// v1 (serde, owned strings + copied args) against v2 (interned ids +
-/// `Bytes`-sliced args) on the same logical CallReq.
+/// Encoding and decoding a wire CallReq (interned ids, `Bytes`-sliced
+/// args) across argument sizes.
 fn bench_wire_formats(c: &mut Criterion) {
     use bytes::Bytes;
-    use mage_rmi::wire::{Message, NameRef, WireMsg};
+    use mage_rmi::wire::{NameRef, WireMsg};
     use mage_rmi::NameId;
 
     let mut group = c.benchmark_group("wire");
     for size in [16usize, 1024, 65_536] {
-        let v1 = Message::CallReq {
-            call_id: 42,
-            object: "geoData".into(),
-            method: "filterData".into(),
-            args: vec![7u8; size],
-        };
-        let v1_frame = v1.encode();
         let v2 = WireMsg::CallReq {
             call_id: 42,
             sender_epoch: 1,
@@ -112,9 +105,6 @@ fn bench_wire_formats(c: &mut Criterion) {
             args: Bytes::from(vec![7u8; size]),
         };
         let v2_frame = v2.encode();
-        group.bench_function(format!("v1_decode_{size}B"), |b| {
-            b.iter(|| Message::decode(std::hint::black_box(&v1_frame)).unwrap())
-        });
         group.bench_function(format!("v2_decode_{size}B"), |b| {
             b.iter(|| WireMsg::decode(std::hint::black_box(&v2_frame)).unwrap())
         });

@@ -59,10 +59,15 @@ pub(crate) enum Task {
     Checkpoint(CheckpointTask),
 }
 
-/// Whether a checkpoint task awaits the backup's answer or an interposed
-/// class push (the backup must hold the class to be able to restore).
-pub(crate) enum CkptPhase {
-    SentCheckpoint { retried_class: bool },
+/// Where a move or checkpoint stands on the class-push ladder: a target
+/// that answers `ClassMissing` gets the class pushed once, then the
+/// original call again (a backup must hold the class to be able to
+/// restore, a move target to reify the object).
+pub(crate) enum PushPhase {
+    /// The original call is in flight; `retried_class` once the class
+    /// push has been spent.
+    Sent { retried_class: bool },
+    /// The class push is in flight.
     SentClass,
 }
 
@@ -75,7 +80,7 @@ pub(crate) struct CheckpointTask {
     /// [`ShippedSnapshot`](crate::node::ShippedSnapshot) record and kept
     /// for the re-send after a class push; `None` for a confirmation.
     pub state: Option<Arc<Vec<u8>>>,
-    pub phase: CkptPhase,
+    pub phase: PushPhase,
 }
 
 pub(crate) struct ClientLockTask {
@@ -114,16 +119,11 @@ pub(crate) enum MoveOrigin {
     Autonomous,
 }
 
-pub(crate) enum MovePhase {
-    SentReceive { retried_class: bool },
-    SentClass,
-}
-
 pub(crate) struct MoveOutTask {
     pub name: NameId,
     pub dest: NodeId,
     pub origin: MoveOrigin,
-    pub phase: MovePhase,
+    pub phase: PushPhase,
     pub receive_args: proto::ReceiveArgs,
     /// Waiters removed from the lock queue at pack time. Bounced after the
     /// move commits (so their re-find sees the forwarding address) or
@@ -131,7 +131,9 @@ pub(crate) struct MoveOutTask {
     pub parked_waiters: Vec<crate::lock::QueuedWaiter<ReplyHandle>>,
 }
 
-/// Where the exec engine resumes after a find completes.
+/// The exec stage a find was issued for. It re-enters once the find
+/// answers, then finds the location known (or, after a dead hop,
+/// forgotten and due to be resolved again).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Resume {
     Guard,
@@ -314,102 +316,126 @@ impl MageNode {
                 key,
                 home,
                 retried,
-            } => {
-                match result {
-                    Ok(bytes) => match decode::<FindReply>(&bytes) {
-                        Ok(found) => {
-                            // Path compression: remember the final location
-                            // and incarnation, collapsing the chain (§4.1).
-                            self.registry.update(
-                                key,
-                                Located::new(NodeId::from_raw(found.location), found.incarnation),
-                            );
-                            // Forward the payload straight out of the
-                            // received frame — no copy.
-                            env.reply_with(reply, Ok(&bytes));
-                        }
-                        Err(e) => {
-                            env.reply(reply, Err(Fault::App(e.to_string())));
-                        }
-                    },
-                    Err(err) => {
-                        // The hop we followed failed: the entry that led
-                        // there is stale — repair it so the bad chain dies
-                        // with this walk. A dead hop earns the once-only
-                        // retry from the component's home.
-                        self.registry.remove(key);
-                        if is_unreachable(&err)
-                            && !retried
-                            && self.retry_find_from_home(env, key, home, || Task::FwdFind {
-                                reply,
-                                key,
-                                home,
-                                retried: true,
-                            })
-                        {
-                            return;
-                        }
-                        match err {
-                            RmiError::Fault(fault) => env.reply(reply, Err(fault)),
-                            RmiError::PeerUnreachable { peer, .. } => env.reply(
-                                reply,
-                                Err(Fault::Unreachable {
-                                    peer: peer.as_raw(),
-                                }),
-                            ),
-                            other => env.reply(reply, Err(Fault::App(other.to_string()))),
-                        };
-                    }
-                }
-            }
+            } => self.step_fwd_find(env, reply, key, home, retried, result),
             Task::ClientFind {
                 op,
                 key,
                 home,
                 retried,
-            } => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        self.registry.update(
-                            key,
-                            Located::new(NodeId::from_raw(found.location), found.incarnation),
-                        );
-                        self.complete(
-                            env,
-                            op,
-                            Ok(Outcome {
-                                location: found.location,
-                                incarnation: found.incarnation,
-                                ..Outcome::default()
-                            }),
-                        );
-                    }
-                    Err(e) => self.complete(env, op, Err(e)),
-                },
-                Err(e) => {
-                    if is_unreachable(&e) {
-                        // The first hop (or one behind it) is dead; our
-                        // entry pointing there is stale.
-                        self.registry.remove(key);
-                        if !retried
-                            && self.retry_find_from_home(env, key, home, || Task::ClientFind {
-                                op,
-                                key,
-                                home,
-                                retried: true,
-                            })
-                        {
-                            return;
-                        }
-                    }
-                    self.complete(env, op, Err(rmi_error_to_mage(&e)));
-                }
-            },
+            } => self.step_client_find(env, op, key, home, retried, result),
             Task::ClientLock(t) => self.step_client_lock(env, token, t, result),
             Task::ClientUnlock(t) => self.step_client_unlock(env, token, t, result),
             Task::Exec(t) => self.step_exec_reply(env, token, *t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
             Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
+        }
+    }
+
+    /// Answers a forwarded find's caller from the next hop's reply.
+    fn step_fwd_find(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        reply: ReplyHandle,
+        key: CompKey,
+        home: Option<u32>,
+        retried: bool,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Ok(bytes) => match decode::<FindReply>(&bytes) {
+                Ok(found) => {
+                    // Path compression: remember the final location and
+                    // incarnation, collapsing the chain (§4.1).
+                    self.registry.update(
+                        key,
+                        Located::new(NodeId::from_raw(found.location), found.incarnation),
+                    );
+                    // Forward the payload straight out of the received
+                    // frame — no copy.
+                    env.reply_with(reply, Ok(&bytes));
+                }
+                Err(e) => {
+                    env.reply(reply, Err(Fault::App(e.to_string())));
+                }
+            },
+            Err(err) => {
+                // The hop we followed failed: the entry that led there is
+                // stale — repair it so the bad chain dies with this walk. A
+                // dead hop earns the once-only retry from the component's
+                // home.
+                self.registry.remove(key);
+                if is_unreachable(&err)
+                    && !retried
+                    && self.retry_find_from_home(env, key, home, || Task::FwdFind {
+                        reply,
+                        key,
+                        home,
+                        retried: true,
+                    })
+                {
+                    return;
+                }
+                match err {
+                    RmiError::Fault(fault) => env.reply(reply, Err(fault)),
+                    RmiError::PeerUnreachable { peer, .. } => env.reply(
+                        reply,
+                        Err(Fault::Unreachable {
+                            peer: peer.as_raw(),
+                        }),
+                    ),
+                    other => env.reply(reply, Err(Fault::App(other.to_string()))),
+                };
+            }
+        }
+    }
+
+    /// Completes a driver find from the walk's answer.
+    fn step_client_find(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        op: OpId,
+        key: CompKey,
+        home: Option<u32>,
+        retried: bool,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Ok(bytes) => match decode::<FindReply>(&bytes) {
+                Ok(found) => {
+                    self.registry.update(
+                        key,
+                        Located::new(NodeId::from_raw(found.location), found.incarnation),
+                    );
+                    self.complete(
+                        env,
+                        op,
+                        Ok(Outcome {
+                            location: found.location,
+                            incarnation: found.incarnation,
+                            ..Outcome::default()
+                        }),
+                    );
+                }
+                Err(e) => self.complete(env, op, Err(e)),
+            },
+            Err(e) => {
+                if is_unreachable(&e) {
+                    // The first hop (or one behind it) is dead; our entry
+                    // pointing there is stale.
+                    self.registry.remove(key);
+                    if !retried
+                        && self.retry_find_from_home(env, key, home, || Task::ClientFind {
+                            op,
+                            key,
+                            home,
+                            retried: true,
+                        })
+                    {
+                        return;
+                    }
+                }
+                self.complete(env, op, Err(rmi_error_to_mage(&e)));
+            }
         }
     }
 
@@ -426,28 +452,24 @@ impl MageNode {
         result: Result<Bytes, RmiError>,
     ) {
         match task.phase {
-            CkptPhase::SentCheckpoint { retried_class } => match result {
+            PushPhase::Sent { retried_class } => match result {
                 Ok(reply) => {
                     let held = decode::<bool>(&reply).unwrap_or(false);
                     self.settle_checkpoint(env, &task, held);
                 }
                 Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    let class_name = self.syms.resolve_lossy(task.head.class);
-                    let Some(def) = self.lib.get(&class_name) else {
-                        env.note(format!(
-                            "checkpoint of {} dropped: class {class_name} undefined",
-                            self.name_str(task.head.name)
-                        ));
+                    if !self.push_class(env, task.dest, task.head.class, token) {
+                        if env.trace_enabled() {
+                            env.note(format!(
+                                "checkpoint of {} dropped: class {} undefined",
+                                self.name_str(task.head.name),
+                                self.name_str(task.head.class)
+                            ));
+                        }
                         self.settle_checkpoint(env, &task, false);
                         return;
-                    };
-                    let class_args = proto::ReceiveClassArgs {
-                        class: task.head.class,
-                        code: ByteBuf(vec![0u8; def.code_size() as usize]),
-                        has_static_fields: def.has_static_fields(),
-                    };
-                    self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);
-                    task.phase = CkptPhase::SentClass;
+                    }
+                    task.phase = PushPhase::SentClass;
                     self.tasks.insert(token, Task::Checkpoint(task));
                 }
                 Err(e) => {
@@ -461,10 +483,10 @@ impl MageNode {
                     self.settle_checkpoint(env, &task, false);
                 }
             },
-            CkptPhase::SentClass => match result {
+            PushPhase::SentClass => match result {
                 Ok(_) => {
                     self.send_checkpoint(env, token, &task);
-                    task.phase = CkptPhase::SentCheckpoint {
+                    task.phase = PushPhase::Sent {
                         retried_class: true,
                     };
                     self.tasks.insert(token, Task::Checkpoint(task));
@@ -480,6 +502,23 @@ impl MageNode {
                 }
             },
         }
+    }
+
+    /// Pushes `class` to `dest` under `token`, the middle rung of the
+    /// class-push ladder (see [`PushPhase`]). Returns `false`, sending
+    /// nothing, when the class library does not define the class.
+    pub(crate) fn push_class(
+        &self,
+        env: &mut Env<'_, '_>,
+        dest: NodeId,
+        class: NameId,
+        token: u64,
+    ) -> bool {
+        let Some(args) = self.class_transfer_args(class) else {
+            return false;
+        };
+        self.call_service(env, dest, self.ids.receive_class, &args, token);
+        true
     }
 
     /// Sends `task`'s full snapshot, or its confirmation, under `token`.
@@ -630,7 +669,7 @@ impl MageNode {
         env.charge(self.config.bind_overhead);
         let token = self.next_task;
         self.next_task += 1;
-        let mut task = ClientLockTask {
+        let task = ClientLockTask {
             op,
             name,
             target: NodeId::from_raw(target),
@@ -639,19 +678,25 @@ impl MageNode {
             retries: self.config.race_retries,
             expected: None,
         };
-        match self.locate_step(env, CompKey::object(name), None, task.home_hint, token) {
+        self.client_lock_locate(env, token, task);
+    }
+
+    /// Locks from local location knowledge, or parks `task` on the find
+    /// that [`locate_step`](Self::locate_step) issues.
+    fn client_lock_locate(&mut self, env: &mut Env<'_, '_>, token: u64, mut task: ClientLockTask) {
+        let key = CompKey::object(task.name);
+        match self.locate_step(env, key, None, task.home_hint, token) {
             Ok(Some(loc)) => {
                 // Identity rides with location knowledge: whatever told us
                 // where the object is also told us which incarnation.
-                task.expected = self.known_incarnation(CompKey::object(name), loc);
-                self.issue_lock_call(env, task.name, task.target, loc, task.expected, token);
-                task.phase = LocatePhase::Calling;
-                self.tasks.insert(token, Task::ClientLock(task));
+                task.expected = self.known_incarnation(key, loc);
+                self.issue_lock_call(env, token, task, loc);
             }
             Ok(None) => {
+                task.phase = LocatePhase::Finding;
                 self.tasks.insert(token, Task::ClientLock(task));
             }
-            Err(e) => self.complete(env, op, Err(e)),
+            Err(e) => self.complete(env, task.op, Err(e)),
         }
     }
 
@@ -671,22 +716,23 @@ impl MageNode {
         Some(inc).filter(|inc| !inc.is_none())
     }
 
+    /// Sends `task`'s lock request to `at` and parks it on the answer.
     fn issue_lock_call(
         &mut self,
         env: &mut Env<'_, '_>,
-        name: NameId,
-        target: NodeId,
-        at: NodeId,
-        expected: Option<Incarnation>,
         token: u64,
+        mut task: ClientLockTask,
+        at: NodeId,
     ) {
         let args = proto::LockArgs {
-            name,
+            name: task.name,
             client: env.node().as_raw(),
-            target: target.as_raw(),
-            expected,
+            target: task.target.as_raw(),
+            expected: task.expected,
         };
         self.call_service(env, at, self.ids.lock, &args, token);
+        task.phase = LocatePhase::Calling;
+        self.tasks.insert(token, Task::ClientLock(task));
     }
 
     fn step_client_lock(
@@ -706,16 +752,7 @@ impl MageNode {
                             Located::new(loc, found.incarnation),
                         );
                         task.expected = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        self.issue_lock_call(
-                            env,
-                            task.name,
-                            task.target,
-                            loc,
-                            task.expected,
-                            token,
-                        );
-                        task.phase = LocatePhase::Calling;
-                        self.tasks.insert(token, Task::ClientLock(task));
+                        self.issue_lock_call(env, token, task, loc);
                     }
                     Err(e) => self.complete(env, task.op, Err(e)),
                 },
@@ -744,34 +781,9 @@ impl MageNode {
                     // knowingly; it never silently applies to a successor
                     // under stale knowledge.
                     task.retries -= 1;
-                    task.phase = LocatePhase::Finding;
                     task.expected = None;
                     self.registry.remove(CompKey::object(task.name));
-                    match self.locate_step(
-                        env,
-                        CompKey::object(task.name),
-                        None,
-                        task.home_hint,
-                        token,
-                    ) {
-                        Ok(Some(loc)) => {
-                            task.expected = self.known_incarnation(CompKey::object(task.name), loc);
-                            self.issue_lock_call(
-                                env,
-                                task.name,
-                                task.target,
-                                loc,
-                                task.expected,
-                                token,
-                            );
-                            task.phase = LocatePhase::Calling;
-                            self.tasks.insert(token, Task::ClientLock(task));
-                        }
-                        Ok(None) => {
-                            self.tasks.insert(token, Task::ClientLock(task));
-                        }
-                        Err(e) => self.complete(env, task.op, Err(e)),
-                    }
+                    self.client_lock_locate(env, token, task);
                 }
                 Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
             },
@@ -788,18 +800,14 @@ impl MageNode {
         env.charge(self.config.bind_overhead);
         let token = self.next_task;
         self.next_task += 1;
-        let mut task = ClientUnlockTask {
+        let task = ClientUnlockTask {
             op,
             name,
             home_hint: home_hint.map(NodeId::from_raw),
             phase: LocatePhase::Finding,
         };
         match self.locate_step(env, CompKey::object(name), None, task.home_hint, token) {
-            Ok(Some(loc)) => {
-                self.issue_unlock_call(env, task.name, loc, token);
-                task.phase = LocatePhase::Calling;
-                self.tasks.insert(token, Task::ClientUnlock(task));
-            }
+            Ok(Some(loc)) => self.issue_unlock_call(env, token, task, loc),
             Ok(None) => {
                 self.tasks.insert(token, Task::ClientUnlock(task));
             }
@@ -807,19 +815,28 @@ impl MageNode {
         }
     }
 
-    fn issue_unlock_call(&mut self, env: &mut Env<'_, '_>, name: NameId, at: NodeId, token: u64) {
+    /// Sends `task`'s unlock request to `at` and parks it on the answer.
+    fn issue_unlock_call(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        token: u64,
+        mut task: ClientUnlockTask,
+        at: NodeId,
+    ) {
         let args = proto::UnlockArgs {
-            name,
+            name: task.name,
             client: env.node().as_raw(),
         };
         self.call_service(env, at, self.ids.unlock, &args, token);
+        task.phase = LocatePhase::Calling;
+        self.tasks.insert(token, Task::ClientUnlock(task));
     }
 
     fn step_client_unlock(
         &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
-        mut task: ClientUnlockTask,
+        task: ClientUnlockTask,
         result: Result<Bytes, RmiError>,
     ) {
         match task.phase {
@@ -831,9 +848,7 @@ impl MageNode {
                             CompKey::object(task.name),
                             Located::new(loc, found.incarnation),
                         );
-                        self.issue_unlock_call(env, task.name, loc, token);
-                        task.phase = LocatePhase::Calling;
-                        self.tasks.insert(token, Task::ClientUnlock(task));
+                        self.issue_unlock_call(env, token, task, loc);
                     }
                     Err(e) => self.complete(env, task.op, Err(e)),
                 },
@@ -914,7 +929,7 @@ impl MageNode {
                 name,
                 dest,
                 origin,
-                phase: MovePhase::SentReceive {
+                phase: PushPhase::Sent {
                     retried_class: false,
                 },
                 receive_args,
@@ -931,7 +946,7 @@ impl MageNode {
         result: Result<Bytes, RmiError>,
     ) {
         match task.phase {
-            MovePhase::SentReceive { retried_class } => match result {
+            PushPhase::Sent { retried_class } => match result {
                 Ok(_) => {
                     // Transfer acknowledged: drop the local copy and leave a
                     // forwarding address (§4.1) carrying the incarnation —
@@ -944,22 +959,12 @@ impl MageNode {
                     self.finish_move_ok(env, task);
                 }
                 Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    let class_name = self.syms.resolve_lossy(task.receive_args.class);
-                    let Some(def) = self.lib.get(&class_name) else {
-                        self.abort_move(
-                            env,
-                            task,
-                            MageError::ClassUnavailable("unknown class".into()),
-                        );
+                    if !self.push_class(env, task.dest, task.receive_args.class, token) {
+                        let err = MageError::ClassUnavailable("unknown class".into());
+                        self.abort_move(env, task, err);
                         return;
-                    };
-                    let class_args = proto::ReceiveClassArgs {
-                        class: task.receive_args.class,
-                        code: ByteBuf(vec![0u8; def.code_size() as usize]),
-                        has_static_fields: def.has_static_fields(),
-                    };
-                    self.call_service(env, task.dest, self.ids.receive_class, &class_args, token);
-                    task.phase = MovePhase::SentClass;
+                    }
+                    task.phase = PushPhase::SentClass;
                     self.tasks.insert(token, Task::MoveOut(task));
                 }
                 Err(e) => {
@@ -967,10 +972,10 @@ impl MageNode {
                     self.abort_move(env, task, err);
                 }
             },
-            MovePhase::SentClass => match result {
+            PushPhase::SentClass => match result {
                 Ok(_) => {
                     self.call_service(env, task.dest, self.ids.receive, &task.receive_args, token);
-                    task.phase = MovePhase::SentReceive {
+                    task.phase = PushPhase::Sent {
                         retried_class: true,
                     };
                     self.tasks.insert(token, Task::MoveOut(task));
@@ -1057,11 +1062,13 @@ impl MageNode {
                 crate::lock::Request::Queued => {}
             }
         }
-        env.note(format!(
-            "move of {} to {} failed: {err}",
-            self.name_str(task.name),
-            task.dest
-        ));
+        if env.trace_enabled() {
+            env.note(format!(
+                "move of {} to {} failed: {err}",
+                self.name_str(task.name),
+                task.dest
+            ));
+        }
         self.finish_move_failed(env, task.origin, err);
     }
 
@@ -1118,7 +1125,9 @@ impl MageNode {
                 }
             }
             MoveOrigin::Autonomous => {
-                env.note(format!("autonomous hop failed: {err}"));
+                if env.trace_enabled() {
+                    env.note(format!("autonomous hop failed: {err}"));
+                }
             }
         }
     }

@@ -6,6 +6,10 @@
 //! (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or an
 //! instantiation from the class (traditional REV/COD factories), with class
 //! transfer slipped in on demand.
+//!
+//! Each stage issues one call and parks the task in the [`ExecPhase`] that
+//! awaits its reply; [`MageNode::step_exec_reply`] hands the reply to that
+//! phase's handler.
 
 use bytes::Bytes;
 use mage_codec::ByteBuf;
@@ -17,7 +21,7 @@ use crate::engine::{
 };
 use crate::error::MageError;
 use crate::lock::LockKind;
-use crate::node::MageNode;
+use crate::node::{HostPolicy, MageNode};
 use crate::proto::{self, ActionSpec, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
@@ -48,6 +52,32 @@ impl ExecTask {
             ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
         }
     }
+
+    /// The `instantiate` request this plan makes, carrying one copy of the
+    /// constructor state; `None` unless the plan instantiates a named
+    /// object.
+    fn instantiate_args(&self) -> Option<proto::InstantiateArgs> {
+        let ActionSpec::Instantiate {
+            state,
+            visibility,
+            durability,
+            backup,
+            replace,
+            ..
+        } = &self.spec.action
+        else {
+            return None;
+        };
+        Some(proto::InstantiateArgs {
+            class: self.spec.class,
+            name: self.spec.object?,
+            state: ByteBuf(state.clone()),
+            visibility: *visibility,
+            durability: *durability,
+            backup: *backup,
+            replace: *replace,
+        })
+    }
 }
 
 impl MageNode {
@@ -75,32 +105,26 @@ impl MageNode {
         self.exec_begin_guard(env, id, task);
     }
 
+    /// Parks `task` under `id` until the reply `phase` awaits.
+    fn exec_park(&mut self, id: u64, mut task: ExecTask, phase: ExecPhase) {
+        task.phase = phase;
+        self.tasks.insert(id, Task::Exec(Box::new(task)));
+    }
+
     // ---- ladder stages ----
 
-    fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
         let needs_guard = task.spec.guard
             && task.spec.object.is_some()
             && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
         if !needs_guard {
             self.exec_begin_action(env, id, task);
-            return;
-        }
-        match self.exec_resolve_location(env, id, &mut task) {
-            Ok(Some(loc)) => {
-                task.cloc = Some(loc);
-                self.exec_issue_lock(env, id, task, loc);
-            }
-            Ok(None) => {
-                task.phase = ExecPhase::AwaitFind {
-                    resume: Resume::Guard,
-                };
-                self.tasks.insert(id, Task::Exec(Box::new(task)));
-            }
-            Err(e) => self.exec_fail(env, id, task, e),
+        } else if let Some((task, loc)) = self.exec_locate(env, id, task, Resume::Guard) {
+            self.exec_issue_lock(env, id, task, loc);
         }
     }
 
-    fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
+    fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, at: NodeId) {
         let me = env.node();
         let target = task.lock_target(me);
         let name = task.spec.object.expect("guard requires an object");
@@ -114,203 +138,141 @@ impl MageNode {
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
         self.call_service(env, at, self.ids.lock, &args, id);
-        task.phase = ExecPhase::AwaitLock { at };
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.exec_park(id, task, ExecPhase::AwaitLock { at });
     }
 
     fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
-        let me = env.node();
-        match task.spec.action.clone() {
-            ActionSpec::Local => {
-                let Some(name) = task.spec.object else {
-                    self.exec_fail(
-                        env,
-                        id,
-                        task,
-                        MageError::BadPlan("local action requires an object".into()),
-                    );
-                    return;
-                };
-                task.invoke_at = Some(me);
-                if let Some(invoke) = &task.spec.invoke {
-                    // A bind (advisory identity) re-resolves against the
-                    // object actually hosted here; only pinned stubs keep
-                    // their expectation.
-                    if !task.spec.identity_pinned {
-                        task.cinc = Some(self.local_incarnation(CompKey::object(name)));
-                    }
-                    // Same identity gate as the remote invoke path: a
-                    // locally re-created impostor must not serve a stale
-                    // stub's call.
-                    if let Err(fault) = self.check_identity(name, task.cinc) {
-                        env.count("stale_identity_refusals");
-                        let err = proto::fault_to_error(&fault);
-                        self.exec_fail(env, id, task, err);
-                        return;
-                    }
-                    let method = self.syms.resolve_lossy(invoke.method);
-                    match self.invoke_local(env, name, &method, &invoke.args) {
-                        Ok(bytes) => {
-                            task.result = Some(Bytes::from(bytes));
-                            self.exec_begin_unlock(env, id, task);
-                        }
-                        Err(fault) => {
-                            let err = proto::fault_to_error(&fault);
-                            self.exec_fail(env, id, task, err);
-                        }
-                    }
-                } else if self.has_component(CompKey::object(name)) {
-                    self.exec_begin_unlock(env, id, task);
-                } else {
-                    let err = MageError::NotFound(self.name_str(name));
-                    self.exec_fail(env, id, task, err);
-                }
-            }
+        match task.spec.action {
+            ActionSpec::Local => self.exec_local(env, id, task),
             ActionSpec::InvokeAt { node } => {
                 task.invoke_at = Some(NodeId::from_raw(node));
                 self.exec_begin_invoke(env, id, task);
             }
-            ActionSpec::InvokeAtCurrent => match task.cloc {
-                Some(loc) => {
-                    task.invoke_at = Some(loc);
-                    self.exec_begin_invoke(env, id, task);
-                }
-                None => match self.exec_resolve_location(env, id, &mut task) {
-                    Ok(Some(loc)) => {
-                        task.cloc = Some(loc);
-                        task.invoke_at = Some(loc);
-                        self.exec_begin_invoke(env, id, task);
-                    }
-                    Ok(None) => {
-                        task.phase = ExecPhase::AwaitFind {
-                            resume: Resume::Action,
-                        };
-                        self.tasks.insert(id, Task::Exec(Box::new(task)));
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-            },
-            ActionSpec::MoveTo { node } => {
-                let dest = NodeId::from_raw(node);
-                let cloc = match task.cloc {
-                    Some(loc) => Some(loc),
-                    None => match self.exec_resolve_location(env, id, &mut task) {
-                        Ok(Some(loc)) => Some(loc),
-                        Ok(None) => {
-                            task.phase = ExecPhase::AwaitFind {
-                                resume: Resume::Action,
-                            };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
-                            return;
-                        }
-                        Err(e) => {
-                            self.exec_fail(env, id, task, e);
-                            return;
-                        }
-                    },
-                };
-                let cloc = cloc.expect("resolved above");
-                task.cloc = Some(cloc);
-                if cloc == dest {
-                    // Already at the target: the engine-level mirror of
-                    // coercion to RPC.
-                    task.invoke_at = Some(dest);
-                    self.exec_begin_invoke(env, id, task);
-                } else if cloc == me {
-                    // We host the object: run the transfer ourselves
-                    // (Figure 7 without the moveTo hop).
-                    let name = task.spec.object.expect("move requires an object");
-                    task.phase = ExecPhase::AwaitMove;
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
-                    self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
-                } else {
-                    // Ask the hosting namespace to transfer the object
-                    // (Figure 7, message 3).
-                    let name = task.spec.object.expect("move requires an object");
-                    let args = proto::MoveToArgs {
-                        name,
-                        dest: dest.as_raw(),
-                    };
-                    self.call_service(env, cloc, self.ids.move_to, &args, id);
-                    task.phase = ExecPhase::AwaitMove;
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
-                }
+            ActionSpec::InvokeAtCurrent => self.exec_locate_and_invoke(env, id, task),
+            ActionSpec::MoveTo { node } => self.exec_move_to(env, id, task, NodeId::from_raw(node)),
+            ActionSpec::Instantiate { node, .. } => {
+                self.exec_instantiate(env, id, task, NodeId::from_raw(node));
             }
-            ActionSpec::Instantiate {
-                node,
-                state,
-                visibility,
-                durability,
-                backup,
-                replace,
-            } => {
-                let dest = NodeId::from_raw(node);
-                let Some(object_id) = task.spec.object else {
-                    self.exec_fail(
-                        env,
-                        id,
-                        task,
-                        MageError::BadPlan("instantiate requires an object name".into()),
-                    );
-                    return;
-                };
-                if dest == me {
-                    if self.classes.contains(&task.spec.class) {
-                        let policy = crate::node::HostPolicy {
-                            visibility,
-                            durability,
-                            backup: backup.map(NodeId::from_raw),
-                        };
-                        let created = self.create_local_object(
-                            env,
-                            task.spec.class,
-                            object_id,
-                            &state,
-                            policy,
-                            replace,
-                        );
-                        match created {
-                            Ok(outcome) => {
-                                task.cloc = Some(me);
-                                task.cinc = Some(outcome.incarnation);
-                                task.invoke_at = Some(me);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                            Err(e) => self.exec_fail(env, id, task, e),
-                        }
-                    } else {
-                        self.exec_fetch_class(env, id, task, me);
-                    }
-                } else {
-                    let args = proto::InstantiateArgs {
-                        class: task.spec.class,
-                        name: object_id,
-                        state: ByteBuf(state),
-                        visibility,
-                        durability,
-                        backup,
-                        replace,
-                    };
-                    self.call_service(env, dest, self.ids.instantiate, &args, id);
-                    task.phase = ExecPhase::AwaitInstantiate {
-                        dest,
-                        retried_class: false,
-                    };
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
-                }
+        }
+    }
+
+    /// Runs the plan on the object hosted here (LPC, and COD coerced to
+    /// LPC).
+    fn exec_local(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+        let me = env.node();
+        let Some(name) = task.spec.object else {
+            let err = MageError::BadPlan("local action requires an object".into());
+            return self.exec_fail(env, id, task, err);
+        };
+        task.invoke_at = Some(me);
+        let Some(invoke) = &task.spec.invoke else {
+            if self.has_component(CompKey::object(name)) {
+                self.exec_begin_unlock(env, id, task);
+            } else {
+                let err = MageError::NotFound(self.name_str(name));
+                self.exec_fail(env, id, task, err);
             }
+            return;
+        };
+        // A bind (advisory identity) re-resolves against the object actually
+        // hosted here; only pinned stubs keep their expectation.
+        if !task.spec.identity_pinned {
+            task.cinc = Some(self.local_incarnation(CompKey::object(name)));
+        }
+        // Same identity gate as the remote invoke path: a locally re-created
+        // impostor must not serve a stale stub's call.
+        if let Err(fault) = self.check_identity(name, task.cinc) {
+            env.count("stale_identity_refusals");
+            let err = proto::fault_to_error(&fault);
+            return self.exec_fail(env, id, task, err);
+        }
+        let method = self.syms.resolve_lossy(invoke.method);
+        match self.invoke_local(env, name, &method, &invoke.args) {
+            Ok(bytes) => {
+                task.result = Some(Bytes::from(bytes));
+                self.exec_begin_unlock(env, id, task);
+            }
+            Err(fault) => {
+                let err = proto::fault_to_error(&fault);
+                self.exec_fail(env, id, task, err);
+            }
+        }
+    }
+
+    /// Moves the object to `dest`, then invokes it there (REV on objects,
+    /// GREV, MA, COD with a local target).
+    fn exec_move_to(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
+        let me = env.node();
+        let Some((mut task, cloc)) = self.exec_locate(env, id, task, Resume::Action) else {
+            return;
+        };
+        if cloc == dest {
+            // Already at the target: the engine-level mirror of coercion to
+            // RPC.
+            task.invoke_at = Some(dest);
+            self.exec_begin_invoke(env, id, task);
+            return;
+        }
+        let name = task.spec.object.expect("move requires an object");
+        if cloc == me {
+            // We host the object: run the transfer ourselves (Figure 7
+            // without the moveTo hop).
+            self.exec_park(id, task, ExecPhase::AwaitMove);
+            self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
+        } else {
+            // Ask the hosting namespace to transfer the object (Figure 7,
+            // message 3).
+            let args = proto::MoveToArgs {
+                name,
+                dest: dest.as_raw(),
+            };
+            self.call_service(env, cloc, self.ids.move_to, &args, id);
+            self.exec_park(id, task, ExecPhase::AwaitMove);
+        }
+    }
+
+    /// Instantiates a fresh object from the class at `dest`, then invokes
+    /// it there: locally when `dest` is this node and the class is cached,
+    /// else by asking `dest` or fetching the class first.
+    fn exec_instantiate(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
+        let me = env.node();
+        let Some(args) = task.instantiate_args() else {
+            let err = MageError::BadPlan("instantiate requires an object name".into());
+            return self.exec_fail(env, id, task, err);
+        };
+        if dest != me {
+            self.call_service(env, dest, self.ids.instantiate, &args, id);
+            let phase = ExecPhase::AwaitInstantiate {
+                dest,
+                retried_class: false,
+            };
+            return self.exec_park(id, task, phase);
+        }
+        if !self.classes.contains(&args.class) {
+            return self.exec_fetch_class(env, id, task, me);
+        }
+        let policy = HostPolicy {
+            visibility: args.visibility,
+            durability: args.durability,
+            backup: args.backup.map(NodeId::from_raw),
+        };
+        let created = self.create_local_object(
+            env,
+            args.class,
+            args.name,
+            &args.state,
+            policy,
+            args.replace,
+        );
+        match created {
+            Ok(outcome) => self.exec_invoke_placed(env, id, task, me, outcome.incarnation),
+            Err(e) => self.exec_fail(env, id, task, e),
         }
     }
 
     /// Starts class logistics for an instantiation at `dest`: fetch the
     /// class from wherever the registry (or the home hint) says it lives.
-    fn exec_fetch_class(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        id: u64,
-        mut task: ExecTask,
-        dest: NodeId,
-    ) {
+    fn exec_fetch_class(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
         let me = env.node();
         let key = CompKey::class(task.spec.class);
         let source = self
@@ -330,8 +292,7 @@ impl MageNode {
                     class: task.spec.class,
                 };
                 self.call_service(env, src, self.ids.fetch_class, &args, id);
-                task.phase = ExecPhase::AwaitFetchClass { dest };
-                self.tasks.insert(id, Task::Exec(Box::new(task)));
+                self.exec_park(id, task, ExecPhase::AwaitFetchClass { dest });
             }
             None => {
                 let class = self.name_str(task.spec.class);
@@ -340,20 +301,39 @@ impl MageNode {
         }
     }
 
-    fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    /// Invokes wherever the component currently is, locating it first when
+    /// the task does not know.
+    fn exec_locate_and_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
+        if let Some((mut task, loc)) = self.exec_locate(env, id, task, Resume::Invoke) {
+            task.invoke_at = Some(loc);
+            self.exec_begin_invoke(env, id, task);
+        }
+    }
+
+    /// Invokes the component where a move or instantiation just placed it,
+    /// under the incarnation that placement reported.
+    fn exec_invoke_placed(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        at: NodeId,
+        incarnation: Incarnation,
+    ) {
+        task.cloc = Some(at);
+        task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
+        task.invoke_at = Some(at);
+        self.exec_begin_invoke(env, id, task);
+    }
+
+    fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
         let Some(invoke) = &task.spec.invoke else {
-            self.exec_begin_unlock(env, id, task);
-            return;
+            return self.exec_begin_unlock(env, id, task);
         };
         let at = task.invoke_at.expect("invoke target resolved");
         let Some(name) = task.spec.object else {
-            self.exec_fail(
-                env,
-                id,
-                task,
-                MageError::BadPlan("invocation requires an object name".into()),
-            );
-            return;
+            let err = MageError::BadPlan("invocation requires an object name".into());
+            return self.exec_fail(env, id, task, err);
         };
         let args = proto::InvokeArgsRef {
             name,
@@ -370,15 +350,13 @@ impl MageNode {
             self.exec_begin_unlock(env, id, task);
         } else {
             self.call_service(env, at, self.ids.invoke, &args, id);
-            task.phase = ExecPhase::AwaitInvoke;
-            self.tasks.insert(id, Task::Exec(Box::new(task)));
+            self.exec_park(id, task, ExecPhase::AwaitInvoke);
         }
     }
 
-    fn exec_begin_unlock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    fn exec_begin_unlock(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
         let Some(_) = task.locked_at else {
-            self.exec_finish(env, task);
-            return;
+            return self.exec_finish(env, task);
         };
         // The lock travelled with the object if it moved; release it where
         // the object now lives.
@@ -393,8 +371,7 @@ impl MageNode {
             client: env.node().as_raw(),
         };
         self.call_service(env, at, self.ids.unlock, &args, id);
-        task.phase = ExecPhase::AwaitUnlock;
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.exec_park(id, task, ExecPhase::AwaitUnlock);
     }
 
     fn exec_finish(&mut self, env: &mut Env<'_, '_>, task: ExecTask) {
@@ -469,10 +446,8 @@ impl MageNode {
         }
         let args = proto::RestoreArgs { name };
         self.call_service(env, backup, self.ids.restore, &args, id);
-        task.phase = ExecPhase::AwaitRestore {
-            original: err.clone(),
-        };
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        let original = err.clone();
+        self.exec_park(id, task, ExecPhase::AwaitRestore { original });
         None
     }
 
@@ -488,12 +463,7 @@ impl MageNode {
         mut task: ExecTask,
         found: FindReply,
     ) {
-        let loc = NodeId::from_raw(found.location);
-        if let Some(name) = task.spec.object {
-            self.registry
-                .update(CompKey::object(name), Located::new(loc, found.incarnation));
-        }
-        task.cloc = Some(loc);
+        let loc = self.exec_adopt(&mut task, found);
         task.spec.location_hint = Some(loc.as_raw());
         if !task.spec.identity_pinned {
             // Advisory identity re-resolves to the restored incarnation —
@@ -501,16 +471,41 @@ impl MageNode {
             // expectation: the retry resolves to typed `StaleIdentity`
             // and the session's explicit (or handle-level auto) rebind is
             // the observable trace the recovery leaves.
-            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
             task.spec.expected_incarnation = task.cinc;
         }
         match task.spec.action {
             ActionSpec::MoveTo { .. } => self.exec_begin_action(env, id, task),
-            _ => {
-                task.invoke_at = Some(loc);
-                self.exec_begin_invoke(env, id, task);
-            }
+            _ => self.exec_locate_and_invoke(env, id, task),
         }
+    }
+
+    /// The component's current location: the task's own knowledge, or what
+    /// [`exec_resolve_location`](Self::exec_resolve_location) finds.
+    /// Returns `None` once the task is parked on a find (resuming at
+    /// `resume`) or failed.
+    fn exec_locate(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        resume: Resume,
+    ) -> Option<(ExecTask, NodeId)> {
+        let loc = match task.cloc {
+            Some(loc) => loc,
+            None => match self.exec_resolve_location(env, id, &mut task) {
+                Ok(Some(loc)) => loc,
+                Ok(None) => {
+                    self.exec_park(id, task, ExecPhase::AwaitFind { resume });
+                    return None;
+                }
+                Err(e) => {
+                    self.exec_fail(env, id, task, e);
+                    return None;
+                }
+            },
+        };
+        task.cloc = Some(loc);
+        Some((task, loc))
     }
 
     /// Resolves the component's location from local knowledge or issues a
@@ -574,7 +569,38 @@ impl MageNode {
         }
     }
 
-    // ---- reply dispatch ----
+    /// Adopts a find, move or restore answer as the task's location
+    /// knowledge and records it in the registry; returns the location.
+    fn exec_adopt(&mut self, task: &mut ExecTask, found: FindReply) -> NodeId {
+        let loc = NodeId::from_raw(found.location);
+        if let Some(name) = task.spec.object {
+            self.registry
+                .update(CompKey::object(name), Located::new(loc, found.incarnation));
+        }
+        task.cloc = Some(loc);
+        if !task.spec.identity_pinned {
+            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
+        }
+        loc
+    }
+
+    /// Spends one race retry and forgets the location knowledge a failed
+    /// step proved stale. The home hint survives in the spec, so the retry
+    /// can start a fresh walk.
+    fn exec_forget_location(&mut self, task: &mut ExecTask) {
+        task.retries -= 1;
+        task.cloc = None;
+        task.spec.location_hint = None;
+        if !task.spec.identity_pinned {
+            task.cinc = None;
+            task.spec.expected_incarnation = None;
+        }
+        if let Some(name) = task.spec.object {
+            self.registry.remove(CompKey::object(name));
+        }
+    }
+
+    // ---- reply dispatch: one handler per phase ----
 
     pub(crate) fn step_exec_reply(
         &mut self,
@@ -585,307 +611,37 @@ impl MageNode {
     ) {
         task.note_dead_peer(&result);
         match task.phase {
-            ExecPhase::AwaitFind { resume } => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        if let Some(name) = task.spec.object {
-                            self.registry.update(
-                                CompKey::object(name),
-                                Located::new(loc, found.incarnation),
-                            );
-                        }
-                        task.cloc = Some(loc);
-                        if !task.spec.identity_pinned {
-                            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        }
-                        match resume {
-                            Resume::Guard => self.exec_issue_lock(env, id, task, loc),
-                            Resume::Action => self.exec_begin_action(env, id, task),
-                            Resume::Invoke => {
-                                task.invoke_at = Some(loc);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                        }
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(ref e) if is_unreachable(e) && task.retries > 0 => {
-                    // The hop we asked is dead; forget the stale location
-                    // knowledge and re-resolve (the home hint survives in
-                    // the spec, so the retry can start a fresh walk).
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    match resume {
-                        Resume::Guard => self.exec_begin_guard(env, id, task),
-                        Resume::Action => self.exec_begin_action(env, id, task),
-                        Resume::Invoke => match self.exec_resolve_location(env, id, &mut task) {
-                            Ok(Some(loc)) => {
-                                task.cloc = Some(loc);
-                                task.invoke_at = Some(loc);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                            Ok(None) => {
-                                task.phase = ExecPhase::AwaitFind {
-                                    resume: Resume::Invoke,
-                                };
-                                self.tasks.insert(id, Task::Exec(Box::new(task)));
-                            }
-                            Err(e) => self.exec_fail(env, id, task, e),
-                        },
-                    }
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitLock { at } => match result {
-                Ok(bytes) => match decode::<LockKind>(&bytes) {
-                    Ok(kind) => {
-                        task.locked_at = Some(at);
-                        task.lock_kind = Some(kind);
-                        self.exec_begin_action(env, id, task);
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(ref e)
-                    if (stale_location(e) || rebindable_identity(&task.spec, e))
-                        && task.retries > 0 =>
-                {
-                    // Raced a migration (or, for advisory-identity plans,
-                    // a re-creation), or the host we asked is gone: chase
-                    // the object and lock again. The driver's location
-                    // hint is stale by definition here; drop it so the
-                    // retry re-finds from the home.
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    self.exec_begin_guard(env, id, task);
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitMove => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let dest = NodeId::from_raw(found.location);
-                        if let Some(name) = task.spec.object {
-                            self.registry.update(
-                                CompKey::object(name),
-                                Located::new(dest, found.incarnation),
-                            );
-                        }
-                        task.cloc = Some(dest);
-                        if !task.spec.identity_pinned {
-                            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        }
-                        task.invoke_at = Some(dest);
-                        self.exec_begin_invoke(env, id, task);
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(ref e) if stale_location(e) && task.retries > 0 => {
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    self.exec_begin_action(env, id, task);
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitFetchClass { dest } => match result {
-                Ok(bytes) => match decode::<proto::ReceiveClassArgs>(&bytes) {
-                    Ok(class_args) => {
-                        // Define the class locally (MAGE clones classes,
-                        // §4.2), then instantiate or push onward.
-                        let me = env.node();
-                        env.charge(env.cost().class_load(class_args.code.len() as u64));
-                        self.classes.insert(class_args.class);
-                        self.registry
-                            .update(CompKey::class(class_args.class), Located::untracked(me));
-                        if dest == me {
-                            self.exec_begin_action(env, id, task);
-                        } else {
-                            self.call_service(env, dest, self.ids.receive_class, &class_args, id);
-                            task.phase = ExecPhase::AwaitPushClass { dest };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
-                        }
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
+            ExecPhase::AwaitFind { resume } => self.exec_on_found(env, id, task, resume, result),
+            ExecPhase::AwaitLock { at } => self.exec_on_locked(env, id, task, at, result),
+            ExecPhase::AwaitMove => self.exec_on_moved(env, id, task, result),
+            ExecPhase::AwaitFetchClass { dest } => {
+                self.exec_on_class_fetched(env, id, task, dest, result);
+            }
             ExecPhase::AwaitPushClass { dest } => match result {
+                // The class is in place; retry the instantiation.
                 Ok(_) => {
-                    // Class is in place; retry the instantiation.
-                    let (state, visibility, durability, backup, replace) = match &task.spec.action {
-                        ActionSpec::Instantiate {
-                            state,
-                            visibility,
-                            durability,
-                            backup,
-                            replace,
-                            ..
-                        } => (state.clone(), *visibility, *durability, *backup, *replace),
-                        _ => (
-                            Vec::new(),
-                            crate::component::Visibility::Public,
-                            crate::component::Durability::Volatile,
-                            None,
-                            true,
-                        ),
-                    };
-                    let args = proto::InstantiateArgs {
-                        class: task.spec.class,
-                        name: task.spec.object.expect("instantiate has an object name"),
-                        state: ByteBuf(state),
-                        visibility,
-                        durability,
-                        backup,
-                        replace,
-                    };
+                    let args = task
+                        .instantiate_args()
+                        .expect("only instantiate plans push classes");
                     self.call_service(env, dest, self.ids.instantiate, &args, id);
-                    task.phase = ExecPhase::AwaitInstantiate {
+                    let phase = ExecPhase::AwaitInstantiate {
                         dest,
                         retried_class: true,
                     };
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                    self.exec_park(id, task, phase);
                 }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
+                Err(e) => self.exec_fail(env, id, task, rmi_error_to_mage(&e)),
             },
             ExecPhase::AwaitInstantiate {
                 dest,
                 retried_class,
-            } => match result {
-                Ok(bytes) => {
-                    // A malformed reply must surface, not silently yield
-                    // Incarnation::NONE — that would disable the identity
-                    // check for the fresh object.
-                    let incarnation = match decode::<Incarnation>(&bytes) {
-                        Ok(incarnation) => incarnation,
-                        Err(e) => {
-                            self.exec_fail(env, id, task, e);
-                            return;
-                        }
-                    };
-                    if let Some(name) = task.spec.object {
-                        self.registry
-                            .update(CompKey::object(name), Located::new(dest, incarnation));
-                    }
-                    task.cloc = Some(dest);
-                    task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
-                    task.invoke_at = Some(dest);
-                    self.exec_begin_invoke(env, id, task);
-                }
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if self.classes.contains(&task.spec.class) {
-                        // We have the class: push it to the target
-                        // (traditional REV ships local code to the server).
-                        let def = self
-                            .lib
-                            .get(&self.syms.resolve_lossy(task.spec.class))
-                            .expect("cached class defined");
-                        let class_args = proto::ReceiveClassArgs {
-                            class: task.spec.class,
-                            code: ByteBuf(vec![0u8; def.code_size() as usize]),
-                            has_static_fields: def.has_static_fields(),
-                        };
-                        self.call_service(env, dest, self.ids.receive_class, &class_args, id);
-                        task.phase = ExecPhase::AwaitPushClass { dest };
-                        self.tasks.insert(id, Task::Exec(Box::new(task)));
-                    } else {
-                        // Neither we nor the target have it: pull it first
-                        // (GREV-style third-party placement).
-                        self.exec_fetch_class(env, id, task, dest);
-                    }
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitInvoke => match result {
-                Ok(bytes) => {
-                    task.result = Some(bytes);
-                    self.exec_begin_unlock(env, id, task);
-                }
-                Err(ref e)
-                    if (stale_location(e) || rebindable_identity(&task.spec, e))
-                        && task.retries > 0 =>
-                {
-                    // The object moved under us (or its host died); find
-                    // it again (public objects "must be found before the
-                    // current thread invokes", §3.5). A StaleIdentity
-                    // refusal joins the class only for *advisory* identity
-                    // (a bind holding a stale cached incarnation — the
-                    // re-find resolves the current one); a pinned stub's
-                    // StaleIdentity surfaces typed, never silently rebound.
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    match self.exec_resolve_location(env, id, &mut task) {
-                        Ok(Some(loc)) => {
-                            task.cloc = Some(loc);
-                            task.invoke_at = Some(loc);
-                            self.exec_begin_invoke(env, id, task);
-                        }
-                        Ok(None) => {
-                            task.phase = ExecPhase::AwaitFind {
-                                resume: Resume::Invoke,
-                            };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
-                        }
-                        Err(e) => self.exec_fail(env, id, task, e),
-                    }
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
+            } => self.exec_on_instantiated(env, id, task, dest, retried_class, result),
+            ExecPhase::AwaitInvoke => self.exec_on_invoked(env, id, task, result),
             ExecPhase::AwaitUnlock => {
                 if let Err(e) = result {
-                    env.note(format!("unlock after bind failed: {e}"));
+                    if env.trace_enabled() {
+                        env.note(format!("unlock after bind failed: {e}"));
+                    }
                 }
                 task.locked_at = None;
                 self.exec_finish(env, task);
@@ -895,19 +651,221 @@ impl MageNode {
                 // the task moves on.
                 let original = std::mem::replace(original, MageError::NotFound(String::new()));
                 match result {
-                    Ok(bytes) => match decode::<FindReply>(&bytes) {
-                        Ok(found) => self.exec_resume_after_restore(env, id, task, found),
-                        Err(e) => self.exec_fail(env, id, task, e),
-                    },
-                    Err(_) => {
-                        // The backup had no snapshot, or is itself dead:
-                        // the crash-shaped failure that sent us here
-                        // surfaces typed (restore_tried blocks a second
-                        // consultation).
-                        self.exec_fail(env, id, task, original);
+                    // The backup had no snapshot, or is itself dead: the
+                    // crash-shaped failure that sent us here surfaces typed
+                    // (restore_tried blocks a second consultation).
+                    Err(_) => self.exec_fail(env, id, task, original),
+                    result => {
+                        if let Some((task, found)) = self.exec_decode(env, id, task, result) {
+                            self.exec_resume_after_restore(env, id, task, found);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// Decodes a reply payload. A failed call, or a payload that does not
+    /// decode, fails the task instead and yields `None`.
+    fn exec_decode<T: serde::de::DeserializeOwned>(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        task: ExecTask,
+        result: Result<Bytes, RmiError>,
+    ) -> Option<(ExecTask, T)> {
+        let decoded = match result {
+            Ok(bytes) => decode::<T>(&bytes),
+            Err(e) => Err(rmi_error_to_mage(&e)),
+        };
+        match decoded {
+            Ok(value) => Some((task, value)),
+            Err(e) => {
+                self.exec_fail(env, id, task, e);
+                None
+            }
+        }
+    }
+
+    /// Resumes the stage that issued the find, or re-runs it from the home
+    /// hint when the hop asked is dead.
+    fn exec_on_found(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        resume: Resume,
+        result: Result<Bytes, RmiError>,
+    ) {
+        let task = match result {
+            Err(ref e) if is_unreachable(e) && task.retries > 0 => {
+                // The hop we asked is dead; forget the stale location
+                // knowledge so the stage re-resolves it.
+                self.exec_forget_location(&mut task);
+                task
+            }
+            result => {
+                let Some((mut task, found)) = self.exec_decode(env, id, task, result) else {
+                    return;
+                };
+                self.exec_adopt(&mut task, found);
+                task
+            }
+        };
+        // Re-entering the stage that parked: with the location known it
+        // continues where it left off.
+        match resume {
+            Resume::Guard => self.exec_begin_guard(env, id, task),
+            Resume::Action => self.exec_begin_action(env, id, task),
+            Resume::Invoke => self.exec_locate_and_invoke(env, id, task),
+        }
+    }
+
+    fn exec_on_locked(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        at: NodeId,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Err(ref e)
+                if (stale_location(e) || rebindable_identity(&task.spec, e))
+                    && task.retries > 0 =>
+            {
+                // Raced a migration (or, for advisory-identity plans, a
+                // re-creation), or the host we asked is gone: chase the
+                // object and lock again. The driver's location hint is
+                // stale by definition here; drop it so the retry re-finds
+                // from the home.
+                self.exec_forget_location(&mut task);
+                self.exec_begin_guard(env, id, task);
+            }
+            result => {
+                if let Some((mut task, kind)) = self.exec_decode::<LockKind>(env, id, task, result)
+                {
+                    task.locked_at = Some(at);
+                    task.lock_kind = Some(kind);
+                    self.exec_begin_action(env, id, task);
+                }
+            }
+        }
+    }
+
+    fn exec_on_moved(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Err(ref e) if stale_location(e) && task.retries > 0 => {
+                self.exec_forget_location(&mut task);
+                self.exec_begin_action(env, id, task);
+            }
+            result => {
+                if let Some((mut task, found)) = self.exec_decode(env, id, task, result) {
+                    self.exec_adopt(&mut task, found);
+                    self.exec_locate_and_invoke(env, id, task);
+                }
+            }
+        }
+    }
+
+    fn exec_on_class_fetched(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        task: ExecTask,
+        dest: NodeId,
+        result: Result<Bytes, RmiError>,
+    ) {
+        let Some((task, class_args)) =
+            self.exec_decode::<proto::ReceiveClassArgs>(env, id, task, result)
+        else {
+            return;
+        };
+        // Define the class locally (MAGE clones classes, §4.2), then
+        // instantiate or push onward.
+        let me = env.node();
+        env.charge(env.cost().class_load(class_args.code.len() as u64));
+        self.classes.insert(class_args.class);
+        self.registry
+            .update(CompKey::class(class_args.class), Located::untracked(me));
+        if dest == me {
+            self.exec_begin_action(env, id, task);
+        } else {
+            self.call_service(env, dest, self.ids.receive_class, &class_args, id);
+            self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
+        }
+    }
+
+    fn exec_on_instantiated(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        task: ExecTask,
+        dest: NodeId,
+        retried_class: bool,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
+                // We have the class: push it to the target (traditional REV
+                // ships local code to the server). Neither we nor the
+                // target have it: pull it first (GREV-style third-party
+                // placement).
+                let class = task.spec.class;
+                if self.classes.contains(&class) && self.push_class(env, dest, class, id) {
+                    self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
+                } else {
+                    self.exec_fetch_class(env, id, task, dest);
+                }
+            }
+            // A malformed reply must surface, not silently yield
+            // Incarnation::NONE — that would disable the identity check for
+            // the fresh object.
+            result => {
+                if let Some((task, incarnation)) = self.exec_decode(env, id, task, result) {
+                    if let Some(name) = task.spec.object {
+                        self.registry
+                            .update(CompKey::object(name), Located::new(dest, incarnation));
+                    }
+                    self.exec_invoke_placed(env, id, task, dest, incarnation);
+                }
+            }
+        }
+    }
+
+    fn exec_on_invoked(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        result: Result<Bytes, RmiError>,
+    ) {
+        match result {
+            Ok(bytes) => {
+                task.result = Some(bytes);
+                self.exec_begin_unlock(env, id, task);
+            }
+            Err(ref e)
+                if (stale_location(e) || rebindable_identity(&task.spec, e))
+                    && task.retries > 0 =>
+            {
+                // The object moved under us (or its host died); find it
+                // again (public objects "must be found before the current
+                // thread invokes", §3.5). A StaleIdentity refusal joins the
+                // class only for *advisory* identity (a bind holding a stale
+                // cached incarnation — the re-find resolves the current
+                // one); a pinned stub's StaleIdentity surfaces typed, never
+                // silently rebound.
+                self.exec_forget_location(&mut task);
+                self.exec_locate_and_invoke(env, id, task);
+            }
+            Err(e) => self.exec_fail(env, id, task, rmi_error_to_mage(&e)),
         }
     }
 
@@ -917,16 +875,11 @@ impl MageNode {
         &mut self,
         env: &mut Env<'_, '_>,
         id: u64,
-        mut task: ExecTask,
+        task: ExecTask,
         outcome: Result<(NodeId, Incarnation), MageError>,
     ) {
         match outcome {
-            Ok((dest, incarnation)) => {
-                task.cloc = Some(dest);
-                task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
-                task.invoke_at = Some(dest);
-                self.exec_begin_invoke(env, id, task);
-            }
+            Ok((dest, incarnation)) => self.exec_invoke_placed(env, id, task, dest, incarnation),
             Err(e) => self.exec_fail(env, id, task, e),
         }
     }

@@ -25,7 +25,7 @@ use mage_sim::{NodeId, OpId, SimDuration};
 use crate::admission::Quotas;
 use crate::class::ClassLibrary;
 use crate::component::{Durability, Visibility};
-use crate::engine::{CheckpointTask, CkptPhase, MoveOrigin, Task};
+use crate::engine::{CheckpointTask, MoveOrigin, PushPhase, Task};
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
 use crate::proto::{self, methods, Command, Outcome};
@@ -317,11 +317,8 @@ impl MageNode {
 
     // ---- server-side handlers (MageServer / MageExternalServer) ----
 
-    fn handle_find(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::FindArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_find(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::FindArgs = decode_args(&call)?;
         let me = env.node();
         if self.has_component(args.key) {
             return reply_ok(&self.local_find_reply(args.key, me));
@@ -338,7 +335,7 @@ impl MageNode {
                 .entry(args.key.id)
                 .or_default()
                 .push(TransitFindWaiter::Reply(call.handle()));
-            return CallOutcome::Deferred;
+            return Ok(CallOutcome::Deferred);
         }
         let Some(next) = self.registry.lookup(args.key).map(|l| l.node) else {
             return self.find_dead_end(env, call.handle(), &args);
@@ -374,7 +371,7 @@ impl MageNode {
             },
             token,
         );
-        CallOutcome::Deferred
+        Ok(CallOutcome::Deferred)
     }
 
     /// A find walk dead-ended here (no registry entry, or a repaired
@@ -385,7 +382,7 @@ impl MageNode {
         env: &mut Env<'_, '_>,
         reply: ReplyHandle,
         args: &proto::FindArgs,
-    ) -> CallOutcome {
+    ) -> Served {
         let (key, home) = (args.key, args.home);
         if !args.retried
             && self.retry_find_from_home(env, key, home, || Task::FwdFind {
@@ -395,25 +392,22 @@ impl MageNode {
                 retried: true,
             })
         {
-            return CallOutcome::Deferred;
+            return Ok(CallOutcome::Deferred);
         }
-        CallOutcome::Reply(Err(Fault::NotBound(args.key.display(&self.syms))))
+        Err(Fault::NotBound(args.key.display(&self.syms)))
     }
 
-    fn handle_lock(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::LockArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_lock(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::LockArgs = decode_args(&call)?;
         if !self.has_component(CompKey::object(args.name)) {
-            return CallOutcome::Reply(Err(Fault::NotBound(self.name_str(args.name))));
+            return Err(Fault::NotBound(self.name_str(args.name)));
         }
         // Identity gate: a lock issued against an incarnation that has
         // since been replaced must not silently apply to the successor
         // (the locking mirror of the invocation check).
         if let Err(fault) = self.check_identity(args.name, args.expected) {
             env.count("stale_lock_refusals");
-            return CallOutcome::Reply(Err(fault));
+            return Err(fault);
         }
         let me = env.node();
         let client = NodeId::from_raw(args.client);
@@ -423,15 +417,12 @@ impl MageNode {
             .request(args.name, client, target, me, call.handle())
         {
             crate::lock::Request::Granted(kind) => reply_ok(&kind),
-            crate::lock::Request::Queued => CallOutcome::Deferred,
+            crate::lock::Request::Queued => Ok(CallOutcome::Deferred),
         }
     }
 
-    fn handle_unlock(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::UnlockArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_unlock(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::UnlockArgs = decode_args(&call)?;
         let me = env.node();
         let grants = self
             .locks
@@ -489,22 +480,19 @@ impl MageNode {
         Ok(())
     }
 
-    fn handle_invoke(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::InvokeArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_invoke(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::InvokeArgs = decode_args(&call)?;
         env.charge(self.config.invoke_overhead);
         // Identity gate: a same-name/different-incarnation object must
         // not silently execute a stale stub's call (§ROADMAP: stable
         // object identity across restarts).
         if let Err(fault) = self.check_identity(args.name, args.expected) {
             env.count("stale_identity_refusals");
-            return CallOutcome::Reply(Err(fault));
+            return Err(fault);
         }
         let method = self.syms.resolve_lossy(args.method);
         let result = self.invoke_local(env, args.name, &method, &args.args);
-        CallOutcome::Reply(result)
+        Ok(CallOutcome::Reply(result))
     }
 
     /// Invokes a method on a locally hosted object, handling mobile-agent
@@ -541,80 +529,66 @@ impl MageNode {
         if let Some(dest_name) = hop {
             match self.peers.get(&dest_name).copied() {
                 Some(dest) if dest != env.node() => {
-                    self.start_move(env, name, dest, MoveOrigin::Autonomous);
+                    self.begin_move_out(env, name, dest, MoveOrigin::Autonomous);
                 }
                 Some(_) => {} // hop to self: nothing to do
-                None => {
+                None if env.trace_enabled() => {
                     let name = self.name_str(name);
                     env.note(format!(
                         "agent {name} requested hop to unknown namespace {dest_name:?}"
                     ));
                 }
+                None => {}
             }
         }
         result
     }
 
-    fn handle_move_to(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::MoveToArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_move_to(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::MoveToArgs = decode_args(&call)?;
         let dest = NodeId::from_raw(args.dest);
         if dest == env.node() {
             let key = CompKey::object(args.name);
             if self.has_component(key) {
                 return reply_ok(&self.local_find_reply(key, dest));
             }
-            return CallOutcome::Reply(Err(Fault::NotBound(self.name_str(args.name))));
+            return Err(Fault::NotBound(self.name_str(args.name)));
         }
         match self.objects.get(&args.name) {
-            None => CallOutcome::Reply(Err(Fault::NotBound(self.name_str(args.name)))),
-            Some(hosted) if hosted.in_transit => CallOutcome::Reply(Err(Fault::App(format!(
+            None => Err(Fault::NotBound(self.name_str(args.name))),
+            Some(hosted) if hosted.in_transit => Err(Fault::App(format!(
                 "{} is in transit",
                 self.name_str(args.name)
-            )))),
+            ))),
             Some(_) => {
-                self.start_move(env, args.name, dest, MoveOrigin::Reply(call.handle()));
-                CallOutcome::Deferred
+                self.begin_move_out(env, args.name, dest, MoveOrigin::Reply(call.handle()));
+                Ok(CallOutcome::Deferred)
             }
         }
     }
 
-    fn handle_receive(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        from: NodeId,
-        call: InboundCall,
-    ) -> CallOutcome {
+    fn handle_receive(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> Served {
         if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept objects from {from}",
                 self.name
-            ))));
+            )));
         }
-        let args: proto::ReceiveArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+        let args: proto::ReceiveArgs = decode_args(&call)?;
         if !self.quotas.admits_object(self.objects.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "object quota exceeded in namespace {}",
                 self.name
-            ))));
+            )));
         }
         if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
+            return Err(Fault::ClassMissing(self.name_str(args.class)));
         }
         let class_name = self.syms.resolve_lossy(args.class);
-        let def = match self.lib.get(&class_name) {
-            Some(def) => def,
-            None => return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string()))),
+        let Some(def) = self.lib.get(&class_name) else {
+            return Err(Fault::ClassMissing(class_name.to_string()));
         };
-        let object = match def.instantiate(&args.state) {
-            Ok(object) => object,
-            Err(fault) => return CallOutcome::Reply(Err(fault)),
-        };
+        let object = def.instantiate(&args.state)?;
         env.charge(self.config.reify_cost);
         self.objects.insert(
             args.name,
@@ -650,35 +624,32 @@ impl MageNode {
         env: &mut Env<'_, '_>,
         from: NodeId,
         call: InboundCall,
-    ) -> CallOutcome {
+    ) -> Served {
         if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept classes from {from}",
                 self.name
-            ))));
+            )));
         }
-        let args: proto::ReceiveClassArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+        let args: proto::ReceiveClassArgs = decode_args(&call)?;
         if args.has_static_fields && !self.config.allow_static_classes {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "class {} has static fields; replication would fork static state",
                 self.name_str(args.class)
-            ))));
+            )));
         }
         if self.classes.contains(&args.class) {
             return reply_ok(&()); // idempotent re-delivery
         }
         if !self.quotas.admits_class(self.classes.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "class quota exceeded in namespace {}",
                 self.name
-            ))));
+            )));
         }
         let class_name = self.syms.resolve_lossy(args.class);
         if !self.lib.contains(&class_name) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string())));
+            return Err(Fault::ClassMissing(class_name.to_string()));
         }
         env.charge(env.cost().class_load(args.code.len() as u64));
         self.classes.insert(args.class);
@@ -688,20 +659,22 @@ impl MageNode {
         reply_ok(&())
     }
 
-    fn handle_fetch_class(&mut self, call: InboundCall) -> CallOutcome {
-        let args: proto::FetchClassArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+    fn handle_fetch_class(&mut self, call: InboundCall) -> Served {
+        let args: proto::FetchClassArgs = decode_args(&call)?;
+        let missing = || Fault::ClassMissing(self.name_str(args.class));
         if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
+            return Err(missing());
         }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string())));
-        };
-        reply_ok(&proto::ReceiveClassArgs {
-            class: args.class,
+        reply_ok(&self.class_transfer_args(args.class).ok_or_else(missing)?)
+    }
+
+    /// The `receiveClass` arguments that ship `class` to another namespace
+    /// (a fetch reply, or a push ahead of a move, checkpoint or
+    /// instantiation); `None` when the class library does not define it.
+    pub(crate) fn class_transfer_args(&self, class: NameId) -> Option<proto::ReceiveClassArgs> {
+        let def = self.lib.get(&self.syms.resolve_lossy(class))?;
+        Some(proto::ReceiveClassArgs {
+            class,
             code: ByteBuf(vec![0u8; def.code_size() as usize]),
             has_static_fields: def.has_static_fields(),
         })
@@ -712,25 +685,22 @@ impl MageNode {
         env: &mut Env<'_, '_>,
         from: NodeId,
         call: InboundCall,
-    ) -> CallOutcome {
+    ) -> Served {
         if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept instantiation from {from}",
                 self.name
-            ))));
+            )));
         }
-        let args: proto::InstantiateArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
+        let args: proto::InstantiateArgs = decode_args(&call)?;
         if !self.quotas.admits_object(self.objects.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "object quota exceeded in namespace {}",
                 self.name
-            ))));
+            )));
         }
         if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
+            return Err(Fault::ClassMissing(self.name_str(args.class)));
         }
         // Factory rebind semantics: a fresh instance replaces any previous
         // object registered under this name (like an RMI registry rebind) —
@@ -738,26 +708,22 @@ impl MageNode {
         // create-not-replace semantics (`Session::create` fails on a taken
         // name, exactly like local creation).
         if self.objects.get(&args.name).is_some_and(|h| h.in_transit) {
-            return CallOutcome::Reply(Err(Fault::App(format!(
+            return Err(Fault::App(format!(
                 "object {} is in transit",
                 self.name_str(args.name)
-            ))));
+            )));
         }
         if !args.replace && self.objects.contains_key(&args.name) {
-            return CallOutcome::Reply(Err(Fault::App(format!(
+            return Err(Fault::App(format!(
                 "object {} already exists here",
                 self.name_str(args.name)
-            ))));
+            )));
         }
         let class_name = self.syms.resolve_lossy(args.class);
-        let def = match self.lib.get(&class_name) {
-            Some(def) => def,
-            None => return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string()))),
+        let Some(def) = self.lib.get(&class_name) else {
+            return Err(Fault::ClassMissing(class_name.to_string()));
         };
-        let object = match def.instantiate(&args.state) {
-            Ok(object) => object,
-            Err(fault) => return CallOutcome::Reply(Err(fault)),
-        };
+        let object = def.instantiate(&args.state)?;
         env.charge(self.config.reify_cost);
         let me = env.node();
         // A fresh instance is a fresh identity — even under a name that
@@ -1002,7 +968,9 @@ impl MageNode {
         let state = match hosted.object.snapshot() {
             Ok(state) => state,
             Err(fault) => {
-                env.note(format!("checkpoint snapshot failed: {fault}"));
+                if env.trace_enabled() {
+                    env.note(format!("checkpoint snapshot failed: {fault}"));
+                }
                 return;
             }
         };
@@ -1053,7 +1021,7 @@ impl MageNode {
             dest: backup,
             head,
             state,
-            phase: CkptPhase::SentCheckpoint {
+            phase: PushPhase::Sent {
                 retried_class: false,
             },
         }));
@@ -1153,12 +1121,12 @@ impl MageNode {
         env: &mut Env<'_, '_>,
         from: NodeId,
         call: InboundCall,
-    ) -> CallOutcome {
+    ) -> Served {
         if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
+            return Err(Fault::AccessDenied(format!(
                 "namespace {} does not accept checkpoints from {from}",
                 self.name
-            ))));
+            )));
         }
         let args = match proto::CheckpointCall::decode(call.args()) {
             Ok(proto::CheckpointCall::Full(args)) => args,
@@ -1170,12 +1138,12 @@ impl MageNode {
                 });
                 return reply_ok(&held);
             }
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
+            Err(e) => return Err(Fault::App(e.to_string())),
         };
         // The backup must be able to *restore* — it needs the class. The
         // primary pushes it on this fault, exactly like a move would.
         if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
+            return Err(Fault::ClassMissing(self.name_str(args.class)));
         }
         let stored = self.store_backup(env, args);
         reply_ok(&stored)
@@ -1257,15 +1225,9 @@ impl MageNode {
         })
     }
 
-    fn handle_restore(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> CallOutcome {
-        let args: proto::RestoreArgs = match mage_codec::from_bytes(call.args()) {
-            Ok(args) => args,
-            Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
-        };
-        match self.restore_local(env, args.name) {
-            Ok(reply) => reply_ok(&reply),
-            Err(fault) => CallOutcome::Reply(Err(fault)),
-        }
+    fn handle_restore(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        let args: proto::RestoreArgs = decode_args(&call)?;
+        reply_ok(&self.restore_local(env, args.name)?)
     }
 }
 
@@ -1278,8 +1240,20 @@ pub(crate) struct HostPolicy {
     pub backup: Option<NodeId>,
 }
 
-pub(crate) fn reply_ok<T: serde::Serialize>(value: &T) -> CallOutcome {
-    CallOutcome::Reply(Ok(mage_codec::to_bytes(value).expect("reply encodes")))
+/// What a service handler answers: a reply or deferral, or the fault the
+/// caller gets.
+type Served = Result<CallOutcome, Fault>;
+
+fn reply_ok<T: serde::Serialize>(value: &T) -> Served {
+    Ok(CallOutcome::Reply(Ok(
+        mage_codec::to_bytes(value).expect("reply encodes")
+    )))
+}
+
+/// Decodes a service call's arguments; a malformed payload is the
+/// caller's application fault.
+fn decode_args<T: serde::de::DeserializeOwned>(call: &InboundCall) -> Result<T, Fault> {
+    mage_codec::from_bytes(call.args()).map_err(|e| Fault::App(e.to_string()))
 }
 
 impl App for MageNode {
@@ -1295,7 +1269,7 @@ impl App for MageNode {
             return CallOutcome::Unhandled;
         }
         let method = call.method_id();
-        if method == self.ids.find {
+        let served = if method == self.ids.find {
             self.handle_find(env, call)
         } else if method == self.ids.lock {
             self.handle_lock(env, call)
@@ -1318,11 +1292,12 @@ impl App for MageNode {
         } else if method == self.ids.restore {
             self.handle_restore(env, call)
         } else {
-            CallOutcome::Reply(Err(Fault::NoSuchMethod {
+            Err(Fault::NoSuchMethod {
                 object: proto::SERVICE.to_owned(),
                 method: call.method().to_owned(),
-            }))
-        }
+            })
+        };
+        served.unwrap_or_else(|fault| CallOutcome::Reply(Err(fault)))
     }
 
     fn on_reply(
@@ -1380,17 +1355,5 @@ impl std::fmt::Debug for MageNode {
             .field("registry_entries", &self.registry.len())
             .field("tasks_in_flight", &self.tasks.len())
             .finish_non_exhaustive()
-    }
-}
-
-impl MageNode {
-    pub(crate) fn start_move(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        name: NameId,
-        dest: NodeId,
-        origin: MoveOrigin,
-    ) {
-        self.begin_move_out(env, name, dest, origin);
     }
 }

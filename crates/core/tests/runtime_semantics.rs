@@ -438,6 +438,55 @@ fn trusted_malformed_receive_is_refused_and_installs_nothing() {
 }
 
 #[test]
+fn every_service_method_refuses_malformed_trusted_payloads() {
+    use mage_core::proto::{methods as service, SERVICE};
+    let mut rt = fast_runtime(&["lab", "server"]);
+    with_object(&mut rt, "server", "svc");
+    let server = rt.node_id("server").unwrap();
+    {
+        let mut world = rt.world_mut();
+        let sender = world.add_node(
+            "sender",
+            mage_rmi::client_endpoint(mage_rmi::Config::zero_cost()),
+        );
+        let call = |world: &mut mage_sim::World, method: &str, payload: Vec<u8>| {
+            mage_rmi::drive_call(world, sender, server, SERVICE, method, payload)
+                .unwrap()
+                .unwrap_err()
+        };
+        for method in [
+            service::FIND,
+            service::LOCK,
+            service::UNLOCK,
+            service::INVOKE,
+            service::MOVE_TO,
+            service::RECEIVE,
+            service::RECEIVE_CLASS,
+            service::FETCH_CLASS,
+            service::INSTANTIATE,
+            service::CHECKPOINT,
+            service::RESTORE,
+        ] {
+            // An unterminated varint: no argument struct decodes from it.
+            let err = call(&mut world, method, vec![0xff; 9]);
+            assert!(err.contains("application fault"), "{method}: {err}");
+        }
+        let err = call(&mut world, "teleport", Vec::new());
+        assert!(
+            err.contains(r#"object "mage" has no method "teleport""#),
+            "{err}"
+        );
+    }
+    // The refusals left the node serving as usual.
+    let (_, value) = rt
+        .session("lab")
+        .unwrap()
+        .bind_invoke(&Rpc::new("TestObject", "svc", "server"), methods::INC, &())
+        .unwrap();
+    assert_eq!(value, Some(1));
+}
+
+#[test]
 fn quota_refuses_excess_objects() {
     let mut rt = fast_runtime(&["lab", "tiny"]);
     rt.deploy_class("TestObject", "lab").unwrap();

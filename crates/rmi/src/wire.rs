@@ -1,18 +1,12 @@
 //! Wire messages exchanged by RMI endpoints.
 //!
-//! Two formats coexist:
-//!
-//! * [`Message`] — the original (v1) serde-derived format, kept for
-//!   compatibility tests and offline tooling. Its frames begin with the
-//!   enum variant index (`0`/`1`), so a v1 decoder cleanly rejects v2
-//!   frames (whose first byte is [`MAGIC_V2`]) with an unknown-variant
-//!   error instead of misparsing them.
-//! * [`WireMsg`] — the v2 hot-path format. `object` and `method` travel as
-//!   interned [`NameId`]s with the backing string attached only on first
-//!   use per peer ([`NameRef`]), `args`/results are ref-counted [`Bytes`]
-//!   slices of the received frame (zero copy on decode), and encoding goes
-//!   through a caller-supplied scratch buffer (zero steady-state
-//!   allocation beyond the frame itself).
+//! Every datagram is one [`WireMsg`]. `object` and `method` travel as
+//! interned [`NameId`]s with the backing string attached only on first use
+//! per peer ([`NameRef`]), `args`/results are ref-counted [`Bytes`] slices
+//! of the received frame (zero copy on decode), and encoding goes through a
+//! caller-supplied scratch buffer (zero steady-state allocation beyond the
+//! frame itself). A frame whose leading byte is not [`MAGIC_V2_EPOCH`] is
+//! rejected.
 //!
 //! The current v2 revision ([`MAGIC_V2_EPOCH`]) carries incarnation
 //! epochs in every frame header: each message states its sender's epoch
@@ -26,7 +20,6 @@
 use bytes::Bytes;
 use mage_codec::frame::{write_bytes, write_str, write_u64};
 use mage_codec::{DecodeError, FrameReader};
-use serde::{Deserialize, Serialize};
 
 use crate::error::Fault;
 use crate::symbols::NameId;
@@ -38,9 +31,8 @@ use crate::symbols::NameId;
 pub const MAGIC_V2: u8 = 0xA2;
 
 /// First byte of every current v2 frame (the epoch-carrying revision).
-/// Chosen well above any v1 enum variant index so the formats cannot be
-/// confused, and distinct from [`MAGIC_V2`] so the epoch-less revision is
-/// rejected by version, not by misparse.
+/// Distinct from [`MAGIC_V2`] so the epoch-less revision is rejected by
+/// version, not by misparse.
 pub const MAGIC_V2_EPOCH: u8 = 0xA3;
 
 const KIND_CALL_REQ: u8 = 0;
@@ -299,7 +291,7 @@ impl WireMsg {
 
     /// A static label for metrics — free to produce. Rich labels (with
     /// object/method names) are only materialised when tracing is on; see
-    /// [`Message::display_label`] for the v1 analogue.
+    /// [`call_label`].
     pub fn label(&self) -> &'static str {
         match self {
             WireMsg::CallReq { .. } => "call",
@@ -315,146 +307,9 @@ pub fn call_label(object: &str, method: &str) -> String {
     format!("call:{object}.{method}")
 }
 
-/// Every datagram between two endpoints used to be one encoded v1
-/// [`Message`]; the endpoint hot path now speaks [`WireMsg`], and this type
-/// remains for compatibility tooling and format tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Message {
-    /// A method invocation request.
-    CallReq {
-        /// Client-unique call id (also the dedup key on the server).
-        call_id: u64,
-        /// Name the target object is bound under.
-        object: String,
-        /// Method to invoke.
-        method: String,
-        /// Marshalled arguments.
-        args: Vec<u8>,
-    },
-    /// The response to a [`Message::CallReq`].
-    CallRsp {
-        /// Echoed call id.
-        call_id: u64,
-        /// Marshalled result or server-side fault.
-        result: Result<Vec<u8>, Fault>,
-    },
-}
-
-impl Message {
-    /// Encodes this message for the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the codec rejects the message, which cannot happen
-    /// for well-formed [`Message`] values (all fields have known lengths).
-    pub fn encode(&self) -> Bytes {
-        Bytes::from(mage_codec::to_bytes(self).expect("wire messages always encode"))
-    }
-
-    /// Decodes a message received from the fabric.
-    ///
-    /// # Errors
-    ///
-    /// Returns the codec error when the payload is malformed — including
-    /// v2 frames, whose [`MAGIC_V2`] leading byte is not a valid v1
-    /// variant index.
-    pub fn decode(bytes: &[u8]) -> Result<Self, mage_codec::DecodeError> {
-        mage_codec::from_bytes(bytes)
-    }
-
-    /// The call id carried by this message.
-    pub fn call_id(&self) -> u64 {
-        match self {
-            Message::CallReq { call_id, .. } | Message::CallRsp { call_id, .. } => *call_id,
-        }
-    }
-
-    /// A static label for metrics: `"call"`, `"rsp:ok"` or `"rsp:fault"`.
-    /// Free to produce — use [`Message::display_label`] only when tracing.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Message::CallReq { .. } => "call",
-            Message::CallRsp { result: Ok(_), .. } => "rsp:ok",
-            Message::CallRsp { result: Err(_), .. } => "rsp:fault",
-        }
-    }
-
-    /// The rich trace label: `"call:<object>.<method>"` for requests,
-    /// [`Message::label`] otherwise. Allocates; call only when tracing.
-    pub fn display_label(&self) -> String {
-        match self {
-            Message::CallReq { object, method, .. } => call_label(object, method),
-            other => other.label().to_owned(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn v1_call_req_roundtrips() {
-        let msg = Message::CallReq {
-            call_id: 9,
-            object: "geoData".into(),
-            method: "filterData".into(),
-            args: vec![1, 2, 3],
-        };
-        let bytes = msg.encode();
-        assert_eq!(Message::decode(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn v1_call_rsp_roundtrips_both_arms() {
-        let ok = Message::CallRsp {
-            call_id: 1,
-            result: Ok(vec![7]),
-        };
-        let err = Message::CallRsp {
-            call_id: 2,
-            result: Err(Fault::NotBound("x".into())),
-        };
-        assert_eq!(Message::decode(&ok.encode()).unwrap(), ok);
-        assert_eq!(Message::decode(&err.encode()).unwrap(), err);
-    }
-
-    #[test]
-    fn call_id_accessor() {
-        let msg = Message::CallRsp {
-            call_id: 5,
-            result: Ok(vec![]),
-        };
-        assert_eq!(msg.call_id(), 5);
-    }
-
-    #[test]
-    fn static_labels_are_free_and_stable() {
-        let req = Message::CallReq {
-            call_id: 0,
-            object: "o".into(),
-            method: "m".into(),
-            args: vec![],
-        };
-        assert_eq!(req.label(), "call");
-        assert_eq!(req.display_label(), "call:o.m");
-        let rsp = Message::CallRsp {
-            call_id: 0,
-            result: Ok(vec![]),
-        };
-        assert_eq!(rsp.label(), "rsp:ok");
-        assert_eq!(rsp.display_label(), "rsp:ok");
-        let fault = Message::CallRsp {
-            call_id: 0,
-            result: Err(Fault::App("e".into())),
-        };
-        assert_eq!(fault.label(), "rsp:fault");
-    }
-
-    #[test]
-    fn malformed_bytes_are_rejected() {
-        assert!(Message::decode(&[0xFF, 0xFF, 0xFF]).is_err());
-    }
 
     #[test]
     fn v2_call_req_roundtrips_with_first_use_names() {
@@ -527,35 +382,6 @@ mod tests {
         let err = WireMsg::decode(&Bytes::from(frame)).expect_err("old header must be rejected");
         let msg = err.to_string();
         assert!(msg.contains("unsupported wire version"), "got {msg}");
-    }
-
-    #[test]
-    fn v1_decoder_rejects_v2_frames_cleanly() {
-        let frame = WireMsg::CallReq {
-            call_id: 3,
-            sender_epoch: 1,
-            object: NameRef::id(NameId::from_raw(0)),
-            method: NameRef::id(NameId::from_raw(1)),
-            args: Bytes::new(),
-        }
-        .encode();
-        let err = Message::decode(&frame).expect_err("v1 must reject v2");
-        // A clean decode error naming the bogus variant, not a panic or a
-        // silently misparsed message.
-        assert!(matches!(err, DecodeError::Message(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn v2_decoder_rejects_v1_frames_cleanly() {
-        let frame = Message::CallReq {
-            call_id: 3,
-            object: "o".into(),
-            method: "m".into(),
-            args: vec![],
-        }
-        .encode();
-        let err = WireMsg::decode(&frame).expect_err("v2 must reject v1");
-        assert!(matches!(err, DecodeError::Message(_)), "got {err:?}");
     }
 
     #[test]

@@ -144,17 +144,3 @@ fn malformed_wire_bytes_are_ignored_not_fatal() {
     let n: u64 = mage_rmi::decode_result(&out).unwrap();
     assert_eq!(n, 1);
 }
-
-#[test]
-fn remote_refs_survive_marshalling_between_layers() {
-    use mage_rmi::RemoteRef;
-    use mage_sim::NodeId;
-    let stub = RemoteRef::new(NodeId::from_raw(3), "geoData");
-    let bytes = mage_codec::to_bytes(&stub).unwrap();
-    let back: RemoteRef = mage_codec::from_bytes(&bytes).unwrap();
-    assert_eq!(back, stub);
-    assert_eq!(
-        back.moved_to(NodeId::from_raw(5)).node(),
-        NodeId::from_raw(5)
-    );
-}
