@@ -9,9 +9,11 @@
 //! * a [`ClassDef`] pairs a name with a *simulated code size* (driving
 //!   transfer time and class-load cost) and a Rust factory closure (the
 //!   behaviour the "bytecode" stands for);
-//! * a [`ClassLibrary`] is the world-wide catalogue of definitions, shared
-//!   out-of-band by every node — it models the universe of `.class` files
-//!   that exist, not their placement;
+//! * the definitions registered with
+//!   [`RuntimeBuilder::class`](crate::RuntimeBuilder::class) form the
+//!   world-wide catalogue, shared out-of-band by every node as one table
+//!   keyed by interned class name — it models the universe of `.class`
+//!   files that exist, not their placement;
 //! * *placement* is tracked per node: a namespace can only instantiate or
 //!   receive an object whose class its cache holds, and cache misses
 //!   trigger real `receiveClass`/`fetchClass` protocol messages carrying
@@ -20,7 +22,6 @@
 //! This preserves exactly what the evaluation measures: which moves pay a
 //! class transfer, and what that transfer costs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -167,53 +168,6 @@ impl fmt::Debug for ClassDef {
     }
 }
 
-/// The world-wide catalogue of class definitions.
-///
-/// Shared (via `Arc`) by every node in a world; per-node *availability* is
-/// what the migration protocol manipulates.
-#[derive(Debug, Default)]
-pub struct ClassLibrary {
-    classes: BTreeMap<String, ClassDef>,
-}
-
-impl ClassLibrary {
-    /// Creates an empty library.
-    pub fn new() -> Self {
-        ClassLibrary::default()
-    }
-
-    /// Adds a definition, replacing any previous one with the same name.
-    pub fn define(&mut self, def: ClassDef) -> &mut Self {
-        self.classes.insert(def.name().to_owned(), def);
-        self
-    }
-
-    /// Looks up a definition by name.
-    pub fn get(&self, name: &str) -> Option<&ClassDef> {
-        self.classes.get(name)
-    }
-
-    /// Whether `name` is defined.
-    pub fn contains(&self, name: &str) -> bool {
-        self.classes.contains_key(name)
-    }
-
-    /// Number of definitions.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether the library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// Iterates over definitions in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ClassDef> {
-        self.classes.values()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,31 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn library_catalogue_operations() {
-        let mut lib = ClassLibrary::new();
-        assert!(lib.is_empty());
-        lib.define(tiny_class());
-        assert!(lib.contains("Tiny"));
-        assert!(!lib.contains("Big"));
-        assert_eq!(lib.len(), 1);
-        assert_eq!(lib.get("Tiny").unwrap().code_size(), 1_500);
-        assert_eq!(lib.iter().count(), 1);
-    }
-
-    #[test]
     fn static_field_flag() {
         let def = tiny_class().with_static_fields();
         assert!(def.has_static_fields());
         assert!(!tiny_class().has_static_fields());
-    }
-
-    #[test]
-    fn redefinition_replaces() {
-        let mut lib = ClassLibrary::new();
-        lib.define(tiny_class());
-        lib.define(ClassDef::new("Tiny", 9_000, |_| {
-            Err(Fault::App("stub".into()))
-        }));
-        assert_eq!(lib.get("Tiny").unwrap().code_size(), 9_000);
     }
 }

@@ -630,8 +630,7 @@ impl MageNode {
             .or_else(|| home_hint.map(NodeId::from_raw).filter(|h| *h != me));
         match start {
             Some(start) => {
-                let token = self.next_task;
-                self.next_task += 1;
+                let token = self.next_token();
                 let args = proto::FindArgs {
                     key,
                     visited: vec![me.as_raw()],
@@ -667,8 +666,7 @@ impl MageNode {
         home_hint: Option<u32>,
     ) {
         env.charge(self.config.bind_overhead);
-        let token = self.next_task;
-        self.next_task += 1;
+        let token = self.next_token();
         let task = ClientLockTask {
             op,
             name,
@@ -798,8 +796,7 @@ impl MageNode {
         home_hint: Option<u32>,
     ) {
         env.charge(self.config.bind_overhead);
-        let token = self.next_task;
-        self.next_task += 1;
+        let token = self.next_token();
         let task = ClientUnlockTask {
             op,
             name,
@@ -920,8 +917,7 @@ impl MageNode {
             backup: backup.map(|n| n.as_raw()),
             snapshot_epoch,
         };
-        let token = self.next_task;
-        self.next_task += 1;
+        let token = self.next_token();
         self.call_service(env, dest, self.ids.receive, &receive_args, token);
         self.tasks.insert(
             token,

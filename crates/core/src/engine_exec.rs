@@ -12,7 +12,6 @@
 //! phase's handler.
 
 use bytes::Bytes;
-use mage_codec::ByteBuf;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
@@ -21,7 +20,7 @@ use crate::engine::{
 };
 use crate::error::MageError;
 use crate::lock::LockKind;
-use crate::node::{HostPolicy, MageNode};
+use crate::node::MageNode;
 use crate::proto::{self, ActionSpec, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
@@ -52,38 +51,11 @@ impl ExecTask {
             ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
         }
     }
-
-    /// The `instantiate` request this plan makes, carrying one copy of the
-    /// constructor state; `None` unless the plan instantiates a named
-    /// object.
-    fn instantiate_args(&self) -> Option<proto::InstantiateArgs> {
-        let ActionSpec::Instantiate {
-            state,
-            visibility,
-            durability,
-            backup,
-            replace,
-            ..
-        } = &self.spec.action
-        else {
-            return None;
-        };
-        Some(proto::InstantiateArgs {
-            class: self.spec.class,
-            name: self.spec.object?,
-            state: ByteBuf(state.clone()),
-            visibility: *visibility,
-            durability: *durability,
-            backup: *backup,
-            replace: *replace,
-        })
-    }
 }
 
 impl MageNode {
     pub(crate) fn exec_start(&mut self, env: &mut Env<'_, '_>, op: OpId, spec: proto::ExecSpec) {
-        let id = self.next_task;
-        self.next_task += 1;
+        let id = self.next_token();
         let cinc = spec.expected_incarnation;
         let task = ExecTask {
             op,
@@ -236,38 +208,39 @@ impl MageNode {
     /// else by asking `dest` or fetching the class first.
     fn exec_instantiate(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
         let me = env.node();
-        let Some(args) = task.instantiate_args() else {
-            let err = MageError::BadPlan("instantiate requires an object name".into());
-            return self.exec_fail(env, id, task, err);
-        };
         if dest != me {
-            self.call_service(env, dest, self.ids.instantiate, &args, id);
-            let phase = ExecPhase::AwaitInstantiate {
-                dest,
-                retried_class: false,
-            };
-            return self.exec_park(id, task, phase);
+            return self.exec_send_instantiate(env, id, task, dest, false);
         }
-        if !self.classes.contains(&args.class) {
+        if !self.classes.contains(&task.spec.class) {
             return self.exec_fetch_class(env, id, task, me);
         }
-        let policy = HostPolicy {
-            visibility: args.visibility,
-            durability: args.durability,
-            backup: args.backup.map(NodeId::from_raw),
+        let ActionSpec::Instantiate { args, .. } = &task.spec.action else {
+            unreachable!("only instantiate plans instantiate");
         };
-        let created = self.create_local_object(
-            env,
-            args.class,
-            args.name,
-            &args.state,
-            policy,
-            args.replace,
-        );
-        match created {
+        match self.create_local_object(env, args) {
             Ok(outcome) => self.exec_invoke_placed(env, id, task, me, outcome.incarnation),
             Err(e) => self.exec_fail(env, id, task, e),
         }
+    }
+
+    /// Asks `dest` to instantiate the plan's object (again, once
+    /// `retried_class` says the class was pushed there).
+    fn exec_send_instantiate(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        task: ExecTask,
+        dest: NodeId,
+        retried_class: bool,
+    ) {
+        if let ActionSpec::Instantiate { args, .. } = &task.spec.action {
+            self.call_service(env, dest, self.ids.instantiate, args, id);
+        }
+        let phase = ExecPhase::AwaitInstantiate {
+            dest,
+            retried_class,
+        };
+        self.exec_park(id, task, phase);
     }
 
     /// Starts class logistics for an instantiation at `dest`: fetch the
@@ -344,8 +317,7 @@ impl MageNode {
         if invoke.one_way {
             // Fire and forget: route the eventual reply to a token nobody
             // owns. The result "stays at the remote host" (§5).
-            let noop = self.next_task;
-            self.next_task += 1;
+            let noop = self.next_token();
             self.call_service(env, at, self.ids.invoke, &args, noop);
             self.exec_begin_unlock(env, id, task);
         } else {
@@ -619,17 +591,7 @@ impl MageNode {
             }
             ExecPhase::AwaitPushClass { dest } => match result {
                 // The class is in place; retry the instantiation.
-                Ok(_) => {
-                    let args = task
-                        .instantiate_args()
-                        .expect("only instantiate plans push classes");
-                    self.call_service(env, dest, self.ids.instantiate, &args, id);
-                    let phase = ExecPhase::AwaitInstantiate {
-                        dest,
-                        retried_class: true,
-                    };
-                    self.exec_park(id, task, phase);
-                }
+                Ok(_) => self.exec_send_instantiate(env, id, task, dest, true),
                 Err(e) => self.exec_fail(env, id, task, rmi_error_to_mage(&e)),
             },
             ExecPhase::AwaitInstantiate {

@@ -78,7 +78,7 @@ mod session;
 pub mod spec;
 pub mod workload_support;
 
-pub use class::{ClassDef, ClassLibrary, Method};
+pub use class::{ClassDef, Method};
 pub use component::{Component, DesignTriple, Durability, ModelKind, Placement, Visibility};
 pub use error::MageError;
 pub use lock::LockKind;

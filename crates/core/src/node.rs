@@ -23,9 +23,10 @@ use mage_rmi::{App, CallOutcome, Env, Fault, InboundCall, NameId, ReplyHandle, S
 use mage_sim::{NodeId, OpId, SimDuration};
 
 use crate::admission::Quotas;
-use crate::class::ClassLibrary;
+use crate::class::ClassDef;
 use crate::component::{Durability, Visibility};
 use crate::engine::{CheckpointTask, MoveOrigin, PushPhase, Task};
+use crate::error::MageError;
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
 use crate::proto::{self, methods, Command, Outcome};
@@ -86,7 +87,7 @@ pub(crate) struct ProtoIds {
 }
 
 impl ProtoIds {
-    fn new(syms: &SymbolTable) -> Self {
+    pub(crate) fn new(syms: &SymbolTable) -> Self {
         ProtoIds {
             service: syms.intern(proto::SERVICE),
             find: syms.intern(methods::FIND),
@@ -170,7 +171,8 @@ pub(crate) struct BackupSnapshot {
 /// The MAGE runtime for one namespace.
 pub struct MageNode {
     pub(crate) name: String,
-    pub(crate) lib: Arc<ClassLibrary>,
+    /// The world-wide class definitions, keyed by interned class name.
+    pub(crate) defs: Arc<BTreeMap<NameId, ClassDef>>,
     pub(crate) syms: Arc<SymbolTable>,
     /// World-shared incarnation mint (see [`IncarnationMinter`]).
     pub(crate) minter: Arc<IncarnationMinter>,
@@ -206,14 +208,14 @@ pub(crate) enum TransitFindWaiter {
 }
 
 impl MageNode {
-    /// Creates a node named `name` over the world-wide class library and
-    /// symbol table.
+    /// Creates a node named `name` over the world-wide class definitions
+    /// (keyed by their names' ids in `syms`) and symbol table.
     ///
     /// `peers` maps namespace display names to node ids (used to resolve
     /// mobile-agent itinerary hops).
     pub fn new(
         name: impl Into<String>,
-        lib: Arc<ClassLibrary>,
+        defs: Arc<BTreeMap<NameId, ClassDef>>,
         peers: BTreeMap<String, NodeId>,
         config: NodeConfig,
         syms: Arc<SymbolTable>,
@@ -227,7 +229,7 @@ impl MageNode {
         let ids = ProtoIds::new(&syms);
         MageNode {
             name: name.into(),
-            lib,
+            defs,
             syms,
             minter,
             ids,
@@ -299,9 +301,16 @@ impl MageNode {
         env.call(to, self.ids.service, method, args, token);
     }
 
-    pub(crate) fn spawn_task(&mut self, task: Task) -> u64 {
-        let id = self.next_task;
+    /// Allocates a fresh task token (replies to calls issued under it
+    /// reach [`MageNode::step_task`]).
+    pub(crate) fn next_token(&mut self) -> u64 {
+        let token = self.next_task;
         self.next_task += 1;
+        token
+    }
+
+    pub(crate) fn spawn_task(&mut self, task: Task) -> u64 {
+        let id = self.next_token();
         self.tasks.insert(id, task);
         id
     }
@@ -310,7 +319,7 @@ impl MageNode {
         &mut self,
         env: &mut Env<'_, '_>,
         op: OpId,
-        result: Result<Outcome, crate::error::MageError>,
+        result: Result<Outcome, MageError>,
     ) {
         env.complete_op(op, Box::new(result));
     }
@@ -454,8 +463,8 @@ impl MageNode {
     }
 
     /// Verifies that the hosted object under `name` is the incarnation
-    /// the caller expected (`None` skips the check — untyped legacy
-    /// callers and class invocations).
+    /// the caller expected (`None` skips the check: a plan that has not
+    /// resolved an identity yet, or a class invocation).
     pub(crate) fn check_identity(
         &self,
         name: NameId,
@@ -575,48 +584,30 @@ impl MageNode {
             )));
         }
         let args: proto::ReceiveArgs = decode_args(&call)?;
+        self.admit_object(args.class)?;
+        self.host(env.node(), Arrival::Moved(&args))?;
+        env.charge(self.config.reify_cost);
+        self.locks.install(args.name, args.locks);
+        // Durability: the post-move checkpoint — the backup must learn the
+        // object survived the move before the new host can crash on it.
+        self.ship_checkpoint(env, args.name);
+        reply_ok(&())
+    }
+
+    /// The admission checks an object arriving from a peer (by move or
+    /// instantiation) passes before it is hosted: the object quota, and
+    /// its class cached here.
+    fn admit_object(&self, class: NameId) -> Result<(), Fault> {
         if !self.quotas.admits_object(self.objects.len()) {
             return Err(Fault::AccessDenied(format!(
                 "object quota exceeded in namespace {}",
                 self.name
             )));
         }
-        if !self.classes.contains(&args.class) {
-            return Err(Fault::ClassMissing(self.name_str(args.class)));
+        if !self.classes.contains(&class) {
+            return Err(Fault::ClassMissing(self.name_str(class)));
         }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return Err(Fault::ClassMissing(class_name.to_string()));
-        };
-        let object = def.instantiate(&args.state)?;
-        env.charge(self.config.reify_cost);
-        self.objects.insert(
-            args.name,
-            Hosted {
-                object,
-                class: args.class,
-                visibility: args.visibility,
-                home: NodeId::from_raw(args.home),
-                version: args.version,
-                // Migration preserves identity: same incarnation, new home.
-                incarnation: args.incarnation,
-                in_transit: false,
-                durability: args.durability,
-                backup: args.backup.map(NodeId::from_raw),
-                snapshot_epoch: args.snapshot_epoch,
-                shipped: None,
-            },
-        );
-        self.locks.install(args.name, args.locks);
-        let me = env.node();
-        self.registry.update(
-            CompKey::object(args.name),
-            Located::new(me, args.incarnation),
-        );
-        // Durability: the post-move checkpoint — the backup must learn the
-        // object survived the move before the new host can crash on it.
-        self.ship_checkpoint(env, args.name);
-        reply_ok(&())
+        Ok(())
     }
 
     fn handle_receive_class(
@@ -647,9 +638,8 @@ impl MageNode {
                 self.name
             )));
         }
-        let class_name = self.syms.resolve_lossy(args.class);
-        if !self.lib.contains(&class_name) {
-            return Err(Fault::ClassMissing(class_name.to_string()));
+        if !self.defs.contains_key(&args.class) {
+            return Err(Fault::ClassMissing(self.name_str(args.class)));
         }
         env.charge(env.cost().class_load(args.code.len() as u64));
         self.classes.insert(args.class);
@@ -670,9 +660,9 @@ impl MageNode {
 
     /// The `receiveClass` arguments that ship `class` to another namespace
     /// (a fetch reply, or a push ahead of a move, checkpoint or
-    /// instantiation); `None` when the class library does not define it.
+    /// instantiation); `None` when no class of that name is defined.
     pub(crate) fn class_transfer_args(&self, class: NameId) -> Option<proto::ReceiveClassArgs> {
-        let def = self.lib.get(&self.syms.resolve_lossy(class))?;
+        let def = self.defs.get(&class)?;
         Some(proto::ReceiveClassArgs {
             class,
             code: ByteBuf(vec![0u8; def.code_size() as usize]),
@@ -693,15 +683,7 @@ impl MageNode {
             )));
         }
         let args: proto::InstantiateArgs = decode_args(&call)?;
-        if !self.quotas.admits_object(self.objects.len()) {
-            return Err(Fault::AccessDenied(format!(
-                "object quota exceeded in namespace {}",
-                self.name
-            )));
-        }
-        if !self.classes.contains(&args.class) {
-            return Err(Fault::ClassMissing(self.name_str(args.class)));
-        }
+        self.admit_object(args.class)?;
         // Factory rebind semantics: a fresh instance replaces any previous
         // object registered under this name (like an RMI registry rebind) —
         // unless that object is mid-migration, or the caller asked for
@@ -719,34 +701,8 @@ impl MageNode {
                 self.name_str(args.name)
             )));
         }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return Err(Fault::ClassMissing(class_name.to_string()));
-        };
-        let object = def.instantiate(&args.state)?;
+        let incarnation = self.host(env.node(), Arrival::Created(&args))?;
         env.charge(self.config.reify_cost);
-        let me = env.node();
-        // A fresh instance is a fresh identity — even under a name that
-        // existed before (factory rebind, or re-creation after a crash).
-        let incarnation = self.minter.mint();
-        self.objects.insert(
-            args.name,
-            Hosted {
-                object,
-                class: args.class,
-                visibility: args.visibility,
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability: args.durability,
-                backup: args.backup.map(NodeId::from_raw),
-                snapshot_epoch: 0,
-                shipped: None,
-            },
-        );
-        self.registry
-            .update(CompKey::object(args.name), Located::new(me, incarnation));
         // Durability: the creation checkpoint.
         self.ship_checkpoint(env, args.name);
         reply_ok(&incarnation)
@@ -757,40 +713,18 @@ impl MageNode {
     fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: Command) {
         match cmd {
             Command::DeployClass { op, class } => {
-                if !self.lib.contains(&class) {
-                    let err = crate::error::MageError::ClassUnavailable(class);
-                    self.complete(env, op, Err(err));
-                    return;
+                if !self.defs.contains_key(&class) {
+                    let err = MageError::ClassUnavailable(self.name_str(class));
+                    return self.complete(env, op, Err(err));
                 }
-                let class_id = self.syms.intern(&class);
-                self.classes.insert(class_id);
+                self.classes.insert(class);
                 let me = env.node();
                 self.registry
-                    .update(CompKey::class(class_id), Located::untracked(me));
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me.as_raw(),
-                        ..Outcome::default()
-                    }),
-                );
+                    .update(CompKey::class(class), Located::untracked(me));
+                self.complete_admin(env, op);
             }
-            Command::CreateObject {
-                op,
-                class,
-                name,
-                state,
-                visibility,
-                durability,
-                backup,
-            } => {
-                let policy = HostPolicy {
-                    visibility,
-                    durability,
-                    backup: backup.map(NodeId::from_raw),
-                };
-                let result = self.create_local_object(env, class, name, &state, policy, false);
+            Command::CreateObject { op, args } => {
+                let result = self.create_local_object(env, &args);
                 self.complete(env, op, result);
             }
             Command::Find { op, key, home_hint } => {
@@ -820,15 +754,7 @@ impl MageNode {
                     None => TrustPolicy::TrustAll,
                     Some(ids) => TrustPolicy::allow_raw(ids),
                 };
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
+                self.complete_admin(env, op);
             }
             Command::SetQuota {
                 op,
@@ -839,109 +765,153 @@ impl MageNode {
                     max_objects,
                     max_classes,
                 };
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
+                self.complete_admin(env, op);
             }
             Command::AllowStaticClasses { op, allow } => {
                 self.config.allow_static_classes = allow;
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
+                self.complete_admin(env, op);
             }
             Command::SeedRegistry { op, key, loc } => {
                 // Admin seeds construct pathological chains on purpose;
                 // they carry no identity knowledge.
                 self.registry
                     .update(key, Located::untracked(NodeId::from_raw(loc)));
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
+                self.complete_admin(env, op);
             }
         }
     }
 
+    /// Completes an admin command: it answers only where it ran.
+    fn complete_admin(&mut self, env: &mut Env<'_, '_>, op: OpId) {
+        let done = Outcome {
+            location: env.node().as_raw(),
+            ..Outcome::default()
+        };
+        self.complete(env, op, Ok(done));
+    }
+
+    /// Creates the object `args` describes on this node for its own
+    /// client: it pays no reify cost, and a taken name is the client's
+    /// `BadPlan`.
     pub(crate) fn create_local_object(
         &mut self,
         env: &mut Env<'_, '_>,
-        class_id: NameId,
-        name_id: NameId,
-        state: &[u8],
-        policy: HostPolicy,
-        replace: bool,
-    ) -> Result<Outcome, crate::error::MageError> {
-        let class = self.syms.resolve_lossy(class_id);
-        if !self.classes.contains(&class_id) {
-            return Err(crate::error::MageError::ClassUnavailable(class.to_string()));
+        args: &proto::InstantiateArgs,
+    ) -> Result<Outcome, MageError> {
+        if !self.classes.contains(&args.class) {
+            return Err(MageError::ClassUnavailable(self.name_str(args.class)));
         }
-        let def = self
-            .lib
-            .get(&class)
-            .ok_or_else(|| crate::error::MageError::ClassUnavailable(class.to_string()))?;
-        if let Some(existing) = self.objects.get(&name_id) {
-            let name = self.name_str(name_id);
-            if !replace {
-                return Err(crate::error::MageError::BadPlan(format!(
+        if let Some(existing) = self.objects.get(&args.name) {
+            let name = self.name_str(args.name);
+            if !args.replace {
+                return Err(MageError::BadPlan(format!(
                     "object {name} already exists here"
                 )));
             }
             if existing.in_transit {
-                return Err(crate::error::MageError::BadPlan(format!(
-                    "object {name} is in transit"
-                )));
+                return Err(MageError::BadPlan(format!("object {name} is in transit")));
             }
         }
-        let object = def
-            .instantiate(state)
-            .map_err(|f| crate::error::MageError::Rmi(f.to_string()))?;
         let me = env.node();
-        // A new object (or a re-created one under a reused name) is a new
-        // incarnation: stale stubs to a predecessor become detectable.
-        let incarnation = self.minter.mint();
-        self.objects.insert(
-            name_id,
-            Hosted {
-                object,
-                class: class_id,
-                visibility: policy.visibility,
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability: policy.durability,
-                backup: policy.backup,
-                snapshot_epoch: 0,
-                shipped: None,
-            },
-        );
-        self.registry
-            .update(CompKey::object(name_id), Located::new(me, incarnation));
+        let incarnation = self
+            .host(me, Arrival::Created(args))
+            .map_err(|f| MageError::Rmi(f.to_string()))?;
         // Durability: the creation checkpoint establishes the backup copy
         // before the object serves anything.
-        self.ship_checkpoint(env, name_id);
+        self.ship_checkpoint(env, args.name);
         Ok(Outcome {
             location: me.as_raw(),
             incarnation,
             ..Outcome::default()
         })
+    }
+
+    /// Hosts an arriving object here — the one way onto a node, shared by
+    /// a move (`receive`), a remote or local instantiation, and a restore
+    /// from this node's backup snapshot. Looks the class up, reifies the
+    /// state through its factory, records the object and points the
+    /// registry here; returns its incarnation. Admission checks, the
+    /// reify charge and the creation checkpoint stay with the callers,
+    /// which differ in them.
+    pub(crate) fn host(&mut self, me: NodeId, arrival: Arrival<'_>) -> Result<Incarnation, Fault> {
+        let (name, class, state, visibility, durability, backup) = match arrival {
+            Arrival::Moved(a) => (
+                a.name,
+                a.class,
+                &a.state[..],
+                a.visibility,
+                a.durability,
+                a.backup,
+            ),
+            Arrival::Created(a) => (
+                a.name,
+                a.class,
+                &a.state[..],
+                a.visibility,
+                a.durability,
+                a.backup,
+            ),
+            Arrival::Restored(name) => {
+                let snap = self
+                    .backups
+                    .get(&name)
+                    .ok_or_else(|| Fault::NotBound(self.name_str(name)))?;
+                // The backup home stays fixed — which is now this node, so
+                // further checkpoints are local stores until the object
+                // moves away again.
+                let backup = Some(me.as_raw());
+                (
+                    name,
+                    snap.class,
+                    &snap.state[..],
+                    snap.visibility,
+                    snap.durability,
+                    backup,
+                )
+            }
+        };
+        let def = self
+            .defs
+            .get(&class)
+            .ok_or_else(|| Fault::ClassMissing(self.name_str(class)))?;
+        let object = def.instantiate(state)?;
+        let (home, version, incarnation, snapshot_epoch) = match arrival {
+            // Migration preserves identity: same incarnation, new home.
+            Arrival::Moved(a) => (
+                NodeId::from_raw(a.home),
+                a.version,
+                a.incarnation,
+                a.snapshot_epoch,
+            ),
+            // A fresh instance is a fresh identity — even under a name that
+            // existed before (factory rebind, or re-creation after a
+            // crash), so stale stubs to a predecessor become detectable.
+            Arrival::Created(_) => (me, 0, self.minter.mint(), 0),
+            // A restore is a re-creation, not a migration: the crashed
+            // incarnation is dead, so the survivor gets a fresh identity
+            // and stale stubs resolve to typed `StaleIdentity` (then
+            // rebind). The backup home adopts the object as its origin.
+            Arrival::Restored(name) => (me, 0, self.minter.mint(), self.backups[&name].epoch),
+        };
+        self.objects.insert(
+            name,
+            Hosted {
+                object,
+                class,
+                visibility,
+                home,
+                version,
+                incarnation,
+                in_transit: false,
+                durability,
+                backup: backup.map(NodeId::from_raw),
+                snapshot_epoch,
+                shipped: None,
+            },
+        );
+        self.registry
+            .update(CompKey::object(name), Located::new(me, incarnation));
+        Ok(incarnation)
     }
 
     // ---- durability: checkpoint & restore ----
@@ -1168,57 +1138,20 @@ impl MageNode {
         if self.objects.get(&name).is_some_and(|h| h.in_transit) {
             return Err(Fault::App(format!("{} is in transit", self.name_str(name))));
         }
-        let Some(snap) = self.backups.get(&name) else {
-            return Err(Fault::NotBound(self.name_str(name)));
-        };
-        let class_name = self.syms.resolve_lossy(snap.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return Err(Fault::ClassMissing(class_name.to_string()));
-        };
-        let object = def.instantiate(&snap.state)?;
+        let incarnation = self.host(me, Arrival::Restored(name))?;
         env.charge(self.config.reify_cost);
-        // A restore is a re-creation, not a migration: the crashed
-        // incarnation is dead, so the survivor gets a fresh identity and
-        // stale stubs resolve to typed `StaleIdentity` (then rebind).
-        let incarnation = self.minter.mint();
-        let (class, visibility, snap_inc, epoch, durability) = (
-            snap.class,
-            snap.visibility,
-            snap.incarnation,
-            snap.epoch,
-            snap.durability,
-        );
         if env.trace_enabled() {
             // Invariant marker: a restore must serve the newest snapshot
             // this backup ever acknowledged for the name.
+            let snap = &self.backups[&name];
             env.note(format!(
-                "invariant:restore:{}:{}:{epoch}",
+                "invariant:restore:{}:{}:{}",
                 name.as_raw(),
-                snap_inc.as_raw()
+                snap.incarnation.as_raw(),
+                snap.epoch
             ));
         }
         env.count("snapshot_restores");
-        self.objects.insert(
-            name,
-            Hosted {
-                object,
-                class,
-                visibility,
-                // The backup home adopts the object: it is the new origin.
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability,
-                // The backup home stays fixed — which is now this node, so
-                // further checkpoints are local stores until the object
-                // moves away again.
-                backup: Some(me),
-                snapshot_epoch: epoch,
-                shipped: None,
-            },
-        );
-        self.registry.update(key, Located::new(me, incarnation));
         Ok(proto::FindReply {
             location: me.as_raw(),
             incarnation,
@@ -1231,13 +1164,18 @@ impl MageNode {
     }
 }
 
-/// The non-mobility policy set an object is hosted under: visibility plus
-/// the durability policy and its resolved backup home.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HostPolicy {
-    pub visibility: Visibility,
-    pub durability: Durability,
-    pub backup: Option<NodeId>,
+/// How an object arrives at a namespace: the source its class, state,
+/// policy set and identity are taken from (see [`MageNode::host`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Arrival<'a> {
+    /// Moved here (`receive`): identity, origin server, move count and
+    /// snapshot epoch travel with the object.
+    Moved(&'a proto::ReceiveArgs),
+    /// A fresh instance from its class (`instantiate`, or a local
+    /// create).
+    Created(&'a proto::InstantiateArgs),
+    /// Restored from this node's backup snapshot of the named object.
+    Restored(NameId),
 }
 
 /// What a service handler answers: a reply or deferral, or the fault the

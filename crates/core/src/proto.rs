@@ -414,17 +414,9 @@ pub enum ActionSpec {
     Instantiate {
         /// Raw id of the namespace to instantiate at.
         node: u32,
-        /// Constructor state.
-        state: Vec<u8>,
-        /// Visibility of the new object.
-        visibility: Visibility,
-        /// Durability policy of the new object.
-        durability: Durability,
-        /// Raw id of the fixed backup home, when replicated.
-        backup: Option<u32>,
-        /// Whether a live same-named object is replaced (factory rebind)
-        /// or refused (spec-driven creation).
-        replace: bool,
+        /// The `instantiate` request, sent as is (and re-sent after a
+        /// class push) or run locally when `node` is the client.
+        args: InstantiateArgs,
     },
 }
 
@@ -484,25 +476,16 @@ pub enum Command {
     DeployClass {
         /// Operation to complete.
         op: OpId,
-        /// Class name (must exist in the world's class library).
-        class: String,
+        /// Interned class name (must be defined in the world's class
+        /// table).
+        class: NameId,
     },
     /// Create and host an object in this namespace.
     CreateObject {
         /// Operation to complete.
         op: OpId,
-        /// Interned class name.
-        class: NameId,
-        /// Interned object name to register.
-        name: NameId,
-        /// Constructor state.
-        state: Vec<u8>,
-        /// Object visibility.
-        visibility: Visibility,
-        /// Durability policy of the new object.
-        durability: Durability,
-        /// Raw id of the fixed backup home, when replicated.
-        backup: Option<u32>,
+        /// The object to create, as a remote `instantiate` would carry it.
+        args: InstantiateArgs,
     },
     /// Locate a component.
     Find {

@@ -3,7 +3,7 @@
 //! [`Runtime`] owns a [`World`] of MAGE nodes plus the world-wide
 //! deployment directory, and hands out per-namespace [`Session`] handles.
 //! A session carries client identity and the per-client caches; the
-//! runtime keeps only what is genuinely shared — the class library, the
+//! runtime keeps only what is genuinely shared — the class table, the
 //! namespace directory, origin-server knowledge ("clients share the name
 //! of the mobile object's origin server", §7) and admin controls. Every
 //! operation advances virtual time deterministically, so `rt.now()`
@@ -44,10 +44,10 @@ use mage_rmi::{Config as RmiConfig, Endpoint, NameId, SymbolTable};
 use mage_sim::{LinkSpec, Network, NodeId, OpId, SimDuration, SimTime, World};
 use serde::Serialize;
 
-use crate::class::{ClassDef, ClassLibrary};
+use crate::class::ClassDef;
 use crate::component::Visibility;
 use crate::error::MageError;
-use crate::node::{MageNode, NodeConfig};
+use crate::node::{MageNode, NodeConfig, ProtoIds};
 use crate::proto::{Command, Outcome};
 use crate::registry::{CompKey, IncarnationMinter};
 use crate::session::Session;
@@ -134,7 +134,7 @@ pub struct RuntimeBuilder {
     rmi: RmiConfig,
     node: NodeConfig,
     nodes: Vec<String>,
-    lib: ClassLibrary,
+    classes: BTreeMap<String, ClassDef>,
     trace: bool,
 }
 
@@ -197,11 +197,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Registers a class in the world-wide library (deployment to a
-    /// namespace is separate; see [`Runtime::deploy_class`]).
+    /// Registers a class in the world-wide catalogue, replacing any earlier
+    /// definition of the same name (deployment to a namespace is separate;
+    /// see [`Runtime::deploy_class`]).
     #[must_use]
     pub fn class(mut self, def: ClassDef) -> Self {
-        self.lib.define(def);
+        self.classes.insert(def.name().to_owned(), def);
         self
     }
 
@@ -222,8 +223,16 @@ impl RuntimeBuilder {
             !self.nodes.is_empty(),
             "a runtime needs at least one namespace"
         );
-        let lib = Arc::new(self.lib);
         let syms = SymbolTable::shared();
+        // The service's names take the first ids, as every node interns
+        // them; the classes follow in name order, each interned once.
+        ProtoIds::new(&syms);
+        let classes: Arc<BTreeMap<NameId, ClassDef>> = Arc::new(
+            self.classes
+                .into_values()
+                .map(|def| (syms.intern(def.name()), def))
+                .collect(),
+        );
         // World-shared identity mint: incarnation ids are unique across
         // the deployment, so re-creations never collide with originals.
         let minter = IncarnationMinter::shared();
@@ -245,7 +254,7 @@ impl RuntimeBuilder {
             // semantics: hosted objects, cached classes, registry entries
             // and lock state do not survive.
             let node_name = name.clone();
-            let node_lib = Arc::clone(&lib);
+            let node_classes = Arc::clone(&classes);
             let node_ids = ids.clone();
             let node_cfg = self.node;
             let rmi_cfg = self.rmi;
@@ -255,7 +264,7 @@ impl RuntimeBuilder {
                 Box::new(Endpoint::with_symbols(
                     MageNode::new(
                         node_name.clone(),
-                        Arc::clone(&node_lib),
+                        Arc::clone(&node_classes),
                         node_ids.clone(),
                         node_cfg,
                         Arc::clone(&node_syms),
@@ -281,7 +290,6 @@ impl RuntimeBuilder {
             })),
             ids,
             names,
-            lib,
         }
     }
 }
@@ -295,7 +303,6 @@ pub struct Runtime {
     inner: Rc<RefCell<Inner>>,
     ids: Arc<BTreeMap<String, NodeId>>,
     names: Arc<Vec<String>>,
-    lib: Arc<ClassLibrary>,
 }
 
 impl Runtime {
@@ -307,7 +314,7 @@ impl Runtime {
             rmi: RmiConfig::default(),
             node: NodeConfig::default(),
             nodes: Vec::new(),
-            lib: ClassLibrary::new(),
+            classes: BTreeMap::new(),
             trace: false,
         }
     }
@@ -347,11 +354,6 @@ impl Runtime {
         self.names.get(id.as_raw() as usize).map(String::as_str)
     }
 
-    /// The world-wide class library.
-    pub fn library(&self) -> &ClassLibrary {
-        &self.lib
-    }
-
     // ---- deployment (out-of-band admin) ----
 
     /// Makes `class` available in namespace `node` (out-of-band, like
@@ -362,14 +364,14 @@ impl Runtime {
     /// Fails if the namespace or class is unknown.
     pub fn deploy_class(&mut self, class: &str, node: &str) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        let class_owned = class.to_owned();
         let mut inner = self.inner.borrow_mut();
-        inner.command_sync(id, |op| Command::DeployClass {
-            op,
-            class: class_owned,
-        })?;
-        let key = CompKey::class(inner.syms.intern(class));
-        inner.dir.homes.insert(key, id);
+        // Every defined class was interned at build time: an unknown name
+        // is not a class, and is not interned here either.
+        let Some(class) = inner.syms.lookup(class) else {
+            return Err(MageError::ClassUnavailable(class.to_owned()));
+        };
+        inner.command_sync(id, |op| Command::DeployClass { op, class })?;
+        inner.dir.homes.insert(CompKey::class(class), id);
         Ok(())
     }
 

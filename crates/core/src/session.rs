@@ -40,6 +40,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mage_codec::ByteBuf;
 use mage_rmi::{NameId, SymbolTable};
 use mage_sim::{NodeId, OpId};
 use serde::de::DeserializeOwned;
@@ -52,7 +53,7 @@ use crate::component::{Durability, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::pending::{DecodeFn, Pending};
-use crate::proto::{ActionSpec, Command, ExecSpec, InvokeSpec, Outcome};
+use crate::proto::{ActionSpec, Command, ExecSpec, InstantiateArgs, InvokeSpec, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 use crate::runtime::{Directory, Inner};
 use crate::spec::{ObjectHandle, ObjectSpec};
@@ -314,16 +315,18 @@ impl Session {
 
         let (class_id, object_id) = (self.syms.intern(&class), self.syms.intern(&name));
         let backup_raw = backup_node.map(|n| n.as_raw());
+        let args = InstantiateArgs {
+            class: class_id,
+            name: object_id,
+            state: ByteBuf(state),
+            visibility,
+            durability,
+            backup: backup_raw,
+            // Creation, not factory rebind: a taken name errors.
+            replace: false,
+        };
         let outcome = if target == self.client {
-            self.command(move |op| Command::CreateObject {
-                op,
-                class: class_id,
-                name: object_id,
-                state,
-                visibility,
-                durability,
-                backup: backup_raw,
-            })?
+            self.command(move |op| Command::CreateObject { op, args })?
         } else {
             // Remote birth: the ordinary instantiate ladder (with class
             // logistics) places the object at the attribute's target.
@@ -344,12 +347,7 @@ impl Session {
                 backup_hint: backup_raw,
                 action: ActionSpec::Instantiate {
                     node: target.as_raw(),
-                    state,
-                    visibility,
-                    durability,
-                    backup: backup_raw,
-                    // Creation, not factory rebind: a taken name errors.
-                    replace: false,
+                    args,
                 },
                 invoke: None,
                 guard: false,
@@ -583,32 +581,6 @@ impl Session {
         ))
     }
 
-    /// Binds and invokes with a dynamic method name and pre-marshalled
-    /// arguments (the untyped escape hatch; prefer
-    /// [`bind_invoke`](Session::bind_invoke)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::bind_invoke`].
-    pub fn bind_invoke_raw(
-        &self,
-        attr: &dyn MobilityAttribute,
-        method: &str,
-        args: Vec<u8>,
-    ) -> Result<(Stub, Option<Vec<u8>>), MageError> {
-        let invoke = InvokeSpec {
-            method: self.syms.intern(method),
-            args: Bytes::from(args),
-            one_way: attr.one_way(),
-        };
-        let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
-        let outcome = self.command(move |op| Command::Execute { op, spec })?;
-        let mut inner = self.inner.borrow_mut();
-        let mut state = self.state.borrow_mut();
-        let stub = stub_from(ctx, &outcome, &mut inner.dir, &mut state);
-        Ok((stub, outcome.result.map(|bytes| bytes.to_vec())))
-    }
-
     /// Consults the attribute's plan against a view of the system with the
     /// given location knowledge.
     fn plan_with(
@@ -782,11 +754,15 @@ impl Session {
                     // semantics: a fresh instance replaces a predecessor.
                     ActionSpec::Instantiate {
                         node: target.unwrap_or(client_id).as_raw(),
-                        state,
-                        visibility,
-                        durability: Durability::Volatile,
-                        backup: None,
-                        replace: true,
+                        args: InstantiateArgs {
+                            class: class_id,
+                            name: base_id,
+                            state: ByteBuf(state),
+                            visibility,
+                            durability: Durability::Volatile,
+                            backup: None,
+                            replace: true,
+                        },
                     }
                 }
             },
@@ -1055,27 +1031,12 @@ impl Session {
     where
         A: Serialize,
     {
-        self.send_bytes_async(stub, self.syms.intern(method.name()), self.marshal(args)?)
-    }
-
-    /// Fire-and-forget with a dynamic method name and pre-marshalled
-    /// arguments (the untyped escape hatch; prefer [`send`](Session::send)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement errors.
-    pub fn send_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<(), MageError> {
-        self.send_bytes_async(stub, self.syms.intern(method), Bytes::from(args))?
-            .wait()
-    }
-
-    fn send_bytes_async(
-        &self,
-        stub: &Stub,
-        method: NameId,
-        args: Bytes,
-    ) -> Result<Pending<()>, MageError> {
-        let spec = self.invoke_spec(stub, method, args, true);
+        let spec = self.invoke_spec(
+            stub,
+            self.syms.intern(method.name()),
+            self.marshal(args)?,
+            true,
+        );
         Ok(self.issue(
             move |op| Command::Execute { op, spec },
             Box::new(|_outcome, _dir, _state| Ok(())),

@@ -8,7 +8,8 @@ use mage_core::workload_support::{
     geo_data_filter_class, itinerary_agent_class, itinerary_state, methods, static_field_class,
     test_object_class,
 };
-use mage_core::{LockKind, MageError, ObjectSpec, Runtime};
+use mage_core::{ClassDef, LockKind, MageError, ObjectSpec, Runtime};
+use mage_rmi::Fault;
 use mage_sim::SimDuration;
 
 fn fast_runtime(nodes: &[&str]) -> Runtime {
@@ -583,4 +584,63 @@ fn deterministic_replay_across_identical_runs() {
         (rt.now(), sent)
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn creation_refusals_keep_each_path_s_error() {
+    let mut rt = fast_runtime(&["lab", "sensor1"]);
+    with_object(&mut rt, "lab", "x");
+    with_object(&mut rt, "sensor1", "y");
+    let lab = rt.session("lab").unwrap();
+
+    // Local creation refuses a taken name as the client's own bad plan.
+    let err = lab
+        .create(ObjectSpec::new("x").class("TestObject"))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        MageError::BadPlan("object x already exists here".into())
+    );
+
+    // A remote birth is refused by the birthplace, as an application fault.
+    let err = lab
+        .create(ObjectSpec::new("y").class("TestObject").mobility(Rev::new(
+            "TestObject",
+            "y",
+            "sensor1",
+        )))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        MageError::Rmi("application fault: object y already exists here".into())
+    );
+
+    // An undefined class can be neither deployed nor instantiated.
+    let err = rt.deploy_class("Nope", "lab").unwrap_err();
+    assert_eq!(err, MageError::ClassUnavailable("Nope".into()));
+    let err = lab.create(ObjectSpec::new("z").class("Nope")).unwrap_err();
+    assert_eq!(err, MageError::ClassUnavailable("Nope".into()));
+}
+
+#[test]
+fn a_later_class_definition_replaces_an_earlier_one() {
+    let second = ClassDef::new("TestObject", 9_000, |_| {
+        Err(Fault::App("second definition".into()))
+    });
+    let mut rt = Runtime::builder()
+        .fast()
+        .nodes(["a"])
+        .class(test_object_class())
+        .class(second)
+        .build();
+    rt.deploy_class("TestObject", "a").unwrap();
+    let err = rt
+        .session("a")
+        .unwrap()
+        .create(ObjectSpec::new("x").class("TestObject"))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        MageError::Rmi("application fault: second definition".into())
+    );
 }

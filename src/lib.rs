@@ -85,8 +85,8 @@ pub use mage_workloads as workloads;
 
 pub use mage_core::{
     admission, attribute, class, coercion, component, error, lock, object, proto, registry,
-    security, spec, workload_support, BindReceipt, ClassDef, ClassLibrary, Component, DesignTriple,
-    Durability, LockKind, MageError, MageNode, Method, MobileEnv, MobileObject, ModelKind,
-    NodeConfig, ObjectHandle, ObjectSpec, Pending, Placement, Runtime, RuntimeBuilder, Session,
-    Stub, Visibility,
+    security, spec, workload_support, BindReceipt, ClassDef, Component, DesignTriple, Durability,
+    LockKind, MageError, MageNode, Method, MobileEnv, MobileObject, ModelKind, NodeConfig,
+    ObjectHandle, ObjectSpec, Pending, Placement, Runtime, RuntimeBuilder, Session, Stub,
+    Visibility,
 };
