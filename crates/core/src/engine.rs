@@ -3,16 +3,25 @@
 //! A mobility attribute's `bind` is "a complex wrapper for RMI's
 //! `Naming.lookup`" (§4.2): it finds the component, optionally locks it,
 //! moves or instantiates it, invokes it and unlocks — each step an RMI call
-//! whose reply drives the next. This module holds those state machines:
+//! whose reply drives the next. A driver's own `find`, `lock` and `unlock`
+//! take the same steps. This module holds those state machines:
 //!
 //! * [`ExecTask`] — the bind/invoke engine run on the client's node
+//! * [`ClientCall`] — a driver `lock` or `unlock`: locate, then one call
+//! * finds — a driver find, or one forwarded along the registry's chain
+//!   with path compression (§4.1); either way a [`FindWaiter`] hears the
+//!   answer
 //! * [`MoveOutTask`] — the hosting node's half of the move protocol
 //!   (Figure 7's messages 4/5), shared by `moveTo` requests, client-local
 //!   moves and autonomous mobile-agent hops
-//! * forwarded finds — the registry's chain-walking with path compression
+//! * [`CheckpointTask`] — a durability snapshot on its way to a backup
 //!
-//! Tasks carry interned [`NameId`]s / [`CompKey`]s; strings are resolved
-//! only on error paths.
+//! Every locate goes through [`MageNode::resolve_location`], and every
+//! find, lock and unlock request is built by [`MageNode::send_find`],
+//! [`MageNode::send_lock`] or [`MageNode::send_unlock`]. Tasks carry
+//! interned [`NameId`]s / [`CompKey`]s; strings are resolved only on error
+//! paths.
+#![warn(clippy::too_many_lines)]
 
 use std::sync::Arc;
 
@@ -23,40 +32,123 @@ use mage_sim::{NodeId, OpId};
 
 use crate::error::MageError;
 use crate::lock::LockKind;
-use crate::node::{MageNode, TransitFindWaiter};
+use crate::node::MageNode;
 use crate::proto::{self, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
 /// A continuation awaiting an RMI reply (keyed by its call token).
 pub(crate) enum Task {
-    /// A driver-initiated find.
-    ClientFind {
-        op: OpId,
+    /// A find walk on behalf of `waiter`: a driver find issued here, or a
+    /// remote caller's find this node forwards along the chain.
+    Find {
+        waiter: FindWaiter,
         key: CompKey,
         /// Origin-server hint for the once-only dead-hop retry.
         home: Option<u32>,
-        /// Whether the dead-hop retry has been spent.
+        /// Whether the walk is already the once-only home retry.
         retried: bool,
     },
-    /// A driver-initiated lock acquisition.
-    ClientLock(ClientLockTask),
-    /// A driver-initiated unlock.
-    ClientUnlock(ClientUnlockTask),
+    /// A driver-initiated lock or unlock.
+    Client(ClientCall),
     /// A bind/invoke engine.
     Exec(Box<ExecTask>),
-    /// A find being forwarded along the chain on behalf of a caller.
-    FwdFind {
-        reply: ReplyHandle,
-        key: CompKey,
-        /// Origin-server hint riding with the walk.
-        home: Option<u32>,
-        /// Whether this walk is already the once-only home retry.
-        retried: bool,
-    },
     /// An object transfer out of this namespace.
     MoveOut(MoveOutTask),
     /// A durability snapshot in flight to a backup home.
     Checkpoint(CheckpointTask),
+}
+
+/// Who hears a find's answer: a remote caller whose find this node parked
+/// or forwarded, or a driver find issued at this node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FindWaiter {
+    /// A remote `mage.find` call awaiting its RMI reply.
+    Reply(ReplyHandle),
+    /// A driver find completing its op.
+    Op(OpId),
+}
+
+impl FindWaiter {
+    /// Answers with `found`. A forwarding hop passes `raw`, the encoded
+    /// answer it received, which goes back out as is.
+    pub(crate) fn answer(self, env: &mut Env<'_, '_>, found: FindReply, raw: Option<&[u8]>) {
+        match self {
+            FindWaiter::Reply(handle) => match raw {
+                Some(raw) => {
+                    env.reply_with(handle, Ok(raw));
+                }
+                None => {
+                    let payload = mage_codec::to_bytes(&found).expect("find reply encodes");
+                    env.reply(handle, Ok(payload));
+                }
+            },
+            FindWaiter::Op(op) => {
+                let outcome = Outcome {
+                    location: found.location,
+                    incarnation: found.incarnation,
+                    ..Outcome::default()
+                };
+                env.complete_op(op, Box::new(Ok::<_, MageError>(outcome)));
+            }
+        }
+    }
+
+    /// Answers with the failure of the walk's hop: a remote caller gets
+    /// the fault (a dead hop as `Fault::Unreachable`), a driver find the
+    /// matching [`MageError`].
+    pub(crate) fn fail(self, env: &mut Env<'_, '_>, err: &RmiError) {
+        match self {
+            FindWaiter::Reply(handle) => {
+                let fault = match err {
+                    RmiError::Fault(fault) => fault.clone(),
+                    RmiError::PeerUnreachable { peer, .. } => Fault::Unreachable {
+                        peer: peer.as_raw(),
+                    },
+                    other => Fault::App(other.to_string()),
+                };
+                env.reply(handle, Err(fault));
+            }
+            FindWaiter::Op(op) => {
+                let result: Result<Outcome, MageError> = Err(rmi_error_to_mage(err));
+                env.complete_op(op, Box::new(result));
+            }
+        }
+    }
+}
+
+/// A driver `lock` or `unlock`: locate the object, then one call to
+/// wherever it is.
+pub(crate) struct ClientCall {
+    pub op: OpId,
+    pub name: NameId,
+    pub home_hint: Option<NodeId>,
+    /// Whether the call awaits its find (else the lock or unlock reply).
+    pub finding: bool,
+    pub kind: ClientCallKind,
+}
+
+pub(crate) enum ClientCallKind {
+    /// Acquire a lock for computation target `target`. A lock that raced
+    /// a move or a re-creation locates again while `retries` last.
+    Lock {
+        target: NodeId,
+        retries: u8,
+    },
+    Unlock,
+}
+
+impl ClientCallKind {
+    /// Spends one of a lock's race retries; `false` when none is left, and
+    /// always for an unlock, which never retries.
+    fn spend_retry(&mut self) -> bool {
+        match self {
+            ClientCallKind::Lock { retries, .. } if *retries > 0 => {
+                *retries -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Where a move or checkpoint stands on the class-push ladder: a target
@@ -81,32 +173,6 @@ pub(crate) struct CheckpointTask {
     /// for the re-send after a class push; `None` for a confirmation.
     pub state: Option<Arc<Vec<u8>>>,
     pub phase: PushPhase,
-}
-
-pub(crate) struct ClientLockTask {
-    pub op: OpId,
-    pub name: NameId,
-    pub target: NodeId,
-    pub home_hint: Option<NodeId>,
-    pub phase: LocatePhase,
-    pub retries: u8,
-    /// Incarnation the lock expects to apply to (learned from the find or
-    /// the registry); a re-creation racing the lock resolves to typed
-    /// `StaleIdentity`, and a retry re-resolves before locking again.
-    pub expected: Option<Incarnation>,
-}
-
-pub(crate) struct ClientUnlockTask {
-    pub op: OpId,
-    pub name: NameId,
-    pub home_hint: Option<NodeId>,
-    pub phase: LocatePhase,
-}
-
-/// Whether a locate-then-call task is waiting on the find or the call.
-pub(crate) enum LocatePhase {
-    Finding,
-    Calling,
 }
 
 /// Why a move was started; decides who hears about the outcome.
@@ -221,16 +287,6 @@ impl ExecTask {
             }
         }
     }
-
-    /// Whether location resolution must pass over `peer` because it died
-    /// under this op; counts the skip when it does.
-    pub(crate) fn skip_dead(&self, env: &mut Env<'_, '_>, peer: NodeId) -> bool {
-        let dead = self.dead_peers.contains(&peer);
-        if dead {
-            env.count("dead_peer_skips");
-        }
-        dead
-    }
 }
 
 /// Maps a failed RMI call into the [`MageError`] a driver op reports.
@@ -269,30 +325,131 @@ pub(crate) fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, 
 }
 
 impl MageNode {
-    /// Issues the once-only home retry of a find walk that dead-ended: a
-    /// fresh walk from `home` with the visited set reset, parking the
-    /// task built by `make_task` under a new token. Returns `false`
-    /// without side effects when the hint is absent or points here (the
-    /// caller surfaces its error instead).
-    pub(crate) fn retry_find_from_home(
+    /// Sends a fresh find walk for `key` to `to` under `token`; the walk
+    /// has visited only this node.
+    pub(crate) fn send_find(
+        &self,
+        env: &mut Env<'_, '_>,
+        to: NodeId,
+        key: CompKey,
+        home: Option<u32>,
+        retried: bool,
+        token: u64,
+    ) {
+        let args = proto::FindArgs {
+            key,
+            visited: vec![env.node().as_raw()],
+            home,
+            retried,
+        };
+        self.call_service(env, to, self.ids.find, &args, token);
+    }
+
+    /// Asks `at` for a lock on `name` for computation target `target`,
+    /// under `token`. The lock applies only to incarnation `expected`,
+    /// when one is known: a re-creation racing the request is refused
+    /// typed, never silently locked.
+    pub(crate) fn send_lock(
+        &self,
+        env: &mut Env<'_, '_>,
+        at: NodeId,
+        name: NameId,
+        target: NodeId,
+        expected: Option<Incarnation>,
+        token: u64,
+    ) {
+        let args = proto::LockArgs {
+            name,
+            client: env.node().as_raw(),
+            target: target.as_raw(),
+            expected: expected.filter(|inc| !inc.is_none()),
+        };
+        self.call_service(env, at, self.ids.lock, &args, token);
+    }
+
+    /// Asks `at` to release this node's lock on `name`, under `token`.
+    pub(crate) fn send_unlock(&self, env: &mut Env<'_, '_>, at: NodeId, name: NameId, token: u64) {
+        let args = proto::UnlockArgs {
+            name,
+            client: env.node().as_raw(),
+        };
+        self.call_service(env, at, self.ids.unlock, &args, token);
+    }
+
+    /// Where `key` is, and which incarnation lives there, as far as this
+    /// node knows; the one locate step of binds, locks and unlocks.
+    ///
+    /// The sources, in order: the component hosted here, the registry
+    /// entry, the caller's `hint`, and else a find sent to `home` under
+    /// `token`, in which case this returns `Ok(None)` and the caller parks
+    /// its task on the answer. Knowledge naming a peer in `dead` (one that
+    /// died under the caller's op) is passed over and counted as a
+    /// `dead_peer_skips`; a find that would have to start at a dead home
+    /// fails at once with the `Unreachable` the walk would reach after
+    /// spending its retries on that peer. Nothing to go on is `NotFound`.
+    pub(crate) fn resolve_location(
         &mut self,
         env: &mut Env<'_, '_>,
         key: CompKey,
+        hint: Option<Located>,
+        home: Option<NodeId>,
+        dead: &[NodeId],
+        token: u64,
+    ) -> Result<Option<Located>, MageError> {
+        let me = env.node();
+        if self.has_component(key) {
+            return Ok(Some(Located::new(me, self.local_incarnation(key))));
+        }
+        let usable = |env: &mut Env<'_, '_>, node: NodeId| {
+            let dead = dead.contains(&node);
+            if dead {
+                env.count("dead_peer_skips");
+            }
+            !dead
+        };
+        let known = [self.registry.lookup(key), hint];
+        if let Some(loc) = known
+            .into_iter()
+            .flatten()
+            .find(|loc| loc.node != me && usable(env, loc.node))
+        {
+            return Ok(Some(loc));
+        }
+        match home.filter(|h| *h != me) {
+            Some(home) if !usable(env, home) => Err(MageError::Unreachable {
+                peer: home.as_raw(),
+            }),
+            Some(start) => {
+                let home = home.map(NodeId::as_raw);
+                self.send_find(env, start, key, home, false, token);
+                Ok(None)
+            }
+            None => Err(MageError::NotFound(key.display(&self.syms))),
+        }
+    }
+
+    /// Issues the once-only home retry of a find walk that dead-ended: a
+    /// fresh walk from `home`, parked for `waiter` under a new token.
+    /// Returns `false` without side effects when the hint is absent or
+    /// points here (the caller surfaces its error instead).
+    pub(crate) fn retry_find_from_home(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        waiter: FindWaiter,
+        key: CompKey,
         home: Option<u32>,
-        make_task: impl FnOnce() -> Task,
     ) -> bool {
         let me = env.node();
         let Some(h) = home.map(NodeId::from_raw).filter(|h| *h != me) else {
             return false;
         };
-        let token = self.spawn_task(make_task());
-        let args = proto::FindArgs {
+        let token = self.spawn_task(Task::Find {
+            waiter,
             key,
-            visited: vec![me.as_raw()],
             home,
             retried: true,
-        };
-        self.call_service(env, h, self.ids.find, &args, token);
+        });
+        self.send_find(env, h, key, home, true, token);
         true
     }
 
@@ -311,131 +468,61 @@ impl MageNode {
             return;
         };
         match task {
-            Task::FwdFind {
-                reply,
+            Task::Find {
+                waiter,
                 key,
                 home,
                 retried,
-            } => self.step_fwd_find(env, reply, key, home, retried, result),
-            Task::ClientFind {
-                op,
-                key,
-                home,
-                retried,
-            } => self.step_client_find(env, op, key, home, retried, result),
-            Task::ClientLock(t) => self.step_client_lock(env, token, t, result),
-            Task::ClientUnlock(t) => self.step_client_unlock(env, token, t, result),
+            } => self.step_find(env, waiter, key, home, retried, result),
+            Task::Client(call) => self.step_client_call(env, token, call, result),
             Task::Exec(t) => self.step_exec_reply(env, token, *t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
             Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
         }
     }
 
-    /// Answers a forwarded find's caller from the next hop's reply.
-    fn step_fwd_find(
+    /// Answers a find's waiter from the next hop's reply.
+    fn step_find(
         &mut self,
         env: &mut Env<'_, '_>,
-        reply: ReplyHandle,
+        waiter: FindWaiter,
         key: CompKey,
         home: Option<u32>,
         retried: bool,
         result: Result<Bytes, RmiError>,
     ) {
-        match result {
-            Ok(bytes) => match decode::<FindReply>(&bytes) {
-                Ok(found) => {
-                    // Path compression: remember the final location and
-                    // incarnation, collapsing the chain (§4.1).
-                    self.registry.update(
-                        key,
-                        Located::new(NodeId::from_raw(found.location), found.incarnation),
-                    );
-                    // Forward the payload straight out of the received
-                    // frame — no copy.
-                    env.reply_with(reply, Ok(&bytes));
-                }
-                Err(e) => {
-                    env.reply(reply, Err(Fault::App(e.to_string())));
-                }
-            },
+        let bytes = match result {
+            Ok(bytes) => bytes,
             Err(err) => {
-                // The hop we followed failed: the entry that led there is
-                // stale — repair it so the bad chain dies with this walk. A
-                // dead hop earns the once-only retry from the component's
-                // home.
-                self.registry.remove(key);
-                if is_unreachable(&err)
-                    && !retried
-                    && self.retry_find_from_home(env, key, home, || Task::FwdFind {
-                        reply,
-                        key,
-                        home,
-                        retried: true,
-                    })
-                {
-                    return;
-                }
-                match err {
-                    RmiError::Fault(fault) => env.reply(reply, Err(fault)),
-                    RmiError::PeerUnreachable { peer, .. } => env.reply(
-                        reply,
-                        Err(Fault::Unreachable {
-                            peer: peer.as_raw(),
-                        }),
-                    ),
-                    other => env.reply(reply, Err(Fault::App(other.to_string()))),
-                };
-            }
-        }
-    }
-
-    /// Completes a driver find from the walk's answer.
-    fn step_client_find(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        key: CompKey,
-        home: Option<u32>,
-        retried: bool,
-        result: Result<Bytes, RmiError>,
-    ) {
-        match result {
-            Ok(bytes) => match decode::<FindReply>(&bytes) {
-                Ok(found) => {
-                    self.registry.update(
-                        key,
-                        Located::new(NodeId::from_raw(found.location), found.incarnation),
-                    );
-                    self.complete(
-                        env,
-                        op,
-                        Ok(Outcome {
-                            location: found.location,
-                            incarnation: found.incarnation,
-                            ..Outcome::default()
-                        }),
-                    );
-                }
-                Err(e) => self.complete(env, op, Err(e)),
-            },
-            Err(e) => {
-                if is_unreachable(&e) {
-                    // The first hop (or one behind it) is dead; our entry
-                    // pointing there is stale.
+                // The hop we followed failed, so the entry that led there
+                // is stale. A forwarding node repairs it whatever the
+                // failure, so the bad chain dies with this walk; a driver
+                // find only when the hop is dead. A dead hop earns the
+                // once-only retry from the component's home.
+                let dead = is_unreachable(&err);
+                if dead || matches!(waiter, FindWaiter::Reply(_)) {
                     self.registry.remove(key);
-                    if !retried
-                        && self.retry_find_from_home(env, key, home, || Task::ClientFind {
-                            op,
-                            key,
-                            home,
-                            retried: true,
-                        })
-                    {
-                        return;
-                    }
                 }
-                self.complete(env, op, Err(rmi_error_to_mage(&e)));
+                let retrying =
+                    dead && !retried && self.retry_find_from_home(env, waiter, key, home);
+                if !retrying {
+                    waiter.fail(env, &err);
+                }
+                return;
             }
+        };
+        match decode::<FindReply>(&bytes) {
+            Ok(found) => {
+                // Path compression: remember the final location and
+                // incarnation, collapsing the chain (§4.1).
+                let at = NodeId::from_raw(found.location);
+                self.registry
+                    .update(key, Located::new(at, found.incarnation));
+                // A forwarded answer leaves straight out of the received
+                // frame — no copy.
+                waiter.answer(env, found, Some(&bytes));
+            }
+            Err(e) => waiter.fail(env, &RmiError::Decode(e.to_string())),
         }
     }
 
@@ -536,51 +623,6 @@ impl MageNode {
         }
     }
 
-    // ---- locate helper ----
-
-    /// Tries to determine where `key` is without a network call.
-    ///
-    /// Returns `Ok(Some(loc))` when known (possibly this node), `Ok(None)`
-    /// after issuing a find with `token` (the caller parks its task), or an
-    /// error when the component cannot be located at all.
-    fn locate_step(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        key: CompKey,
-        location_hint: Option<NodeId>,
-        home_hint: Option<NodeId>,
-        token: u64,
-    ) -> Result<Option<NodeId>, MageError> {
-        let me = env.node();
-        if self.has_component(key) {
-            return Ok(Some(me));
-        }
-        if let Some(entry) = self.registry.lookup(key) {
-            if entry.node != me {
-                return Ok(Some(entry.node));
-            }
-        }
-        if let Some(hint) = location_hint {
-            if hint != me {
-                return Ok(Some(hint));
-            }
-        }
-        let start = home_hint.filter(|h| *h != me);
-        match start {
-            Some(start) => {
-                let args = proto::FindArgs {
-                    key,
-                    visited: vec![me.as_raw()],
-                    home: home_hint.map(|h| h.as_raw()),
-                    retried: false,
-                };
-                self.call_service(env, start, self.ids.find, &args, token);
-                Ok(None)
-            }
-            None => Err(MageError::NotFound(key.display(&self.syms))),
-        }
-    }
-
     // ---- driver find ----
 
     pub(crate) fn start_client_find(
@@ -592,31 +634,12 @@ impl MageNode {
     ) {
         env.charge(self.config.bind_overhead);
         let me = env.node();
+        let waiter = FindWaiter::Op(op);
         if self.has_component(key) {
-            let reply = self.local_find_reply(key, me);
-            self.complete(
-                env,
-                op,
-                Ok(Outcome {
-                    location: reply.location,
-                    incarnation: reply.incarnation,
-                    ..Outcome::default()
-                }),
-            );
-            return;
+            return waiter.answer(env, self.local_find_reply(key, me), None);
         }
-        if key.kind == crate::registry::Kind::Object
-            && self
-                .objects
-                .get(&key.id)
-                .is_some_and(|hosted| hosted.in_transit)
-        {
-            // Our own object is mid-move: park like a remote find and
-            // answer when the transfer settles.
-            self.transit_finds
-                .entry(key.id)
-                .or_default()
-                .push(TransitFindWaiter::Op(op));
+        if self.park_transit_find(key, waiter) {
+            // Our own object is mid-move: answer when the transfer settles.
             return;
         }
         // The local registry entry is the *start* of the forwarding chain,
@@ -630,23 +653,13 @@ impl MageNode {
             .or_else(|| home_hint.map(NodeId::from_raw).filter(|h| *h != me));
         match start {
             Some(start) => {
-                let token = self.next_token();
-                let args = proto::FindArgs {
+                let token = self.spawn_task(Task::Find {
+                    waiter,
                     key,
-                    visited: vec![me.as_raw()],
                     home: home_hint,
                     retried: false,
-                };
-                self.call_service(env, start, self.ids.find, &args, token);
-                self.tasks.insert(
-                    token,
-                    Task::ClientFind {
-                        op,
-                        key,
-                        home: home_hint,
-                        retried: false,
-                    },
-                );
+                });
+                self.send_find(env, start, key, home_hint, false, token);
             }
             None => {
                 let err = MageError::NotFound(key.display(&self.syms));
@@ -657,215 +670,107 @@ impl MageNode {
 
     // ---- driver lock / unlock ----
 
-    pub(crate) fn start_client_lock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        name: NameId,
-        target: u32,
-        home_hint: Option<u32>,
-    ) {
-        env.charge(self.config.bind_overhead);
-        let token = self.next_token();
-        let task = ClientLockTask {
-            op,
-            name,
-            target: NodeId::from_raw(target),
-            home_hint: home_hint.map(NodeId::from_raw),
-            phase: LocatePhase::Finding,
-            retries: self.config.race_retries,
-            expected: None,
-        };
-        self.client_lock_locate(env, token, task);
-    }
-
-    /// Locks from local location knowledge, or parks `task` on the find
-    /// that [`locate_step`](Self::locate_step) issues.
-    fn client_lock_locate(&mut self, env: &mut Env<'_, '_>, token: u64, mut task: ClientLockTask) {
-        let key = CompKey::object(task.name);
-        match self.locate_step(env, key, None, task.home_hint, token) {
-            Ok(Some(loc)) => {
-                // Identity rides with location knowledge: whatever told us
-                // where the object is also told us which incarnation.
-                task.expected = self.known_incarnation(key, loc);
-                self.issue_lock_call(env, token, task, loc);
-            }
-            Ok(None) => {
-                task.phase = LocatePhase::Finding;
-                self.tasks.insert(token, Task::ClientLock(task));
-            }
-            Err(e) => self.complete(env, task.op, Err(e)),
-        }
-    }
-
-    /// The incarnation this node believes lives at `loc` for `key`: its
-    /// own hosted object when local, else the registry entry (if it agrees
-    /// on the node). `None` when nothing identity-bearing is known.
-    fn known_incarnation(&self, key: CompKey, loc: NodeId) -> Option<Incarnation> {
-        let inc = if self.has_component(key) {
-            self.local_incarnation(key)
-        } else {
-            self.registry
-                .lookup(key)
-                .filter(|entry| entry.node == loc)
-                .map(|entry| entry.incarnation)
-                .unwrap_or(Incarnation::NONE)
-        };
-        Some(inc).filter(|inc| !inc.is_none())
-    }
-
-    /// Sends `task`'s lock request to `at` and parks it on the answer.
-    fn issue_lock_call(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: ClientLockTask,
-        at: NodeId,
-    ) {
-        let args = proto::LockArgs {
-            name: task.name,
-            client: env.node().as_raw(),
-            target: task.target.as_raw(),
-            expected: task.expected,
-        };
-        self.call_service(env, at, self.ids.lock, &args, token);
-        task.phase = LocatePhase::Calling;
-        self.tasks.insert(token, Task::ClientLock(task));
-    }
-
-    fn step_client_lock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: ClientLockTask,
-        result: Result<Bytes, RmiError>,
-    ) {
-        match task.phase {
-            LocatePhase::Finding => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        self.registry.update(
-                            CompKey::object(task.name),
-                            Located::new(loc, found.incarnation),
-                        );
-                        task.expected = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        self.issue_lock_call(env, token, task, loc);
-                    }
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-            LocatePhase::Calling => match result {
-                Ok(bytes) => match decode::<LockKind>(&bytes) {
-                    Ok(kind) => self.complete(
-                        env,
-                        task.op,
-                        Ok(Outcome {
-                            location: task.target.as_raw(),
-                            lock_kind: Some(kind),
-                            ..Outcome::default()
-                        }),
-                    ),
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(RmiError::Fault(Fault::NotBound(_) | Fault::StaleIdentity { .. }))
-                    if task.retries > 0 =>
-                {
-                    // The object moved — or was re-created — between find
-                    // and lock; chase it. A name-keyed lock request is
-                    // advisory about identity (like a bind), so the retry
-                    // re-resolves the current incarnation and locks that
-                    // knowingly; it never silently applies to a successor
-                    // under stale knowledge.
-                    task.retries -= 1;
-                    task.expected = None;
-                    self.registry.remove(CompKey::object(task.name));
-                    self.client_lock_locate(env, token, task);
-                }
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-        }
-    }
-
-    pub(crate) fn start_client_unlock(
+    pub(crate) fn start_client_call(
         &mut self,
         env: &mut Env<'_, '_>,
         op: OpId,
         name: NameId,
         home_hint: Option<u32>,
+        kind: ClientCallKind,
     ) {
         env.charge(self.config.bind_overhead);
         let token = self.next_token();
-        let task = ClientUnlockTask {
+        let call = ClientCall {
             op,
             name,
             home_hint: home_hint.map(NodeId::from_raw),
-            phase: LocatePhase::Finding,
+            finding: true,
+            kind,
         };
-        match self.locate_step(env, CompKey::object(name), None, task.home_hint, token) {
-            Ok(Some(loc)) => self.issue_unlock_call(env, token, task, loc),
+        self.client_call_locate(env, token, call);
+    }
+
+    /// Calls from local location knowledge, or parks `call` on the find
+    /// that [`resolve_location`](Self::resolve_location) issues.
+    fn client_call_locate(&mut self, env: &mut Env<'_, '_>, token: u64, mut call: ClientCall) {
+        let key = CompKey::object(call.name);
+        match self.resolve_location(env, key, None, call.home_hint, &[], token) {
+            Ok(Some(at)) => self.client_call_send(env, token, call, at),
             Ok(None) => {
-                self.tasks.insert(token, Task::ClientUnlock(task));
+                call.finding = true;
+                self.tasks.insert(token, Task::Client(call));
             }
-            Err(e) => self.complete(env, op, Err(e)),
+            Err(e) => self.complete(env, call.op, Err(e)),
         }
     }
 
-    /// Sends `task`'s unlock request to `at` and parks it on the answer.
-    fn issue_unlock_call(
+    /// Sends `call`'s request to where `at` says the object is and parks
+    /// it on the answer. Identity rides with location knowledge: a lock
+    /// applies to the incarnation that told us where the object is.
+    fn client_call_send(
         &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
-        mut task: ClientUnlockTask,
-        at: NodeId,
+        mut call: ClientCall,
+        at: Located,
     ) {
-        let args = proto::UnlockArgs {
-            name: task.name,
-            client: env.node().as_raw(),
-        };
-        self.call_service(env, at, self.ids.unlock, &args, token);
-        task.phase = LocatePhase::Calling;
-        self.tasks.insert(token, Task::ClientUnlock(task));
+        match call.kind {
+            ClientCallKind::Lock { target, .. } => {
+                let expected = Some(at.incarnation);
+                self.send_lock(env, at.node, call.name, target, expected, token);
+            }
+            ClientCallKind::Unlock => self.send_unlock(env, at.node, call.name, token),
+        }
+        call.finding = false;
+        self.tasks.insert(token, Task::Client(call));
     }
 
-    fn step_client_unlock(
+    fn step_client_call(
         &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
-        task: ClientUnlockTask,
+        mut call: ClientCall,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            LocatePhase::Finding => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        self.registry.update(
-                            CompKey::object(task.name),
-                            Located::new(loc, found.incarnation),
-                        );
-                        self.issue_unlock_call(env, token, task, loc);
-                    }
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-            LocatePhase::Calling => match result {
-                Ok(_) => {
-                    let me = env.node().as_raw();
-                    self.complete(
-                        env,
-                        task.op,
-                        Ok(Outcome {
-                            location: me,
-                            ..Outcome::default()
-                        }),
-                    );
+        let bytes = match result {
+            Ok(bytes) => bytes,
+            Err(RmiError::Fault(Fault::NotBound(_) | Fault::StaleIdentity { .. }))
+                if !call.finding && call.kind.spend_retry() =>
+            {
+                // The object moved — or was re-created — between find and
+                // lock; chase it. A name-keyed lock is advisory about
+                // identity (like a bind), so the retry re-resolves the
+                // current incarnation and locks that knowingly; it never
+                // silently applies to a successor under stale knowledge.
+                self.registry.remove(CompKey::object(call.name));
+                return self.client_call_locate(env, token, call);
+            }
+            // Neither a failed find nor an unreachable host is chased.
+            Err(e) => return self.complete(env, call.op, Err(rmi_error_to_mage(&e))),
+        };
+        if call.finding {
+            match decode::<FindReply>(&bytes) {
+                Ok(found) => {
+                    let at = Located::new(NodeId::from_raw(found.location), found.incarnation);
+                    self.registry.update(CompKey::object(call.name), at);
+                    self.client_call_send(env, token, call, at);
                 }
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
+                Err(e) => self.complete(env, call.op, Err(e)),
+            }
+            return;
         }
+        let outcome = match call.kind {
+            ClientCallKind::Lock { target, .. } => decode::<LockKind>(&bytes).map(|kind| Outcome {
+                location: target.as_raw(),
+                lock_kind: Some(kind),
+                ..Outcome::default()
+            }),
+            ClientCallKind::Unlock => Ok(Outcome {
+                location: env.node().as_raw(),
+                ..Outcome::default()
+            }),
+        };
+        self.complete(env, call.op, outcome);
     }
 
     // ---- the move-out protocol (Figure 7, messages 4/5) ----
@@ -984,10 +889,9 @@ impl MageNode {
         }
     }
 
-    /// Answers every find parked on `name` during its transit: remote
-    /// calls get an RMI reply, driver ops complete locally, both with
-    /// `location` (the destination on commit, this node on abort) and
-    /// the moved object's incarnation.
+    /// Answers every find parked on `name` during its transit with
+    /// `location` (the destination on commit, this node on abort) and the
+    /// moved object's incarnation.
     fn flush_transit_finds(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -995,28 +899,12 @@ impl MageNode {
         location: NodeId,
         incarnation: Incarnation,
     ) {
-        let reply = FindReply {
+        let found = FindReply {
             location: location.as_raw(),
             incarnation,
         };
         for waiter in self.transit_finds.remove(&name).unwrap_or_default() {
-            match waiter {
-                TransitFindWaiter::Reply(handle) => {
-                    let payload = mage_codec::to_bytes(&reply).expect("find reply encodes");
-                    env.reply(handle, Ok(payload));
-                }
-                TransitFindWaiter::Op(op) => {
-                    self.complete(
-                        env,
-                        op,
-                        Ok(Outcome {
-                            location: reply.location,
-                            incarnation,
-                            ..Outcome::default()
-                        }),
-                    );
-                }
-            }
+            waiter.answer(env, found, None);
         }
     }
 

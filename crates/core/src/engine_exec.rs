@@ -10,6 +10,7 @@
 //! Each stage issues one call and parks the task in the [`ExecPhase`] that
 //! awaits its reply; [`MageNode::step_exec_reply`] hands the reply to that
 //! phase's handler.
+#![warn(clippy::too_many_lines)]
 
 use bytes::Bytes;
 use mage_rmi::{Env, Fault, RmiError};
@@ -86,9 +87,8 @@ impl MageNode {
     // ---- ladder stages ----
 
     fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
-        let needs_guard = task.spec.guard
-            && task.spec.object.is_some()
-            && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
+        let needs_guard =
+            task.spec.guard && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
         if !needs_guard {
             self.exec_begin_action(env, id, task);
         } else if let Some((task, loc)) = self.exec_locate(env, id, task, Resume::Guard) {
@@ -97,19 +97,9 @@ impl MageNode {
     }
 
     fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, at: NodeId) {
-        let me = env.node();
-        let target = task.lock_target(me);
-        let name = task.spec.object.expect("guard requires an object");
-        let args = proto::LockArgs {
-            name,
-            client: me.as_raw(),
-            target: target.as_raw(),
-            // The lock applies to the incarnation this plan resolved; a
-            // re-creation racing the request is refused typed, not
-            // silently locked.
-            expected: task.cinc.filter(|inc| !inc.is_none()),
-        };
-        self.call_service(env, at, self.ids.lock, &args, id);
+        // The lock applies to the incarnation this plan resolved.
+        let target = task.lock_target(env.node());
+        self.send_lock(env, at, task.spec.object, target, task.cinc, id);
         self.exec_park(id, task, ExecPhase::AwaitLock { at });
     }
 
@@ -132,10 +122,7 @@ impl MageNode {
     /// LPC).
     fn exec_local(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let me = env.node();
-        let Some(name) = task.spec.object else {
-            let err = MageError::BadPlan("local action requires an object".into());
-            return self.exec_fail(env, id, task, err);
-        };
+        let name = task.spec.object;
         task.invoke_at = Some(me);
         let Some(invoke) = &task.spec.invoke else {
             if self.has_component(CompKey::object(name)) {
@@ -185,7 +172,7 @@ impl MageNode {
             self.exec_begin_invoke(env, id, task);
             return;
         }
-        let name = task.spec.object.expect("move requires an object");
+        let name = task.spec.object;
         if cloc == me {
             // We host the object: run the transfer ourselves (Figure 7
             // without the moveTo hop).
@@ -304,12 +291,8 @@ impl MageNode {
             return self.exec_begin_unlock(env, id, task);
         };
         let at = task.invoke_at.expect("invoke target resolved");
-        let Some(name) = task.spec.object else {
-            let err = MageError::BadPlan("invocation requires an object name".into());
-            return self.exec_fail(env, id, task, err);
-        };
         let args = proto::InvokeArgsRef {
-            name,
+            name: task.spec.object,
             method: invoke.method,
             args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
@@ -337,12 +320,7 @@ impl MageNode {
             .or(task.cloc)
             .or(task.locked_at)
             .expect("somewhere");
-        let name = task.spec.object.expect("guarded ops have objects");
-        let args = proto::UnlockArgs {
-            name,
-            client: env.node().as_raw(),
-        };
-        self.call_service(env, at, self.ids.unlock, &args, id);
+        self.send_unlock(env, at, task.spec.object, id);
         self.exec_park(id, task, ExecPhase::AwaitUnlock);
     }
 
@@ -401,9 +379,10 @@ impl MageNode {
         {
             return Some(task);
         }
-        let (Some(name), Some(backup)) = (task.spec.object, task.spec.backup_hint) else {
+        let Some(backup) = task.spec.backup_hint else {
             return Some(task);
         };
+        let name = task.spec.object;
         task.restore_tried = true;
         let backup = NodeId::from_raw(backup);
         if backup == env.node() {
@@ -452,9 +431,10 @@ impl MageNode {
     }
 
     /// The component's current location: the task's own knowledge, or what
-    /// [`exec_resolve_location`](Self::exec_resolve_location) finds.
-    /// Returns `None` once the task is parked on a find (resuming at
-    /// `resume`) or failed.
+    /// [`resolve_location`](Self::resolve_location) makes of this node's
+    /// knowledge and the spec's hints, passing over the peers that died
+    /// under this op. Returns `None` once the task is parked on a find
+    /// (resuming at `resume`) or failed.
     fn exec_locate(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -462,82 +442,32 @@ impl MageNode {
         mut task: ExecTask,
         resume: Resume,
     ) -> Option<(ExecTask, NodeId)> {
-        let loc = match task.cloc {
-            Some(loc) => loc,
-            None => match self.exec_resolve_location(env, id, &mut task) {
-                Ok(Some(loc)) => loc,
-                Ok(None) => {
-                    self.exec_park(id, task, ExecPhase::AwaitFind { resume });
-                    return None;
-                }
-                Err(e) => {
-                    self.exec_fail(env, id, task, e);
-                    return None;
-                }
-            },
-        };
-        task.cloc = Some(loc);
-        Some((task, loc))
-    }
-
-    /// Resolves the component's location from local knowledge or issues a
-    /// find (in which case the caller parks the task). Knowledge naming a
-    /// peer that died under this op is passed over, and a find that would
-    /// have to start at a dead home fails at once with the `Unreachable`
-    /// the walk would reach after spending its retries on that peer.
-    fn exec_resolve_location(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        id: u64,
-        task: &mut ExecTask,
-    ) -> Result<Option<NodeId>, MageError> {
-        let me = env.node();
-        let Some(name) = task.spec.object else {
-            return Err(MageError::BadPlan("action requires an object".into()));
-        };
-        let key = CompKey::object(name);
-        if self.has_component(key) {
-            if !task.spec.identity_pinned {
-                task.cinc = Some(self.local_incarnation(key));
-            }
-            return Ok(Some(me));
+        if let Some(loc) = task.cloc {
+            return Some((task, loc));
         }
-        if let Some(entry) = self.registry.lookup(key) {
-            if entry.node != me && !task.skip_dead(env, entry.node) {
+        let spec = &task.spec;
+        let hint = spec.location_hint.map(|node| {
+            let expected = spec.expected_incarnation.unwrap_or(Incarnation::NONE);
+            Located::new(NodeId::from_raw(node), expected)
+        });
+        let key = CompKey::object(spec.object);
+        let home = spec.home_hint.map(NodeId::from_raw);
+        match self.resolve_location(env, key, hint, home, &task.dead_peers, id) {
+            Ok(Some(found)) => {
                 if !task.spec.identity_pinned {
-                    task.cinc = Some(entry.incarnation).filter(|inc| !inc.is_none());
+                    task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
                 }
-                return Ok(Some(entry.node));
+                task.cloc = Some(found.node);
+                Some((task, found.node))
             }
-        }
-        if let Some(hint) = task.spec.location_hint.map(NodeId::from_raw) {
-            if hint != me && !task.skip_dead(env, hint) {
-                if !task.spec.identity_pinned {
-                    task.cinc = task.spec.expected_incarnation;
-                }
-                return Ok(Some(hint));
+            Ok(None) => {
+                self.exec_park(id, task, ExecPhase::AwaitFind { resume });
+                None
             }
-        }
-        let start = task
-            .spec
-            .home_hint
-            .map(NodeId::from_raw)
-            .filter(|h| *h != me);
-        match start {
-            Some(home) if task.skip_dead(env, home) => Err(MageError::Unreachable {
-                peer: home.as_raw(),
-            }),
-            Some(start) => {
-                let args = proto::FindArgs {
-                    key,
-                    visited: vec![me.as_raw()],
-                    home: task.spec.home_hint,
-                    retried: false,
-                };
-                self.call_service(env, start, self.ids.find, &args, id);
-                Ok(None)
+            Err(e) => {
+                self.exec_fail(env, id, task, e);
+                None
             }
-            None => Err(MageError::NotFound(self.name_str(name))),
         }
     }
 
@@ -545,10 +475,9 @@ impl MageNode {
     /// knowledge and records it in the registry; returns the location.
     fn exec_adopt(&mut self, task: &mut ExecTask, found: FindReply) -> NodeId {
         let loc = NodeId::from_raw(found.location);
-        if let Some(name) = task.spec.object {
-            self.registry
-                .update(CompKey::object(name), Located::new(loc, found.incarnation));
-        }
+        let key = CompKey::object(task.spec.object);
+        self.registry
+            .update(key, Located::new(loc, found.incarnation));
         task.cloc = Some(loc);
         if !task.spec.identity_pinned {
             task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
@@ -567,9 +496,7 @@ impl MageNode {
             task.cinc = None;
             task.spec.expected_incarnation = None;
         }
-        if let Some(name) = task.spec.object {
-            self.registry.remove(CompKey::object(name));
-        }
+        self.registry.remove(CompKey::object(task.spec.object));
     }
 
     // ---- reply dispatch: one handler per phase ----
@@ -791,10 +718,8 @@ impl MageNode {
             // the fresh object.
             result => {
                 if let Some((task, incarnation)) = self.exec_decode(env, id, task, result) {
-                    if let Some(name) = task.spec.object {
-                        self.registry
-                            .update(CompKey::object(name), Located::new(dest, incarnation));
-                    }
+                    let key = CompKey::object(task.spec.object);
+                    self.registry.update(key, Located::new(dest, incarnation));
                     self.exec_invoke_placed(env, id, task, dest, incarnation);
                 }
             }

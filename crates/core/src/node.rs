@@ -25,7 +25,7 @@ use mage_sim::{NodeId, OpId, SimDuration};
 use crate::admission::Quotas;
 use crate::class::ClassDef;
 use crate::component::{Durability, Visibility};
-use crate::engine::{CheckpointTask, MoveOrigin, PushPhase, Task};
+use crate::engine::{CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, PushPhase, Task};
 use crate::error::MageError;
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
@@ -191,20 +191,11 @@ pub struct MageNode {
     /// move settles (with the destination) or aborts (with this node).
     /// Concurrent clients may legitimately look an object up mid-move —
     /// the pipelined session API makes that interleaving routine.
-    pub(crate) transit_finds: BTreeMap<NameId, Vec<TransitFindWaiter>>,
+    pub(crate) transit_finds: BTreeMap<NameId, Vec<FindWaiter>>,
     /// Durability snapshots this namespace keeps as the backup home of
     /// replicated objects hosted elsewhere (crash-stop: these die with
     /// this node too — replication is one backup, not consensus).
     pub(crate) backups: BTreeMap<NameId, BackupSnapshot>,
-}
-
-/// A find parked while its object is in transit: either a remote call to
-/// answer over RMI, or a local driver operation to complete.
-pub(crate) enum TransitFindWaiter {
-    /// Remote `mage.find` call awaiting a reply.
-    Reply(ReplyHandle),
-    /// Driver-originated find issued at this node.
-    Op(OpId),
 }
 
 impl MageNode {
@@ -279,6 +270,20 @@ impl MageNode {
         }
     }
 
+    /// Parks `waiter` until the move of `key`'s object settles, when that
+    /// object is hosted here and in transit; `false` otherwise.
+    pub(crate) fn park_transit_find(&mut self, key: CompKey, waiter: FindWaiter) -> bool {
+        let in_transit = key.kind == Kind::Object
+            && self
+                .objects
+                .get(&key.id)
+                .is_some_and(|hosted| hosted.in_transit);
+        if in_transit {
+            self.transit_finds.entry(key.id).or_default().push(waiter);
+        }
+        in_transit
+    }
+
     /// The find answer for a component hosted here.
     pub(crate) fn local_find_reply(&self, key: CompKey, me: NodeId) -> proto::FindReply {
         proto::FindReply {
@@ -332,18 +337,9 @@ impl MageNode {
         if self.has_component(args.key) {
             return reply_ok(&self.local_find_reply(args.key, me));
         }
-        if args.key.kind == Kind::Object
-            && self
-                .objects
-                .get(&args.key.id)
-                .is_some_and(|hosted| hosted.in_transit)
-        {
-            // Mid-move: park the find and answer once the transfer settles
-            // (forwarding address is only valid after the receive ack).
-            self.transit_finds
-                .entry(args.key.id)
-                .or_default()
-                .push(TransitFindWaiter::Reply(call.handle()));
+        if self.park_transit_find(args.key, FindWaiter::Reply(call.handle())) {
+            // Mid-move: answer once the transfer settles (the forwarding
+            // address is only valid after the receive ack).
             return Ok(CallOutcome::Deferred);
         }
         let Some(next) = self.registry.lookup(args.key).map(|l| l.node) else {
@@ -362,8 +358,8 @@ impl MageNode {
         }
         let mut visited = args.visited;
         visited.push(me.as_raw());
-        let token = self.spawn_task(Task::FwdFind {
-            reply: call.handle(),
+        let token = self.spawn_task(Task::Find {
+            waiter: FindWaiter::Reply(call.handle()),
             key: args.key,
             home: args.home,
             retried: args.retried,
@@ -392,15 +388,8 @@ impl MageNode {
         reply: ReplyHandle,
         args: &proto::FindArgs,
     ) -> Served {
-        let (key, home) = (args.key, args.home);
-        if !args.retried
-            && self.retry_find_from_home(env, key, home, || Task::FwdFind {
-                reply,
-                key,
-                home,
-                retried: true,
-            })
-        {
+        let waiter = FindWaiter::Reply(reply);
+        if !args.retried && self.retry_find_from_home(env, waiter, args.key, args.home) {
             return Ok(CallOutcome::Deferred);
         }
         Err(Fault::NotBound(args.key.display(&self.syms)))
@@ -736,15 +725,16 @@ impl MageNode {
                 target,
                 home_hint,
             } => {
-                self.start_client_lock(env, op, name, target, home_hint);
+                let target = NodeId::from_raw(target);
+                let retries = self.config.race_retries;
+                let kind = ClientCallKind::Lock { target, retries };
+                self.start_client_call(env, op, name, home_hint, kind);
             }
             Command::Unlock {
                 op,
                 name,
                 home_hint,
-            } => {
-                self.start_client_unlock(env, op, name, home_hint);
-            }
+            } => self.start_client_call(env, op, name, home_hint, ClientCallKind::Unlock),
             Command::Execute { op, spec } => {
                 env.charge(self.config.bind_overhead);
                 self.exec_start(env, op, spec);
@@ -1263,8 +1253,8 @@ impl App for MageNode {
         // Parked transit finds whose reply path died with the peer.
         for waiters in self.transit_finds.values_mut() {
             waiters.retain(|w| match w {
-                TransitFindWaiter::Reply(handle) => handle.caller() != peer,
-                TransitFindWaiter::Op(_) => true,
+                FindWaiter::Reply(handle) => handle.caller() != peer,
+                FindWaiter::Op(_) => true,
             });
         }
         self.transit_finds.retain(|_, waiters| !waiters.is_empty());

@@ -437,8 +437,8 @@ pub struct InvokeSpec {
 pub struct ExecSpec {
     /// Interned component class name.
     pub class: NameId,
-    /// Interned object name (`None` only for pure factory instantiation).
-    pub object: Option<NameId>,
+    /// Interned object name.
+    pub object: NameId,
     /// Where the runtime believes the object currently is (from the find
     /// step); lets the engine skip a second lookup.
     pub location_hint: Option<u32>,

@@ -313,7 +313,12 @@ impl Session {
             }),
         };
 
-        let (class_id, object_id) = (self.syms.intern(&class), self.syms.intern(&name));
+        // Every defined class was interned at build time: an unknown name
+        // is no class, and is not interned here either.
+        let Some(class_id) = self.syms.lookup(&class) else {
+            return Err(MageError::ClassUnavailable(class));
+        };
+        let object_id = self.syms.intern(&name);
         let backup_raw = backup_node.map(|n| n.as_raw());
         let args = InstantiateArgs {
             class: class_id,
@@ -339,7 +344,7 @@ impl Session {
                 .map(|n| n.as_raw());
             let exec = ExecSpec {
                 class: class_id,
-                object: Some(object_id),
+                object: object_id,
                 location_hint: None,
                 expected_incarnation: None,
                 identity_pinned: false,
@@ -785,7 +790,7 @@ impl Session {
         let inner = self.inner.borrow();
         let spec = ExecSpec {
             class: class_id,
-            object: Some(base_id),
+            object: base_id,
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation,
             identity_pinned: false,
@@ -849,7 +854,7 @@ impl Session {
             .unwrap_or(stub.at);
         ExecSpec {
             class: stub.class_id,
-            object: Some(stub.object_id),
+            object: stub.object_id,
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
@@ -1115,5 +1120,37 @@ impl std::fmt::Debug for Session {
             .field("client", &self.client)
             .field("cached_objects", &self.state.borrow().cached_loc.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attribute::Rev;
+    use crate::runtime::Runtime;
+    use crate::workload_support::test_object_class;
+
+    /// Creating an object of an undefined class fails typed and leaves
+    /// the world's symbol table as it was: neither the class name nor the
+    /// object name is interned for a create that cannot succeed.
+    #[test]
+    fn create_of_an_undefined_class_interns_nothing() {
+        let mut rt = Runtime::builder()
+            .fast()
+            .nodes(["a", "b"])
+            .class(test_object_class())
+            .build();
+        rt.deploy_class("TestObject", "a").unwrap();
+        let session = rt.session("a").unwrap();
+        let before = session.syms.len();
+        let specs = [
+            ObjectSpec::new("orphan").class("Nope"),
+            ObjectSpec::new("orphan").mobility(Rev::new("Nope", "orphan", "b")),
+        ];
+        for spec in specs {
+            let err = session.create(spec).unwrap_err();
+            assert_eq!(err, MageError::ClassUnavailable("Nope".into()));
+            assert_eq!(session.syms.len(), before);
+        }
     }
 }

@@ -490,3 +490,36 @@ fn lock_racing_a_recreation_resolves_to_stale_identity() {
     assert_eq!(kind, LockKind::Move);
     sc.unlock("obj").unwrap();
 }
+
+/// Pins the outcomes of a session's own `lock` and `unlock` when the host
+/// they locate is dead: the call spends exactly one retry budget on that
+/// host and reports it unreachable, without chasing the object further;
+/// a name nobody ever created is `NotFound` at once.
+#[test]
+fn session_lock_and_unlock_report_a_dead_host_after_one_budget() {
+    let mut rt = Runtime::builder()
+        .fast()
+        .seed(77)
+        .nodes(["h0", "c"])
+        .class(test_object_class())
+        .build();
+    rt.deploy_class("TestObject", "h0").unwrap();
+    let s0 = rt.session("h0").unwrap();
+    s0.create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    let sc = rt.session("c").unwrap();
+    sc.find("obj").unwrap();
+    rt.crash("h0").unwrap();
+    let dead = MageError::Unreachable {
+        peer: rt.node_id("h0").unwrap().as_raw(),
+    };
+
+    let start = rt.now();
+    assert_eq!(sc.lock("obj", "c").unwrap_err(), dead);
+    assert_eq!(rt.now() - start, SimDuration::from_millis(800));
+    assert_eq!(sc.unlock("obj").unwrap_err(), dead);
+
+    let ghost = MageError::NotFound("ghost".into());
+    assert_eq!(sc.lock("ghost", "c").unwrap_err(), ghost);
+    assert_eq!(sc.unlock("ghost").unwrap_err(), ghost);
+}

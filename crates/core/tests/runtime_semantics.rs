@@ -644,3 +644,26 @@ fn a_later_class_definition_replaces_an_earlier_one() {
         MageError::Rmi("application fault: second definition".into())
     );
 }
+
+/// A known gap, pinned: a `receive` installs the arriving object over a
+/// live object of the same name at the destination, without an error.
+/// Names are unique only per namespace, so moving `a`'s `x` onto `b`,
+/// which hosts an `x` of its own, silently replaces `b`'s object.
+#[test]
+fn move_onto_a_same_named_object_replaces_it_silently() {
+    let mut rt = fast_runtime(&["a", "b"]);
+    with_object(&mut rt, "a", "x");
+    with_object(&mut rt, "b", "x");
+    let (sa, sb) = (rt.session("a").unwrap(), rt.session("b").unwrap());
+    let here = Lpc::new("TestObject", "x");
+    for _ in 0..5 {
+        sa.bind_invoke(&here, methods::INC, &()).unwrap();
+    }
+    let (_, theirs) = sb.bind_invoke(&here, methods::INC, &()).unwrap();
+    assert_eq!(theirs, Some(1));
+
+    sa.bind(&Grev::new("TestObject", "x", "b")).unwrap();
+
+    let (_, count) = sb.bind_invoke(&here, methods::GET, &()).unwrap();
+    assert_eq!(count, Some(5), "b's own x is gone, replaced by a's");
+}
