@@ -1,5 +1,11 @@
 //! Deserializer from the MAGE wire format back into Rust values.
 
+// The per-value path carries `#[inline]`: the workspace builds without LTO,
+// so an uninlined codec function is a cross-crate call per element. The
+// lint keeps exported items inlined but does not see private helpers
+// such as `take_u64`; those carry `#[inline]` by hand.
+#![warn(clippy::missing_inline_in_public_items)]
+
 use serde::de::{
     self, Deserialize, DeserializeSeed, EnumAccess, IntoDeserializer, MapAccess, SeqAccess,
     VariantAccess, Visitor,
@@ -23,6 +29,7 @@ use crate::varint;
 /// let v: Vec<u16> = mage_codec::from_bytes(&bytes).unwrap();
 /// assert_eq!(v, vec![1, 2, 3]);
 /// ```
+#[inline]
 pub fn from_bytes<'de, T: Deserialize<'de>>(input: &'de [u8]) -> Result<T, DecodeError> {
     let mut de = Deserializer::new(input);
     let value = T::deserialize(&mut de)?;
@@ -42,6 +49,7 @@ pub fn from_bytes<'de, T: Deserialize<'de>>(input: &'de [u8]) -> Result<T, Decod
 /// # Errors
 ///
 /// Returns any structural decoding error; trailing bytes are not an error.
+#[inline]
 pub fn from_bytes_prefix<'de, T: Deserialize<'de>>(
     input: &'de [u8],
 ) -> Result<(T, usize), DecodeError> {
@@ -58,15 +66,18 @@ pub struct Deserializer<'de> {
 
 impl<'de> Deserializer<'de> {
     /// Creates a deserializer reading from the front of `input`.
+    #[inline]
     pub fn new(input: &'de [u8]) -> Self {
         Deserializer { input, pos: 0 }
     }
 
     /// Number of bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'de [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof);
@@ -76,27 +87,32 @@ impl<'de> Deserializer<'de> {
         Ok(slice)
     }
 
+    #[inline]
     fn take_byte(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     fn take_u64(&mut self) -> Result<u64, DecodeError> {
         let (value, used) = varint::decode_u64(&self.input[self.pos..])?;
         self.pos += used;
         Ok(value)
     }
 
+    #[inline]
     fn take_i64(&mut self) -> Result<i64, DecodeError> {
         let (value, used) = varint::decode_i64(&self.input[self.pos..])?;
         self.pos += used;
         Ok(value)
     }
 
+    #[inline]
     fn take_len(&mut self) -> Result<usize, DecodeError> {
         let raw = self.take_u64()?;
         usize::try_from(raw).map_err(|_| DecodeError::IntegerOutOfRange)
     }
 
+    #[inline]
     fn take_str(&mut self) -> Result<&'de str, DecodeError> {
         let len = self.take_len()?;
         let bytes = self.take(len)?;
@@ -106,6 +122,7 @@ impl<'de> Deserializer<'de> {
 
 macro_rules! deserialize_unsigned {
     ($method:ident, $visit:ident, $ty:ty) => {
+        #[inline]
         fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
             let raw = self.take_u64()?;
             let narrowed = <$ty>::try_from(raw).map_err(|_| DecodeError::IntegerOutOfRange)?;
@@ -116,6 +133,7 @@ macro_rules! deserialize_unsigned {
 
 macro_rules! deserialize_signed {
     ($method:ident, $visit:ident, $ty:ty) => {
+        #[inline]
         fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
             let raw = self.take_i64()?;
             let narrowed = <$ty>::try_from(raw).map_err(|_| DecodeError::IntegerOutOfRange)?;
@@ -127,10 +145,12 @@ macro_rules! deserialize_signed {
 impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
     type Error = DecodeError;
 
+    #[inline]
     fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, DecodeError> {
         Err(DecodeError::NotSelfDescribing)
     }
 
+    #[inline]
     fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         match self.take_byte()? {
             0 => visitor.visit_bool(false),
@@ -146,38 +166,45 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
     deserialize_signed!(deserialize_i16, visit_i16, i16);
     deserialize_signed!(deserialize_i32, visit_i32, i32);
 
+    #[inline]
     fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let raw = self.take_u64()?;
         visitor.visit_u64(raw)
     }
 
+    #[inline]
     fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let raw = self.take_i64()?;
         visitor.visit_i64(raw)
     }
 
+    #[inline]
     fn deserialize_u128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let high = self.take_u64()?;
         let low = self.take_u64()?;
         visitor.visit_u128((u128::from(high) << 64) | u128::from(low))
     }
 
+    #[inline]
     fn deserialize_i128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let high = self.take_i64()?;
         let low = self.take_u64()?;
         visitor.visit_i128((i128::from(high) << 64) | i128::from(low))
     }
 
+    #[inline]
     fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let bytes = self.take(4)?;
         visitor.visit_f32(f32::from_le_bytes(bytes.try_into().expect("4 bytes")))
     }
 
+    #[inline]
     fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let bytes = self.take(8)?;
         visitor.visit_f64(f64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
+    #[inline]
     fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let raw = self.take_u64()?;
         let code = u32::try_from(raw).map_err(|_| DecodeError::IntegerOutOfRange)?;
@@ -185,23 +212,28 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_char(ch)
     }
 
+    #[inline]
     fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         visitor.visit_borrowed_str(self.take_str()?)
     }
 
+    #[inline]
     fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         self.deserialize_str(visitor)
     }
 
+    #[inline]
     fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let len = self.take_len()?;
         visitor.visit_borrowed_bytes(self.take(len)?)
     }
 
+    #[inline]
     fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         self.deserialize_bytes(visitor)
     }
 
+    #[inline]
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         match self.take_byte()? {
             0 => visitor.visit_none(),
@@ -210,10 +242,12 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         }
     }
 
+    #[inline]
     fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         visitor.visit_unit()
     }
 
+    #[inline]
     fn deserialize_unit_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -222,6 +256,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_unit()
     }
 
+    #[inline]
     fn deserialize_newtype_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -230,6 +265,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_newtype_struct(self)
     }
 
+    #[inline]
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let len = self.take_len()?;
         visitor.visit_seq(CountedAccess {
@@ -238,6 +274,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         })
     }
 
+    #[inline]
     fn deserialize_tuple<V: Visitor<'de>>(
         self,
         len: usize,
@@ -249,6 +286,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         })
     }
 
+    #[inline]
     fn deserialize_tuple_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -258,6 +296,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         self.deserialize_tuple(len, visitor)
     }
 
+    #[inline]
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, DecodeError> {
         let len = self.take_len()?;
         visitor.visit_map(CountedAccess {
@@ -266,6 +305,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         })
     }
 
+    #[inline]
     fn deserialize_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -278,6 +318,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         })
     }
 
+    #[inline]
     fn deserialize_enum<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -287,10 +328,12 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_enum(Enum { de: self })
     }
 
+    #[inline]
     fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, DecodeError> {
         Err(DecodeError::NotSelfDescribing)
     }
 
+    #[inline]
     fn deserialize_ignored_any<V: Visitor<'de>>(
         self,
         _visitor: V,
@@ -298,6 +341,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         Err(DecodeError::NotSelfDescribing)
     }
 
+    #[inline]
     fn is_human_readable(&self) -> bool {
         false
     }

@@ -10,6 +10,12 @@
 //! [`to_bytes_in`](crate::to_bytes_in) and the varint helpers; reusing one
 //! scratch buffer per node keeps steady-state encoding allocation-free.
 
+// The per-value path carries `#[inline]`: the workspace builds without LTO,
+// so an uninlined codec function is a cross-crate call per element. The
+// lint keeps exported items inlined but does not see private helpers
+// such as `take`; those carry `#[inline]` by hand.
+#![warn(clippy::missing_inline_in_public_items)]
+
 use bytes::Bytes;
 
 use crate::error::DecodeError;
@@ -27,20 +33,24 @@ pub struct FrameReader<'a> {
 
 impl<'a> FrameReader<'a> {
     /// Starts reading at the front of `frame`.
+    #[inline]
     pub fn new(frame: &'a Bytes) -> Self {
         FrameReader { frame, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.frame.len() - self.pos
     }
 
     /// Whether the whole frame has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof);
@@ -51,11 +61,13 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a LEB128 varint.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, DecodeError> {
         let (value, used) = varint::decode_u64(&self.frame.as_slice()[self.pos..])?;
         self.pos += used;
@@ -63,16 +75,19 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Reads a varint and narrows it to `u32`.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, DecodeError> {
         u32::try_from(self.read_u64()?).map_err(|_| DecodeError::IntegerOutOfRange)
     }
 
     /// Reads a varint length prefix.
+    #[inline]
     pub fn read_len(&mut self) -> Result<usize, DecodeError> {
         usize::try_from(self.read_u64()?).map_err(|_| DecodeError::IntegerOutOfRange)
     }
 
     /// Reads a length-prefixed UTF-8 string, borrowing from the frame.
+    #[inline]
     pub fn read_str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.read_len()?;
         let bytes = self.take(len)?;
@@ -81,6 +96,7 @@ impl<'a> FrameReader<'a> {
 
     /// Reads a length-prefixed byte payload as a ref-counted slice of the
     /// frame — no copy; the result shares the frame's allocation.
+    #[inline]
     pub fn read_bytes(&mut self) -> Result<Bytes, DecodeError> {
         let len = self.read_len()?;
         if self.remaining() < len {
@@ -94,6 +110,7 @@ impl<'a> FrameReader<'a> {
 
 /// Appends a length-prefixed byte payload to a scratch buffer (the inverse
 /// of [`FrameReader::read_bytes`]).
+#[inline]
 pub fn write_bytes(out: &mut Vec<u8>, payload: &[u8]) {
     varint::encode_u64(payload.len() as u64, out);
     out.extend_from_slice(payload);
@@ -101,11 +118,13 @@ pub fn write_bytes(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// Appends a length-prefixed UTF-8 string (the inverse of
 /// [`FrameReader::read_str`]).
+#[inline]
 pub fn write_str(out: &mut Vec<u8>, s: &str) {
     write_bytes(out, s.as_bytes());
 }
 
 /// Appends a LEB128 varint.
+#[inline]
 pub fn write_u64(out: &mut Vec<u8>, v: u64) {
     varint::encode_u64(v, out);
 }

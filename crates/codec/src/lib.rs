@@ -21,6 +21,24 @@
 //! exactly like an RMI skeleton unmarshalling against a known method
 //! signature.
 //!
+//! # Inlining
+//!
+//! Serde drives this crate once per value, so a `Vec<u8>` of object state
+//! calls `deserialize_u8` once per byte. The workspace builds without LTO,
+//! so a non-generic function here that lacks `#[inline]` stays a
+//! cross-crate call from every caller's monomorphized serde code. The
+//! decode path (the `deserialize_*` methods and their cursor helpers),
+//! the [`varint`] functions and the [`frame`] readers and writers
+//! therefore carry `#[inline]`, and `clippy::missing_inline_in_public_items`
+//! keeps their exported part that way. This cut the decode of a 1 KiB
+//! state about threefold (13.3 to 4.4 µs in the benchmark's traced codec
+//! row) with no wire byte changed (`tests/roundtrip.rs` pins the bytes).
+//!
+//! The serializer is not inlined yet. Doing so halves encode time too, but
+//! makes the checkpoint-heavy `durable_failover` benchmark fast enough
+//! that its peak RSS, which grows with the rounds the harness keeps,
+//! passes the benchmark's 15% bound (ROADMAP item 2).
+//!
 //! # Examples
 //!
 //! ```

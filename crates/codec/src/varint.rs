@@ -6,6 +6,11 @@
 //! encoding is byte-order independent, which keeps the wire format portable
 //! across the simulated heterogeneous hosts.
 
+// The per-value path carries `#[inline]`: the workspace builds without LTO,
+// so an uninlined varint function is a cross-crate call per element. Every
+// function here is exported, so the lint covers the whole module.
+#![warn(clippy::missing_inline_in_public_items)]
+
 use crate::error::DecodeError;
 
 /// Maximum number of bytes a varint-encoded `u64` can occupy.
@@ -20,6 +25,7 @@ pub const MAX_VARINT_LEN: usize = 10;
 /// mage_codec::varint::encode_u64(300, &mut buf);
 /// assert_eq!(buf, vec![0xAC, 0x02]);
 /// ```
+#[inline]
 pub fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (value & 0x7F) as u8;
@@ -40,6 +46,7 @@ pub fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
 ///
 /// Returns [`DecodeError::UnexpectedEof`] if `input` ends mid-varint and
 /// [`DecodeError::VarintOverflow`] if the encoding does not fit in 64 bits.
+#[inline]
 pub fn decode_u64(input: &[u8]) -> Result<(u64, usize), DecodeError> {
     let mut value: u64 = 0;
     let mut shift: u32 = 0;
@@ -74,6 +81,7 @@ pub fn unzigzag(value: u64) -> i64 {
 }
 
 /// Appends `value` to `out` as a zigzag-encoded varint.
+#[inline]
 pub fn encode_i64(value: i64, out: &mut Vec<u8>) {
     encode_u64(zigzag(value), out);
 }
@@ -83,6 +91,7 @@ pub fn encode_i64(value: i64, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Propagates the errors of [`decode_u64`].
+#[inline]
 pub fn decode_i64(input: &[u8]) -> Result<(i64, usize), DecodeError> {
     let (raw, used) = decode_u64(input)?;
     Ok((unzigzag(raw), used))

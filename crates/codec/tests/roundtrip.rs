@@ -166,6 +166,68 @@ fn byte_buf_huge_claimed_length_errors_without_allocating_it() {
     }
 }
 
+fn wire<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    mage_codec::to_bytes(value).expect("encode")
+}
+
+/// Freezes the wire format: exact bytes for each kind of value, and the
+/// size and checksum of a benchmark-shaped object state. A change to the
+/// codec that moves any byte fails here.
+#[test]
+fn wire_format_is_frozen() {
+    // A `Vec<u8>` is a sequence: one varint per element.
+    assert_eq!(wire(&vec![1u8, 200, 3]), [3, 1, 0xC8, 0x01, 3]);
+
+    assert_eq!(wire(&true), [1]);
+    assert_eq!(wire(&300u32), [0xAC, 0x02]);
+    assert_eq!(wire(&-1i32), [0x01]);
+    assert_eq!(wire(&-65i64), [0x81, 0x01]);
+    assert_eq!(
+        wire(&u64::MAX),
+        [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]
+    );
+    assert_eq!(wire(&1.5f64), [0, 0, 0, 0, 0, 0, 0xF8, 0x3F]);
+    assert_eq!(wire(&'\u{E9}'), [0xE9, 0x01]);
+
+    assert_eq!(wire(&Some("a")), [1, 1, b'a']);
+    assert_eq!(wire(&None::<u32>), [0]);
+
+    assert_eq!(wire(&Message::Ping), [0]);
+    let find = Message::Find {
+        name: "geo".into(),
+        hops: 3,
+    };
+    assert_eq!(wire(&find), [1, 3, b'g', b'e', b'o', 3]);
+    assert_eq!(
+        wire(&Message::Move("x".into(), 300)),
+        [2, 1, b'x', 0xAC, 0x02]
+    );
+
+    assert_eq!(wire(&ByteBuf(vec![1, 200, 3])), [3, 1, 200, 3]);
+
+    // A counter plus 1 KiB of payload, shaped like migrating object state.
+    let payload: Vec<u8> = (0..1024usize).map(|i| (i * 31 % 251) as u8).collect();
+    let state = wire(&(0i64, payload));
+    assert_eq!(state.len(), 1527);
+    let checksum = state.iter().enumerate().fold(0u64, |sum, (i, &b)| {
+        sum.wrapping_add((i as u64 + 1) * u64::from(b))
+    });
+    assert_eq!(checksum, 98_193_132);
+}
+
+/// Known gap: a `[u8]` slice serializes as a sequence (one varint per
+/// element) but a borrowed `&[u8]` decodes as a byte string (length plus
+/// raw bytes), so the two do not round-trip once an element is `>= 0x80`.
+/// ROADMAP item 2's format change (`u8` as a raw byte) flips this to `Ok`.
+#[test]
+fn byte_slice_does_not_roundtrip_through_borrowed_bytes() {
+    let bytes = wire(&[1u8, 200, 3][..]);
+    assert_eq!(
+        mage_codec::from_bytes::<&[u8]>(&bytes).unwrap_err(),
+        DecodeError::TrailingBytes(1)
+    );
+}
+
 proptest! {
     #[test]
     fn prop_u64_roundtrips(v in any::<u64>()) {

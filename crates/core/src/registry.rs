@@ -10,7 +10,8 @@
 //! Entries are keyed by a tagged [`CompKey`] — component kind plus interned
 //! [`NameId`] — so the steady-state lookup is an 8-byte comparison with no
 //! string handling at all. The old `"class:"`-prefixed string keys survive
-//! only at the driver boundary, where [`CompKey::parse`] interns them away.
+//! only at the driver boundary, where [`CompKey::parse`] interns them away
+//! and [`CompKey::lookup`] resolves them without interning.
 //!
 //! This module is the pure data structure; the chain-walking protocol lives
 //! in the node (`crate::node`).
@@ -72,6 +73,15 @@ impl CompKey {
         match name.strip_prefix(CLASS_PREFIX) {
             Some(class) => CompKey::class(syms.intern(class)),
             None => CompKey::object(syms.intern(name)),
+        }
+    }
+
+    /// Like [`CompKey::parse`], but interns nothing: `None` when the bare
+    /// name was never interned, so no node can host the component.
+    pub fn lookup(syms: &SymbolTable, name: &str) -> Option<Self> {
+        match name.strip_prefix(CLASS_PREFIX) {
+            Some(class) => syms.lookup(class).map(CompKey::class),
+            None => syms.lookup(name).map(CompKey::object),
         }
     }
 

@@ -233,6 +233,15 @@ impl Session {
         self.inner.borrow().node_id(name)
     }
 
+    /// Key of the object `name`, interning nothing: a name that was never
+    /// interned is no node's object, so it is `NotFound` before any send.
+    fn object_key(&self, name: &str) -> Result<CompKey, MageError> {
+        self.syms
+            .lookup(name)
+            .map(CompKey::object)
+            .ok_or_else(|| MageError::NotFound(name.to_owned()))
+    }
+
     /// Marshals call arguments (see [`Inner::marshal`]).
     fn marshal<A: Serialize + ?Sized>(&self, args: &A) -> Result<Bytes, MageError> {
         self.inner.borrow_mut().marshal(args)
@@ -411,10 +420,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Never fails at issue time today; kept fallible for symmetry with
-    /// the other `_async` forms.
+    /// Returns [`MageError::NotFound`] at issue time for a name that was
+    /// never interned: no node can host it.
     pub fn find_async(&self, name: &str) -> Result<Pending<NodeId>, MageError> {
-        let key = CompKey::parse(&self.syms, name);
+        let key = CompKey::lookup(&self.syms, name)
+            .ok_or_else(|| MageError::NotFound(name.to_owned()))?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
             move |op| Command::Find { op, key, home_hint },
@@ -1065,10 +1075,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on unknown namespace names.
+    /// Fails on unknown namespace names, and with [`MageError::NotFound`]
+    /// on an object name that was never interned.
     pub fn lock_async(&self, name: &str, target: &str) -> Result<Pending<LockKind>, MageError> {
         let target = self.node_id(target)?;
-        let key = CompKey::object(self.syms.intern(name));
+        let key = self.object_key(name)?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
             move |op| Command::Lock {
@@ -1098,9 +1109,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Never fails at issue time today; kept fallible for symmetry.
+    /// Returns [`MageError::NotFound`] at issue time for an object name
+    /// that was never interned.
     pub fn unlock_async(&self, name: &str) -> Result<Pending<()>, MageError> {
-        let key = CompKey::object(self.syms.intern(name));
+        let key = self.object_key(name)?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
             move |op| Command::Unlock {
@@ -1152,5 +1164,26 @@ mod tests {
             assert_eq!(err, MageError::ClassUnavailable("Nope".into()));
             assert_eq!(session.syms.len(), before);
         }
+    }
+
+    /// A find, lock or unlock of a name that was never interned fails at
+    /// issue time with `NotFound` and leaves the symbol table as it was.
+    #[test]
+    fn find_lock_unlock_of_an_unknown_name_intern_nothing() {
+        let rt = Runtime::builder()
+            .fast()
+            .nodes(["a", "b"])
+            .class(test_object_class())
+            .build();
+        let session = rt.session("a").unwrap();
+        let before = session.syms.len();
+        for name in ["ghost", "class:Ghost"] {
+            let err = session.find_async(name).unwrap_err();
+            assert_eq!(err, MageError::NotFound(name.into()));
+        }
+        let ghost = MageError::NotFound("ghost".into());
+        assert_eq!(session.lock_async("ghost", "b").unwrap_err(), ghost);
+        assert_eq!(session.unlock_async("ghost").unwrap_err(), ghost);
+        assert_eq!(session.syms.len(), before);
     }
 }
