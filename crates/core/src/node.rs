@@ -33,11 +33,12 @@ use crate::proto::{self, methods, Command, Outcome};
 use crate::registry::{CompKey, Incarnation, IncarnationMinter, Kind, Located, Registry};
 use crate::security::TrustPolicy;
 
+/// Maximum forwarding-chain length a find will follow.
+const FIND_HOP_LIMIT: usize = 16;
+
 /// Tuning knobs for one namespace's MAGE runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Maximum forwarding-chain length a find will follow.
-    pub find_hop_limit: u32,
     /// Use fair (arrival-order) lock granting instead of the paper's
     /// unfair stay-favouring policy.
     pub fair_locks: bool,
@@ -58,7 +59,6 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
-            find_hop_limit: 16,
             fair_locks: false,
             bind_overhead: SimDuration::from_micros(1_200),
             invoke_overhead: SimDuration::from_micros(500),
@@ -347,7 +347,7 @@ impl MageNode {
         };
         if next == me
             || args.visited.contains(&next.as_raw())
-            || args.visited.len() as u32 >= self.config.find_hop_limit
+            || args.visited.len() >= FIND_HOP_LIMIT
         {
             // Stale self-pointing entry, a cycle, or an over-long chain:
             // the entry provably leads nowhere from here. Repair it (so

@@ -9,23 +9,26 @@
 //! [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and only
 //! then collect results. This is what makes the paper's §4.4 concurrent
 //! locking and Figure 8 contention scenarios first-class instead of
-//! bolted on.
+//! bolted on. A blocking session op is its `_async` form plus `wait`.
+//!
+//! `wait` is also the one place a session learns where a component is:
+//! a find, an invocation or a bind records the outcome's location and
+//! incarnation for the component it names, just before decoding.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mage_sim::OpId;
+use mage_sim::{NodeId, OpId};
 
 use crate::error::MageError;
 use crate::proto::Outcome;
+use crate::registry::{CompKey, Located};
 use crate::runtime::{Directory, Inner};
 use crate::session::SessionState;
 
 /// Decodes a completed [`Outcome`] into the operation's typed result,
-/// applying any cache updates (object locations, factory homes) as a side
-/// effect.
-pub(crate) type DecodeFn<T> =
-    Box<dyn FnOnce(Outcome, &mut Directory, &mut SessionState) -> Result<T, MageError>>;
+/// updating the shared directory (factory homes) as a side effect.
+pub(crate) type DecodeFn<T> = Box<dyn FnOnce(Outcome, &mut Directory) -> Result<T, MageError>>;
 
 /// A typed, in-flight driver operation.
 ///
@@ -37,6 +40,8 @@ pub struct Pending<T> {
     op: OpId,
     inner: Rc<RefCell<Inner>>,
     state: Rc<RefCell<SessionState>>,
+    /// The component whose location the outcome reports, if any.
+    learn: Option<CompKey>,
     /// `Some` until [`wait`](Pending::wait) consumes it (an `Option` so
     /// the `Drop` impl can coexist with the by-value `wait`).
     decode: Option<DecodeFn<T>>,
@@ -47,12 +52,14 @@ impl<T> Pending<T> {
         op: OpId,
         inner: Rc<RefCell<Inner>>,
         state: Rc<RefCell<SessionState>>,
+        learn: Option<CompKey>,
         decode: DecodeFn<T>,
     ) -> Self {
         Pending {
             op,
             inner,
             state,
+            learn,
             decode: Some(decode),
         }
     }
@@ -71,8 +78,8 @@ impl<T> Pending<T> {
         self.inner.borrow().world.op_done(self.op)
     }
 
-    /// Runs the world until the operation completes, then decodes its
-    /// typed result.
+    /// Runs the world until the operation completes, records where the
+    /// component it names answered, then decodes its typed result.
     ///
     /// # Errors
     ///
@@ -82,8 +89,11 @@ impl<T> Pending<T> {
         let decode = self.decode.take().expect("wait consumes the handle once");
         let mut inner = self.inner.borrow_mut();
         let outcome = inner.wait(self.op)?;
-        let mut state = self.state.borrow_mut();
-        decode(outcome, &mut inner.dir, &mut state)
+        if let Some(key) = self.learn {
+            let at = Located::new(NodeId::from_raw(outcome.location), outcome.incarnation);
+            self.state.borrow_mut().cached_loc.insert(key, at);
+        }
+        decode(outcome, &mut inner.dir)
     }
 }
 

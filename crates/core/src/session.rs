@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! Per-namespace client sessions.
 //!
 //! A [`Session`] is the client-side handle to one namespace of a running
@@ -46,7 +47,7 @@ use mage_sim::{NodeId, OpId};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::attribute::{BindView, MobilityAttribute, Mode, Target};
+use crate::attribute::{BindPlan, BindView, MobilityAttribute, Mode, Target};
 use crate::class::Method;
 use crate::coercion::{coerce, Coerced, Situation};
 use crate::component::{Durability, Visibility};
@@ -139,19 +140,12 @@ struct BindContext {
     is_factory: bool,
 }
 
-/// Builds a bind's stub from its outcome and refreshes the caches; the
-/// invocation result stays in `outcome` for the caller to decode.
-fn stub_from(
-    ctx: BindContext,
-    outcome: &Outcome,
-    dir: &mut Directory,
-    state: &mut SessionState,
-) -> Stub {
+/// Builds a bind's stub from its outcome (a factory's instance becomes
+/// the object's home); the invocation result stays in `outcome` for the
+/// caller to decode.
+fn stub_from(ctx: BindContext, outcome: &Outcome, dir: &mut Directory) -> Stub {
     let at = NodeId::from_raw(outcome.location);
     let key = CompKey::object(ctx.object_id);
-    state
-        .cached_loc
-        .insert(key, Located::new(at, outcome.incarnation));
     if ctx.is_factory {
         dir.homes.insert(key, at);
     }
@@ -247,20 +241,45 @@ impl Session {
         self.inner.borrow_mut().marshal(args)
     }
 
-    /// Injects a command and blocks until its outcome arrives.
-    fn command(&self, build: impl FnOnce(OpId) -> Command) -> Result<Outcome, MageError> {
-        self.inner.borrow_mut().command_sync(self.client, build)
+    /// Where this session last saw the component `key`.
+    fn cached_node(&self, key: CompKey) -> Option<NodeId> {
+        self.state
+            .borrow()
+            .cached_loc
+            .get(&key)
+            .map(|entry| entry.node)
     }
 
-    /// Injects a command and returns a typed handle to its outcome.
-    fn issue<T>(&self, build: impl FnOnce(OpId) -> Command, decode: DecodeFn<T>) -> Pending<T> {
+    /// Injects a command and returns a typed handle to its outcome; the
+    /// handle records where `learn` answered when it is waited on.
+    fn issue<T>(
+        &self,
+        learn: Option<CompKey>,
+        build: impl FnOnce(OpId) -> Command,
+        decode: DecodeFn<T>,
+    ) -> Pending<T> {
         let op = {
             let mut inner = self.inner.borrow_mut();
             let op = inner.world.begin_op();
             inner.inject(self.client, build(op));
             op
         };
-        Pending::new(op, Rc::clone(&self.inner), Rc::clone(&self.state), decode)
+        let (inner, state) = (Rc::clone(&self.inner), Rc::clone(&self.state));
+        Pending::new(op, inner, state, learn, decode)
+    }
+
+    /// Resolves a plan's target to a node; `Current` is `current`, the
+    /// object's location (`None` when unlocated).
+    fn target_node(
+        &self,
+        target: &Target,
+        current: Option<NodeId>,
+    ) -> Result<Option<NodeId>, MageError> {
+        Ok(match target {
+            Target::Client => Some(self.client),
+            Target::Node(name) => Some(self.node_id(name)?),
+            Target::Current => current,
+        })
     }
 
     // ---- object creation ----
@@ -294,32 +313,25 @@ impl Session {
 
         // Birthplace: the mobility attribute's plan target, or here.
         let target = match &mobility {
-            None => self.client,
-            Some(attr) => {
-                let plan = self.plan_with(attr.as_ref(), None)?;
-                match plan.target {
-                    Target::Client | Target::Current => self.client,
-                    Target::Node(ref node) => self.node_id(node)?,
-                }
-            }
-        };
+            Some(attr) => self.target_node(&self.plan_with(attr.as_ref(), None)?.target, None)?,
+            None => None,
+        }
+        .unwrap_or(self.client);
 
         // Backup home of a replicated object: explicit, or the namespace
         // after the birthplace in id order. Fixed for the object's life.
-        let backup_node = match durability {
-            Durability::Volatile => None,
-            Durability::Replicated { .. } => Some(match backup {
-                Some(node) => self.node_id(&node)?,
-                None => {
-                    let count = self.inner.borrow().ids.len() as u32;
-                    if count < 2 {
-                        return Err(MageError::BadPlan(
-                            "replication needs at least two namespaces".into(),
-                        ));
-                    }
-                    NodeId::from_raw((target.as_raw() + 1) % count)
+        let backup_node = match (durability, backup) {
+            (Durability::Volatile, _) => None,
+            (Durability::Replicated { .. }, Some(node)) => Some(self.node_id(&node)?),
+            (Durability::Replicated { .. }, None) => {
+                let count = self.inner.borrow().ids.len() as u32;
+                if count < 2 {
+                    return Err(MageError::BadPlan(
+                        "replication needs at least two namespaces".into(),
+                    ));
                 }
-            }),
+                Some(NodeId::from_raw((target.as_raw() + 1) % count))
+            }
         };
 
         // Every defined class was interned at build time: an unknown name
@@ -339,51 +351,48 @@ impl Session {
             // Creation, not factory rebind: a taken name errors.
             replace: false,
         };
-        let outcome = if target == self.client {
-            self.command(move |op| Command::CreateObject { op, args })?
-        } else {
-            // Remote birth: the ordinary instantiate ladder (with class
-            // logistics) places the object at the attribute's target.
-            let home_hint = self
-                .inner
-                .borrow()
+        let mut inner = self.inner.borrow_mut();
+        // Remote birth: the ordinary instantiate ladder (with class
+        // logistics) places the object at the attribute's target.
+        let remote = (target != self.client).then(|| {
+            inner
                 .dir
                 .homes
                 .get(&CompKey::class(class_id))
-                .map(|n| n.as_raw());
-            let exec = ExecSpec {
-                class: class_id,
-                object: object_id,
-                location_hint: None,
-                expected_incarnation: None,
-                identity_pinned: false,
-                home_hint,
-                backup_hint: backup_raw,
-                action: ActionSpec::Instantiate {
-                    node: target.as_raw(),
-                    args,
+                .map(|n| n.as_raw())
+        });
+        let outcome = inner.command_sync(self.client, |op| match remote {
+            None => Command::CreateObject { op, args },
+            Some(home_hint) => Command::Execute {
+                op,
+                spec: ExecSpec {
+                    class: class_id,
+                    object: object_id,
+                    location_hint: None,
+                    expected_incarnation: None,
+                    identity_pinned: false,
+                    home_hint,
+                    backup_hint: backup_raw,
+                    action: ActionSpec::Instantiate {
+                        node: target.as_raw(),
+                        args,
+                    },
+                    invoke: None,
+                    guard: false,
                 },
-                invoke: None,
-                guard: false,
-            };
-            self.command(move |op| Command::Execute { op, spec: exec })?
-        };
+            },
+        })?;
 
         let at = NodeId::from_raw(outcome.location);
         let key = CompKey::object(object_id);
-        let mut inner = self.inner.borrow_mut();
         inner.dir.homes.insert(key, at);
         inner.dir.visibility.insert(object_id, visibility);
+        // A volatile re-creation under a previously replicated name must
+        // not leave a stale backup hint behind.
         match backup_node {
-            Some(backup) => {
-                inner.dir.backups.insert(key, backup);
-            }
-            None => {
-                // A volatile re-creation under a previously replicated
-                // name must not leave a stale backup hint behind.
-                inner.dir.backups.remove(&key);
-            }
-        }
+            Some(backup) => inner.dir.backups.insert(key, backup),
+            None => inner.dir.backups.remove(&key),
+        };
         drop(inner);
         self.state
             .borrow_mut()
@@ -427,14 +436,9 @@ impl Session {
             .ok_or_else(|| MageError::NotFound(name.to_owned()))?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
+            Some(key),
             move |op| Command::Find { op, key, home_hint },
-            Box::new(move |outcome, _dir, state| {
-                let loc = NodeId::from_raw(outcome.location);
-                state
-                    .cached_loc
-                    .insert(key, Located::new(loc, outcome.incarnation));
-                Ok(loc)
-            }),
+            Box::new(|outcome, _dir| Ok(NodeId::from_raw(outcome.location))),
         ))
     }
 
@@ -486,7 +490,7 @@ impl Session {
     /// Propagates coercion errors (Table 2's exception cells), lookup
     /// failures and protocol denials.
     pub fn bind(&self, attr: &dyn MobilityAttribute) -> Result<Stub, MageError> {
-        self.bind_full(attr).map(|receipt| receipt.stub)
+        self.bind_async(attr)?.wait()
     }
 
     /// Binds and returns the full receipt (coercion outcome, lock kind).
@@ -509,11 +513,7 @@ impl Session {
     ///
     /// Same as [`Session::bind`] for planning-stage failures.
     pub fn bind_async(&self, attr: &dyn MobilityAttribute) -> Result<Pending<Stub>, MageError> {
-        let (spec, ctx) = self.plan_exec(attr, None)?;
-        Ok(self.issue(
-            move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, dir, state| Ok(stub_from(ctx, &outcome, dir, state))),
-        ))
+        self.bind_then(attr, None, |stub, _coerced, _outcome| Ok(stub))
     }
 
     /// Starts a bind without blocking, resolving to the full receipt.
@@ -525,19 +525,14 @@ impl Session {
         &self,
         attr: &dyn MobilityAttribute,
     ) -> Result<Pending<BindReceipt>, MageError> {
-        let (spec, ctx) = self.plan_exec(attr, None)?;
-        Ok(self.issue(
-            move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, dir, state| {
-                let coerced = ctx.coerced;
-                Ok(BindReceipt {
-                    stub: stub_from(ctx, &outcome, dir, state),
-                    coerced,
-                    lock_kind: outcome.lock_kind,
-                    result: outcome.result.map(|bytes| bytes.to_vec()),
-                })
-            }),
-        ))
+        self.bind_then(attr, None, |stub, coerced, outcome| {
+            Ok(BindReceipt {
+                stub,
+                coerced,
+                lock_kind: outcome.lock_kind,
+                result: outcome.result.map(|bytes| bytes.to_vec()),
+            })
+        })
     }
 
     /// Binds and invokes in a single bracketed engine operation (the §4.4
@@ -582,16 +577,28 @@ impl Session {
             args: self.marshal(args)?,
             one_way: attr.one_way(),
         };
-        let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
+        self.bind_then(attr, Some(invoke), |stub, _coerced, outcome| {
+            let result = outcome.result.map(|bytes| mage_codec::from_bytes(&bytes));
+            Ok((stub, result.transpose()?))
+        })
+    }
+
+    /// The one bind issue path: plans, issues the placement protocol, and
+    /// on completion builds the stub and hands it to `finish` with the
+    /// coercion outcome and the raw outcome.
+    fn bind_then<T>(
+        &self,
+        attr: &dyn MobilityAttribute,
+        invoke: Option<InvokeSpec>,
+        finish: impl FnOnce(Stub, Coerced, Outcome) -> Result<T, MageError> + 'static,
+    ) -> Result<Pending<T>, MageError> {
+        let (spec, ctx) = self.plan_exec(attr, invoke)?;
         Ok(self.issue(
+            Some(CompKey::object(ctx.object_id)),
             move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, dir, state| {
-                let stub = stub_from(ctx, &outcome, dir, state);
-                let result = match outcome.result {
-                    Some(bytes) => Some(mage_codec::from_bytes(&bytes)?),
-                    None => None,
-                };
-                Ok((stub, result))
+            Box::new(move |outcome, dir| {
+                let coerced = ctx.coerced;
+                finish(stub_from(ctx, &outcome, dir), coerced, outcome)
             }),
         ))
     }
@@ -602,7 +609,7 @@ impl Session {
         &self,
         attr: &dyn MobilityAttribute,
         location: Option<NodeId>,
-    ) -> Result<crate::attribute::BindPlan, MageError> {
+    ) -> Result<BindPlan, MageError> {
         let inner = self.inner.borrow();
         let view = BindView::new(
             self.client,
@@ -615,267 +622,208 @@ impl Session {
     }
 
     /// Resolves an attribute's plan into an executable spec, using this
-    /// session's cached knowledge (the client half of the old monolithic
-    /// bind).
+    /// session's cached knowledge (the client half of a bind).
     fn plan_exec(
         &self,
         attr: &dyn MobilityAttribute,
         invoke: Option<InvokeSpec>,
     ) -> Result<(ExecSpec, BindContext), MageError> {
-        let client_id = self.client;
-        let component = attr.component().clone();
-        let base_name = component
+        let component = attr.component();
+        let name = component
             .object_name()
-            .ok_or_else(|| MageError::BadPlan("attribute has no object name".into()))?
-            .to_owned();
-        let class = component.class_name().to_owned();
-        let base_id = self.syms.intern(&base_name);
-        let base_key = CompKey::object(base_id);
-        let class_id = self.syms.intern(&class);
+            .ok_or_else(|| MageError::BadPlan("attribute has no object name".into()))?;
+        let (object_id, class) = (self.syms.intern(name), component.class_name());
+        let (key, class_id) = (CompKey::object(object_id), self.syms.intern(class));
+        let visibility = self.inner.borrow().dir.visibility.get(&object_id).copied();
 
-        // Preliminary plan using cached knowledge (private objects'
-        // cached location is authoritative, §3.5). A fresh session falls
-        // back to the shared directory's origin-server knowledge for
-        // private objects ("clients share the name of the mobile object's
-        // origin server", §7); if the attribute's plan still needs a
-        // location, locate it and plan again.
-        let cached = self
-            .state
-            .borrow()
-            .cached_loc
-            .get(&base_key)
-            .map(|entry| entry.node)
-            .or_else(|| {
-                let inner = self.inner.borrow();
-                match inner.dir.visibility.get(&base_id) {
-                    Some(Visibility::Private) => inner.dir.homes.get(&base_key).copied(),
-                    _ => None,
-                }
-            });
-        let mut did_find = false;
+        // Plan first with cached knowledge: a private object's cached
+        // location is authoritative (§3.5), and a fresh session falls
+        // back to the directory's origin server for one ("clients share
+        // the name of the mobile object's origin server", §7). Only a
+        // location-shaped failure with nothing cached finds and plans
+        // again; any other plan error surfaces untouched, without
+        // consulting a stateful planner a second time.
+        let cached = self.cached_node(key).or_else(|| match visibility {
+            Some(Visibility::Private) => self.inner.borrow().dir.homes.get(&key).copied(),
+            _ => None,
+        });
+        let mut location = cached;
         let mut plan = match self.plan_with(attr, cached) {
-            Ok(plan) => plan,
-            // Only a location-shaped failure justifies finding and
-            // re-planning; other plan errors (and any error once a
-            // location was already known) surface untouched, without
-            // consulting a stateful planner a second time.
             Err(MageError::NotFound(missing)) if cached.is_none() => {
-                let Ok(loc) = self.find(&base_name) else {
-                    return Err(MageError::NotFound(missing));
-                };
-                did_find = true;
-                self.plan_with(attr, Some(loc))?
+                let found = self.find(name).map_err(|_| MageError::NotFound(missing))?;
+                location = Some(found);
+                self.plan_with(attr, location)?
             }
-            Err(err) => return Err(err),
+            plan => plan?,
         };
-        let located = if did_find {
-            self.state
-                .borrow()
-                .cached_loc
-                .get(&base_key)
-                .map(|entry| entry.node)
-        } else {
-            cached
-        };
-
         let is_factory = matches!(plan.mode, Mode::Factory { .. });
-        let location = if is_factory {
-            None // a fresh instance is about to be created
-        } else {
-            let public = self
-                .inner
-                .borrow()
-                .dir
-                .visibility
-                .get(&base_id)
-                .copied()
-                .unwrap_or(Visibility::Public)
-                == Visibility::Public;
-            let known = if did_find {
-                located // just found; don't pay a second lookup
-            } else if public || located.is_none() {
-                // Shared objects may have been moved by another session and
-                // must be found before use (§3.5).
-                match self.find(&base_name) {
-                    Ok(loc) => Some(loc),
-                    Err(MageError::NotFound(_)) => None,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                located
+        if is_factory {
+            location = None; // a fresh instance is about to be created
+        } else if location == cached
+            && (cached.is_none() || visibility != Some(Visibility::Private))
+        {
+            // Unless the plan above just found it, a shared object may
+            // have been moved by another session and must be found before
+            // use (§3.5); so must an unlocated one.
+            location = match self.find(name) {
+                Ok(loc) => Some(loc),
+                Err(MageError::NotFound(_)) => None,
+                Err(err) => return Err(err),
             };
-            if !did_find && known != cached {
-                plan = self.plan_with(attr, known)?;
+            if location != cached {
+                plan = self.plan_with(attr, location)?;
             }
-            known
-        };
+        }
 
-        // Resolve the plan's target to a node.
-        let target = match &plan.target {
-            Target::Client => Some(client_id),
-            Target::Node(name) => Some(self.node_id(name)?),
-            Target::Current => location,
-        };
-        let classify_target = match &plan.target {
+        let target = self.target_node(&plan.target, location)?;
+        let named = match plan.target {
             Target::Current => None,
             _ => target,
         };
-        let situation = Situation::classify(client_id, classify_target, location);
-        let coerced = coerce(attr.model(), situation)?;
-
-        // Factory binds register the fresh instance under the component's
-        // object name, replacing any previous instance (RMI-style rebind);
-        // that is how the paper's REV factory creates `geoData` on
-        // `sensor1` for later attributes to bind to (§3.6).
-        let object_name = base_name.clone();
-
-        let action = match coerced {
-            Coerced::AsLpc => ActionSpec::Local,
-            Coerced::AsRpc => ActionSpec::InvokeAt {
-                node: location
-                    .expect("coerced to RPC implies a located component")
-                    .as_raw(),
-            },
-            Coerced::Proceed => match plan.mode.clone() {
-                Mode::Stationary => match &plan.target {
-                    Target::Client => ActionSpec::Local,
-                    Target::Node(_) => ActionSpec::InvokeAt {
-                        node: target.expect("named target resolved").as_raw(),
-                    },
-                    Target::Current => match location {
-                        Some(loc) => ActionSpec::InvokeAt { node: loc.as_raw() },
-                        None => return Err(MageError::NotFound(base_name)),
-                    },
-                },
-                Mode::Move => {
-                    let dest =
-                        target.ok_or_else(|| MageError::BadPlan("move needs a target".into()))?;
-                    if location.is_none() {
-                        return Err(MageError::NotFound(base_name));
-                    }
-                    ActionSpec::MoveTo {
-                        node: dest.as_raw(),
-                    }
-                }
-                Mode::Factory { state, visibility } => {
-                    self.inner
-                        .borrow_mut()
-                        .dir
-                        .visibility
-                        .insert(base_id, visibility);
-                    // Attribute factories declare no durability policy of
-                    // their own (policy-bearing creation goes through
-                    // `Session::create`) and keep RMI-style rebind
-                    // semantics: a fresh instance replaces a predecessor.
-                    ActionSpec::Instantiate {
-                        node: target.unwrap_or(client_id).as_raw(),
-                        args: InstantiateArgs {
-                            class: class_id,
-                            name: base_id,
-                            state: ByteBuf(state),
-                            visibility,
-                            durability: Durability::Volatile,
-                            backup: None,
-                            replace: true,
-                        },
-                    }
-                }
-            },
+        let ctx = BindContext {
+            client: self.client,
+            object: name.to_owned(),
+            object_id,
+            class: class.to_owned(),
+            class_id,
+            coerced: coerce(
+                attr.model(),
+                Situation::classify(self.client, named, location),
+            )?,
+            is_factory,
         };
+        let guard = plan.guard;
+        let action = self.action(&ctx, plan, target, location)?;
 
-        // Identity expectation: whatever location this plan settled on,
-        // if the session's cache agrees on the node it also knows which
-        // incarnation it expects to find there. An invocation reaching a
-        // different incarnation resolves to `StaleIdentity`.
-        let expected_incarnation = location.and_then(|loc| {
-            self.state
-                .borrow()
-                .cached_loc
-                .get(&base_key)
-                .copied()
-                .filter(|entry| entry.node == loc)
-                .map(|entry| entry.incarnation)
-                .filter(|inc| !inc.is_none())
-        });
+        // Identity expectation: if the session's cache agrees on the node
+        // the plan settled on, it also knows which incarnation it expects
+        // there; an invocation reaching another resolves to
+        // `StaleIdentity`.
+        let expected_incarnation = self
+            .state
+            .borrow()
+            .cached_loc
+            .get(&key)
+            .filter(|entry| location == Some(entry.node) && !entry.incarnation.is_none())
+            .map(|entry| entry.incarnation);
         let inner = self.inner.borrow();
         let spec = ExecSpec {
             class: class_id,
-            object: base_id,
+            object: object_id,
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation,
             identity_pinned: false,
             home_hint: inner
                 .dir
                 .homes
-                .get(&base_key)
+                .get(&key)
                 .or_else(|| inner.dir.homes.get(&CompKey::class(class_id)))
                 .map(|n| n.as_raw()),
-            backup_hint: inner.dir.backups.get(&base_key).map(|n| n.as_raw()),
+            backup_hint: inner.dir.backups.get(&key).map(|n| n.as_raw()),
             action,
             invoke,
-            guard: plan.guard,
+            guard,
         };
-        Ok((
-            spec,
-            BindContext {
-                client: client_id,
-                object: object_name,
-                object_id: base_id,
-                class,
-                class_id,
-                coerced,
-                is_factory,
+        Ok((spec, ctx))
+    }
+
+    /// The engine action for a coerced plan (Table 2 applied to the plan's
+    /// mode): `target` is the plan's resolved target, `location` where the
+    /// object is (`None` for a factory or an unlocated object).
+    fn action(
+        &self,
+        ctx: &BindContext,
+        plan: BindPlan,
+        target: Option<NodeId>,
+        location: Option<NodeId>,
+    ) -> Result<ActionSpec, MageError> {
+        let not_found = || MageError::NotFound(ctx.object.clone());
+        Ok(match (ctx.coerced, plan.mode) {
+            (Coerced::AsLpc, _) => ActionSpec::Local,
+            (Coerced::AsRpc, _) => ActionSpec::InvokeAt {
+                node: location
+                    .expect("coerced to RPC implies a located component")
+                    .as_raw(),
             },
-        ))
+            (Coerced::Proceed, Mode::Stationary) => match plan.target {
+                Target::Client => ActionSpec::Local,
+                _ => ActionSpec::InvokeAt {
+                    node: target.ok_or_else(not_found)?.as_raw(),
+                },
+            },
+            (Coerced::Proceed, Mode::Move) => {
+                let dest =
+                    target.ok_or_else(|| MageError::BadPlan("move needs a target".into()))?;
+                location.ok_or_else(not_found)?;
+                ActionSpec::MoveTo {
+                    node: dest.as_raw(),
+                }
+            }
+            (Coerced::Proceed, Mode::Factory { state, visibility }) => {
+                // Factory binds register the fresh instance under the
+                // component's object name, replacing any previous instance
+                // (RMI-style rebind): that is how the paper's REV factory
+                // creates `geoData` on `sensor1` for later attributes to
+                // bind to (§3.6). They declare no durability policy of
+                // their own; policy-bearing creation is `Session::create`.
+                let mut inner = self.inner.borrow_mut();
+                inner.dir.visibility.insert(ctx.object_id, visibility);
+                ActionSpec::Instantiate {
+                    node: target.unwrap_or(ctx.client).as_raw(),
+                    args: InstantiateArgs {
+                        class: ctx.class_id,
+                        name: ctx.object_id,
+                        state: ByteBuf(state),
+                        visibility,
+                        durability: Durability::Volatile,
+                        backup: None,
+                        replace: true,
+                    },
+                }
+            }
+        })
     }
 
     // ---- invocation ----
 
-    /// Builds the spec for a plain invocation through a stub.
+    /// Issues an invocation through a stub: the one path of `call`,
+    /// `call_async`, `call_raw`, `call_handle`, `send` and `send_async`.
     ///
     /// Location and identity separate here: the session cache advises
     /// *where* to send the call (objects move behind a stub's back, §3.5),
-    /// but the *identity* invoked is pinned by the stub itself — a stub
-    /// either reaches the object it was bound to or resolves to
-    /// `StaleIdentity`, even when the session already knows about a
-    /// replacement. Rebinding to the replacement is an explicit act
-    /// ([`Session::rebind`]), never a side effect of a cache refresh.
-    fn invoke_spec(&self, stub: &Stub, method: NameId, args: Bytes, one_way: bool) -> ExecSpec {
-        self.invoke_spec_with(stub, method, args, one_way, true)
-    }
-
-    /// [`invoke_spec`](Session::invoke_spec) with the identity pinning
-    /// made explicit: unpinned handles let the engine re-resolve identity
-    /// (recovery of a replicated object becomes invisible to the caller).
-    fn invoke_spec_with(
+    /// but a `pinned` call invokes the *identity* the stub was bound to —
+    /// it either reaches that object or resolves to `StaleIdentity`, even
+    /// when the session already knows about a replacement. Rebinding to
+    /// the replacement is an explicit act ([`Session::rebind`]), never a
+    /// side effect of a cache refresh; unpinned handles let the engine
+    /// re-resolve identity. A `one_way` send learns nothing about where
+    /// the object answered.
+    fn invoke<T>(
         &self,
         stub: &Stub,
         method: NameId,
         args: Bytes,
-        one_way: bool,
         pinned: bool,
-    ) -> ExecSpec {
-        let at = self
-            .state
+        one_way: bool,
+        decode: DecodeFn<T>,
+    ) -> Pending<T> {
+        let key = CompKey::object(stub.object_id);
+        let at = self.cached_node(key).unwrap_or(stub.at);
+        let backup = self
+            .inner
             .borrow()
-            .cached_loc
-            .get(&CompKey::object(stub.object_id))
-            .map(|entry| entry.node)
-            .unwrap_or(stub.at);
-        ExecSpec {
+            .dir
+            .backups
+            .get(&key)
+            .map(|n| n.as_raw());
+        let spec = ExecSpec {
             class: stub.class_id,
             object: stub.object_id,
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
             home_hint: stub.home.map(|n| n.as_raw()),
-            backup_hint: self
-                .inner
-                .borrow()
-                .dir
-                .backups
-                .get(&CompKey::object(stub.object_id))
-                .map(|n| n.as_raw()),
+            backup_hint: backup,
             action: ActionSpec::InvokeAt { node: at.as_raw() },
             invoke: Some(InvokeSpec {
                 method,
@@ -883,7 +831,9 @@ impl Session {
                 one_way,
             }),
             guard: false,
-        }
+        };
+        let learn = (!one_way).then_some(key);
+        self.issue(learn, move |op| Command::Execute { op, spec }, decode)
     }
 
     /// Invokes a typed method through a stub and decodes the result.
@@ -896,8 +846,7 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let method = self.syms.intern(method.name());
-        decode_result(self.invoke_through(stub, method, self.marshal(args)?, true)?)
+        self.call_async(stub, method, args)?.wait()
     }
 
     /// Starts a typed invocation without blocking.
@@ -916,17 +865,13 @@ impl Session {
         R: DeserializeOwned,
     {
         let method = self.syms.intern(method.name());
-        let spec = self.invoke_spec(stub, method, self.marshal(args)?, false);
-        let object_key = CompKey::object(stub.object_id);
-        Ok(self.issue(
-            move |op| Command::Execute { op, spec },
-            Box::new(move |outcome, _dir, state| {
-                state.cached_loc.insert(
-                    object_key,
-                    Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
-                );
-                decode_result(outcome.result)
-            }),
+        Ok(self.invoke(
+            stub,
+            method,
+            self.marshal(args)?,
+            true,
+            false,
+            Box::new(|outcome, _dir| decode_result(outcome.result)),
         ))
     }
 
@@ -937,27 +882,10 @@ impl Session {
     /// Propagates invocation faults.
     pub fn call_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<Vec<u8>, MageError> {
         let method = self.syms.intern(method);
-        let result = self.invoke_through(stub, method, Bytes::from(args), true)?;
-        Ok(expect_result(result)?.to_vec())
-    }
-
-    /// Shared blocking-invocation core: runs the invoke ladder with the
-    /// given identity pinning, refreshes the session cache and returns the
-    /// marshalled result.
-    fn invoke_through(
-        &self,
-        stub: &Stub,
-        method: NameId,
-        args: Bytes,
-        pinned: bool,
-    ) -> Result<Option<Bytes>, MageError> {
-        let spec = self.invoke_spec_with(stub, method, args, false, pinned);
-        let outcome = self.command(move |op| Command::Execute { op, spec })?;
-        self.state.borrow_mut().cached_loc.insert(
-            CompKey::object(stub.object_id),
-            Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
-        );
-        Ok(outcome.result)
+        let decode: DecodeFn<Vec<u8>> =
+            Box::new(|outcome, _dir| Ok(expect_result(outcome.result)?.to_vec()));
+        self.invoke(stub, method, Bytes::from(args), true, false, decode)
+            .wait()
     }
 
     /// Invokes a typed method through an [`ObjectHandle`], applying its
@@ -992,13 +920,16 @@ impl Session {
         R: DeserializeOwned,
     {
         let (method, bytes) = (self.syms.intern(method.name()), self.marshal(args)?);
-        let first = self.invoke_through(&handle.stub, method, bytes.clone(), handle.pinned);
-        let out = match first {
+        let pinned = handle.pinned;
+        let call = |stub: &Stub, args: Bytes| {
+            let raw: DecodeFn<Option<Bytes>> = Box::new(|outcome, _dir| Ok(outcome.result));
+            self.invoke(stub, method, args, pinned, false, raw).wait()
+        };
+        let out = match call(&handle.stub, bytes.clone()) {
             Err(MageError::StaleIdentity { .. }) if handle.durability.is_replicated() => {
-                let fresh = self.rebind(&handle.stub)?;
-                handle.stub = fresh;
+                handle.stub = self.rebind(&handle.stub)?;
                 self.inner.borrow_mut().world.bump_metric("auto_rebinds");
-                self.invoke_through(&handle.stub, method, bytes, handle.pinned)?
+                call(&handle.stub, bytes)?
             }
             other => other?,
         };
@@ -1046,15 +977,14 @@ impl Session {
     where
         A: Serialize,
     {
-        let spec = self.invoke_spec(
+        let method = self.syms.intern(method.name());
+        Ok(self.invoke(
             stub,
-            self.syms.intern(method.name()),
+            method,
             self.marshal(args)?,
             true,
-        );
-        Ok(self.issue(
-            move |op| Command::Execute { op, spec },
-            Box::new(|_outcome, _dir, _state| Ok(())),
+            true,
+            Box::new(|_outcome, _dir| Ok(())),
         ))
     }
 
@@ -1082,13 +1012,14 @@ impl Session {
         let key = self.object_key(name)?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
+            None,
             move |op| Command::Lock {
                 op,
                 name: key.id,
                 target: target.as_raw(),
                 home_hint,
             },
-            Box::new(|outcome, _dir, _state| {
+            Box::new(|outcome, _dir| {
                 outcome
                     .lock_kind
                     .ok_or_else(|| MageError::Rmi("lock reply carried no kind".into()))
@@ -1115,12 +1046,13 @@ impl Session {
         let key = self.object_key(name)?;
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         Ok(self.issue(
+            None,
             move |op| Command::Unlock {
                 op,
                 name: key.id,
                 home_hint,
             },
-            Box::new(|_outcome, _dir, _state| Ok(())),
+            Box::new(|_outcome, _dir| Ok(())),
         ))
     }
 }

@@ -2,9 +2,11 @@
 //! stubs, in-transit objects, and the visibility rules of §3.5/§4.2 —
 //! driven through interleaving sessions.
 
-use mage_core::attribute::{Cle, Cod, Grev, Rev, Rpc};
+use mage_core::attribute::{
+    BindPlan, Cle, Cod, Grev, MobilityAttribute, PolicyAttribute, Rev, Rpc,
+};
 use mage_core::workload_support::{geo_data_filter_class, methods, test_object_class};
-use mage_core::{LockKind, ObjectSpec, Runtime, Visibility};
+use mage_core::{LockKind, MageError, ObjectSpec, Runtime, Visibility};
 use mage_sim::{SimDuration, TraceEvent};
 
 fn runtime(nodes: &[&str]) -> Runtime {
@@ -71,60 +73,116 @@ fn queued_mover_waits_for_migration_triggered_by_lock_holder() {
     m2.unlock("obj").unwrap();
 }
 
-#[test]
-fn private_objects_skip_the_find_on_every_bind() {
-    let mut rt = Runtime::builder()
-        .fast()
-        .nodes(["client", "server"])
-        .class(test_object_class())
-        .trace(true)
-        .build();
-    rt.deploy_class("TestObject", "server").unwrap();
-    rt.session("server")
-        .unwrap()
-        .create(
-            ObjectSpec::new("priv")
-                .class("TestObject")
-                .visibility(Visibility::Private),
-        )
-        .unwrap();
-    let client = rt.session("client").unwrap();
-    let attr = Rpc::new("TestObject", "priv", "server");
-    rt.world_mut().trace_mut().clear();
-    for _ in 0..5 {
-        let (_s, _v) = client.bind_invoke(&attr, methods::INC, &()).unwrap();
-    }
-    let finds = rt.world().trace().sends_with_label("call:mage.find");
-    assert_eq!(
-        finds, 0,
-        "private objects' cached location is authoritative (§3.5)"
-    );
+/// One row of the bind ladder's find table: an attribute, how many times a
+/// fresh client session binds and invokes through it, how many
+/// `mage.find` calls those binds send, and how the last bind ends.
+struct LadderRow {
+    what: &'static str,
+    attr: Box<dyn MobilityAttribute>,
+    binds: usize,
+    finds: usize,
+    outcome: Result<(), MageError>,
+}
+
+/// A custom attribute whose plan needs the object's location: without one
+/// it fails `NotFound`, which sends the bind to find and plan again.
+fn needs_location(object: &'static str) -> Box<dyn MobilityAttribute> {
+    Box::new(PolicyAttribute::new(
+        "NeedsLocation",
+        "TestObject",
+        object,
+        move |view| {
+            view.location()
+                .ok_or_else(|| MageError::NotFound(format!("location of {object}")))?;
+            Ok(BindPlan::stay())
+        },
+    ))
 }
 
 #[test]
-fn public_objects_are_found_before_each_bind() {
-    let mut rt = Runtime::builder()
-        .fast()
-        .nodes(["client", "server"])
-        .class(test_object_class())
-        .trace(true)
-        .build();
-    rt.deploy_class("TestObject", "server").unwrap();
-    rt.session("server")
-        .unwrap()
-        .create(ObjectSpec::new("pub").class("TestObject"))
-        .unwrap();
-    let client = rt.session("client").unwrap();
-    rt.world_mut().trace_mut().clear();
-    let attr = Rpc::new("TestObject", "pub", "server");
-    for _ in 0..3 {
-        let (_s, _v) = client.bind_invoke(&attr, methods::INC, &()).unwrap();
+fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
+    let rows = [
+        LadderRow {
+            what: "private objects' cached location is authoritative (§3.5)",
+            attr: Box::new(Rpc::new("TestObject", "priv", "server")),
+            binds: 5,
+            finds: 0,
+            outcome: Ok(()),
+        },
+        LadderRow {
+            what: "shared objects must be found before each use (§3.5)",
+            attr: Box::new(Rpc::new("TestObject", "pub", "server")),
+            binds: 3,
+            finds: 3,
+            outcome: Ok(()),
+        },
+        LadderRow {
+            what: "an attribute factory creates without finding",
+            attr: Box::new(Rev::factory("TestObject", "made", "server")),
+            binds: 2,
+            finds: 0,
+            outcome: Ok(()),
+        },
+        LadderRow {
+            what: "a fresh session plans a private object from its directory home",
+            attr: Box::new(Cle::new("TestObject", "priv")),
+            binds: 1,
+            finds: 0,
+            outcome: Ok(()),
+        },
+        LadderRow {
+            what: "a public object no node hosts: the session's find answers \
+                   locally, the engine's find asks the class home",
+            attr: Box::new(Rpc::new("TestObject", "ghost", "server")),
+            binds: 1,
+            finds: 1,
+            outcome: Err(MageError::NotFound("ghost".into())),
+        },
+        LadderRow {
+            what: "a plan that needs a location finds once per bind: to plan, then before use",
+            attr: needs_location("pub"),
+            binds: 2,
+            finds: 2,
+            outcome: Ok(()),
+        },
+        LadderRow {
+            what: "a first find that fails reports what the plan missed",
+            attr: needs_location("ghost"),
+            binds: 1,
+            finds: 0,
+            outcome: Err(MageError::NotFound("location of ghost".into())),
+        },
+    ];
+    for row in rows {
+        let mut rt = Runtime::builder()
+            .fast()
+            .nodes(["client", "server"])
+            .class(test_object_class())
+            .trace(true)
+            .build();
+        rt.deploy_class("TestObject", "server").unwrap();
+        let server = rt.session("server").unwrap();
+        server
+            .create(ObjectSpec::new("pub").class("TestObject"))
+            .unwrap();
+        server
+            .create(
+                ObjectSpec::new("priv")
+                    .class("TestObject")
+                    .visibility(Visibility::Private),
+            )
+            .unwrap();
+        let client = rt.session("client").unwrap();
+        rt.world_mut().trace_mut().clear();
+        let mut outcome = Ok(());
+        for _ in 0..row.binds {
+            outcome = client
+                .bind_invoke(row.attr.as_ref(), methods::INC, &())
+                .map(|_| ());
+        }
+        let finds = rt.world().trace().sends_with_label("call:mage.find");
+        assert_eq!((finds, outcome), (row.finds, row.outcome), "{}", row.what);
     }
-    let finds = rt.world().trace().sends_with_label("call:mage.find");
-    assert_eq!(
-        finds, 3,
-        "shared objects must be found before each use (§3.5)"
-    );
 }
 
 #[test]

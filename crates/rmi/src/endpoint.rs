@@ -236,8 +236,6 @@ struct PendingCall {
     /// with strings attached (once per call; a second NACK is surfaced).
     reshipped: bool,
     attempts: u32,
-    max_retries: u32,
-    timeout: SimDuration,
 }
 
 /// Whether a peer has acknowledged learning one of our interned names.
@@ -479,32 +477,8 @@ impl<'a, 'c> Env<'a, 'c> {
         self.surcharge += d;
     }
 
-    /// Binds `object` under `name` in this endpoint's registry, returning
-    /// the previous binding if any.
-    pub fn bind(
-        &mut self,
-        name: impl IntoName,
-        object: Box<dyn RemoteObject>,
-    ) -> Option<Box<dyn RemoteObject>> {
-        let id = name.into_name(&self.state.syms);
-        self.state.objects.insert(id, object)
-    }
-
-    /// Removes the binding for `name`, returning the object if it existed.
-    pub fn unbind(&mut self, name: impl IntoName) -> Option<Box<dyn RemoteObject>> {
-        let id = name.into_name(&self.state.syms);
-        self.state.objects.remove(&id)
-    }
-
-    /// Whether `name` is bound locally.
-    pub fn is_bound(&self, name: &str) -> bool {
-        self.state
-            .syms
-            .lookup(name)
-            .is_some_and(|id| self.state.objects.contains_key(&id))
-    }
-
-    /// Originates a call with the endpoint's default timeout and retries.
+    /// Originates a call under the endpoint's timeout and retry budget
+    /// ([`Config::call_timeout`], [`Config::max_retries`]).
     ///
     /// `object`/`method` accept pre-interned [`NameId`]s (free) or strings
     /// (one interning lookup). `token` correlates the eventual
@@ -516,22 +490,6 @@ impl<'a, 'c> Env<'a, 'c> {
         method: impl IntoName,
         args: impl AsRef<[u8]>,
         token: u64,
-    ) {
-        let (timeout, retries) = (self.state.cfg.call_timeout, self.state.cfg.max_retries);
-        self.call_with(to, object, method, args, token, timeout, retries);
-    }
-
-    /// Originates a call with explicit timeout and retry budget.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_with(
-        &mut self,
-        to: NodeId,
-        object: impl IntoName,
-        method: impl IntoName,
-        args: impl AsRef<[u8]>,
-        token: u64,
-        timeout: SimDuration,
-        max_retries: u32,
     ) {
         let object = object.into_name(&self.state.syms);
         let method = method.into_name(&self.state.syms);
@@ -596,11 +554,10 @@ impl<'a, 'c> Env<'a, 'c> {
                 named,
                 reshipped: false,
                 attempts: 1,
-                max_retries,
-                timeout,
             },
         );
-        self.ctx.set_timer(delay + timeout, RETX_FLAG | call_id);
+        self.ctx
+            .set_timer(delay + self.state.cfg.call_timeout, RETX_FLAG | call_id);
     }
 
     /// Answers a deferred inbound call. Returns `true` when the reply was
@@ -948,10 +905,9 @@ impl<A: App> Endpoint<A> {
         let Some(pending) = self.state.pending.get_mut(&call_id) else {
             return; // answered already
         };
-        if pending.attempts <= pending.max_retries {
+        if pending.attempts <= self.state.cfg.max_retries {
             pending.attempts += 1;
             let to = pending.to;
-            let timeout = pending.timeout;
             let frame = pending.frame.clone();
             let label: Label = if ctx.trace_enabled() {
                 let object = self.state.syms.resolve_lossy(pending.object);
@@ -961,7 +917,7 @@ impl<A: App> Endpoint<A> {
                 "call".into()
             };
             ctx.send(to, label, frame);
-            ctx.set_timer(timeout, RETX_FLAG | call_id);
+            ctx.set_timer(self.state.cfg.call_timeout, RETX_FLAG | call_id);
         } else {
             // Retry budget exhausted with no response at all: the peer is
             // unreachable from here (crashed, partitioned, or silent).

@@ -378,15 +378,6 @@ impl World {
         }
     }
 
-    /// The current trace mode.
-    pub fn trace_mode(&self) -> TraceMode {
-        if self.trace.is_enabled() {
-            TraceMode::Full
-        } else {
-            TraceMode::Off
-        }
-    }
-
     /// Experiment metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
