@@ -4,7 +4,8 @@
 //!
 //! * a per-node name registry of [`RemoteObject`]s (skeleton dispatch)
 //! * outgoing calls with correlation ids, retransmission on loss and an
-//!   at-most-once server-side dedup cache
+//!   at-most-once server-side call table: each reply is kept, ready to
+//!   resend, until the caller's retry horizon has passed
 //! * connection priming: a client's first call to a given server pays a
 //!   one-time [`CostModel::connect`] charge (the paper's "warming the
 //!   caches" single-invocation overhead)
@@ -37,7 +38,8 @@
 //! object registry, and defer replies while it performs nested calls.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -53,17 +55,21 @@ use crate::wire::{call_label, encode_call_req, encode_call_rsp, WireMsg};
 /// Timer tags with this bit set are endpoint-internal (retransmission).
 const RETX_FLAG: u64 = 1 << 63;
 
-/// Endpoint configuration.
+/// Endpoint configuration. A `mage-core` `Runtime` gives all its endpoints
+/// one `Config`, so servers keep replies for their callers' retry horizon.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// CPU cost model for marshalling/dispatch/connection setup.
     pub cost: CostModel,
-    /// Time to wait for a response before retransmitting.
+    /// Time to wait for a response before retransmitting; must exceed
+    /// every one-way delay (the `sweep` bench raises it to 60 s for its
+    /// megabyte transfers). A server keeps each reply for the retry
+    /// horizon, `(max_retries + 2) × call_timeout` from caching it: the
+    /// caller's whole retry window plus the last copy's flight. A copy
+    /// delayed longer runs the call again.
     pub call_timeout: SimDuration,
     /// Retransmissions attempted after the first send.
     pub max_retries: u32,
-    /// Bound on the at-most-once response cache.
-    pub response_cache_size: usize,
 }
 
 impl Default for Config {
@@ -72,7 +78,6 @@ impl Default for Config {
             cost: CostModel::jdk_1_2_2(),
             call_timeout: SimDuration::from_millis(200),
             max_retries: 3,
-            response_cache_size: 1024,
         }
     }
 }
@@ -85,6 +90,13 @@ impl Config {
             cost: CostModel::zero(),
             ..Config::default()
         }
+    }
+
+    /// How long a served call's reply stays resendable (see
+    /// [`Config::call_timeout`]).
+    fn retry_horizon(&self) -> SimDuration {
+        self.call_timeout
+            .saturating_mul(u64::from(self.max_retries) + 2)
     }
 }
 
@@ -208,10 +220,10 @@ pub trait App {
     ///
     /// By the time this runs the endpoint has already invalidated its own
     /// per-peer state — symbol-ack tracking, connection priming, learned
-    /// name translations, the response dedup cache and deferred-call
-    /// bookkeeping for that peer. Apps use the hook for *their* per-peer
-    /// state: draining lock queues whose holder died, repairing registry
-    /// entries that point at the lost incarnation, and so on.
+    /// name translations and its calls in the at-most-once call table,
+    /// deferred or answered. Apps use the hook for *their* per-peer state:
+    /// draining lock queues whose holder died, repairing registry entries
+    /// that point at the lost incarnation, and so on.
     fn on_peer_restart(&mut self, _env: &mut Env<'_, '_>, _peer: NodeId) {}
 }
 
@@ -236,6 +248,14 @@ struct PendingCall {
     /// with strings attached (once per call; a second NACK is surfaced).
     reshipped: bool,
     attempts: u32,
+}
+
+/// A call this endpoint accepted, in the at-most-once call table.
+struct ServedCall {
+    /// Caller incarnation stamped in the request.
+    caller_epoch: u64,
+    /// `None` while deferred; then the ready-to-resend frame, its label and expiry time.
+    reply: Option<(Bytes, &'static str, SimTime)>,
 }
 
 /// Whether a peer has acknowledged learning one of our interned names.
@@ -267,15 +287,13 @@ pub struct EndpointState {
     /// and below (the old incarnation's acks, learned ids, primed
     /// connection and cached responses died with it).
     peer_epochs: HashMap<NodeId, u64>,
-    /// Calls handed to the app and awaiting a deferred reply, keyed by
-    /// `(caller, call_id)` with the caller epoch stamped in the request —
-    /// so a purge can drop exactly the entries belonging to a dead
-    /// incarnation, even when the peer was never in `peer_epochs`.
-    deferred: BTreeMap<(NodeId, u64), u64>,
-    /// At-most-once dedup cache: responses stored as ready-to-resend
-    /// frames with their static label and the caller epoch they answer.
-    response_cache: HashMap<(NodeId, u64), (Bytes, &'static str, u64)>,
-    cache_order: VecDeque<(NodeId, u64)>,
+    /// At-most-once call table by `(caller, call_id)`: deferred calls, then
+    /// their replies until the retry horizon passes. Caller epochs let a
+    /// purge drop a dead incarnation's entries even if it was never seen.
+    served: HashMap<(NodeId, u64), ServedCall>,
+    /// Expiry times of cached replies, oldest first. Purges leave slots
+    /// behind; a slot removes only an entry whose own expiry it matches.
+    expiry: VecDeque<(SimTime, (NodeId, u64))>,
     /// Reusable encode buffer for every outgoing frame.
     scratch: Vec<u8>,
 }
@@ -292,38 +310,31 @@ impl EndpointState {
             shipped: HashMap::new(),
             learned: HashMap::new(),
             peer_epochs: HashMap::new(),
-            deferred: BTreeMap::new(),
-            response_cache: HashMap::new(),
-            cache_order: VecDeque::new(),
+            served: HashMap::new(),
+            expiry: VecDeque::new(),
             scratch: Vec::with_capacity(256),
         }
     }
 
-    fn cache_response(
-        &mut self,
-        key: (NodeId, u64),
-        frame: Bytes,
-        label: &'static str,
-        caller_epoch: u64,
-    ) {
-        // Re-caching an existing key must not duplicate its order entry:
-        // a duplicate makes a later eviction pop a stale entry, dropping a
-        // *live* cached response while the map stays over budget.
-        if self
-            .response_cache
-            .insert(key, (frame, label, caller_epoch))
-            .is_none()
-        {
-            self.cache_order.push_back(key);
+    /// Answers the served call `key`, keeping the reply until the caller's
+    /// retry horizon passes.
+    fn cache_reply(&mut self, key: (NodeId, u64), frame: Bytes, label: &'static str, now: SimTime) {
+        self.expire(now);
+        let expires = now + self.cfg.retry_horizon();
+        if let Some(call) = self.served.get_mut(&key) {
+            call.reply = Some((frame, label, expires));
+            self.expiry.push_back((expires, key));
         }
-        while self.response_cache.len() > self.cfg.response_cache_size {
-            // Entries purged out of band (peer restarts) leave stale order
-            // slots behind; skip them until the map actually shrinks.
-            match self.cache_order.pop_front() {
-                Some(evicted) => {
-                    self.response_cache.remove(&evicted);
+    }
+
+    /// Drops every cached reply whose horizon has passed by `now`.
+    fn expire(&mut self, now: SimTime) {
+        while let Some(&(at, key)) = self.expiry.front().filter(|(at, _)| *at <= now) {
+            self.expiry.pop_front();
+            if let Entry::Occupied(call) = self.served.entry(key) {
+                if matches!(call.get().reply, Some((_, _, expires)) if expires == at) {
+                    call.remove();
                 }
-                None => break,
             }
         }
     }
@@ -339,12 +350,12 @@ impl EndpointState {
             }
             Some(_) => false,
             None => {
-                // First sighting of this peer's epoch. Dedup-cache and
-                // deferred entries normally imply a prior sighting, but an
-                // entry can outlive the tracking map's knowledge (first
-                // contact after a restart); any entry stamped with a
-                // different caller epoch belongs to a dead incarnation and
-                // must not answer — or block — the fresh one's calls.
+                // First sighting of this peer's epoch. Call-table entries
+                // normally imply a prior sighting, but an entry can outlive
+                // the tracking map's knowledge (first contact after a
+                // restart); any entry stamped with a different caller epoch
+                // belongs to a dead incarnation and must not answer — or
+                // block — the fresh one's calls.
                 self.purge_stale_epoch_entries(peer, epoch);
                 false
             }
@@ -353,31 +364,20 @@ impl EndpointState {
 
     /// Forgets everything tied to a dead incarnation of `peer`: name-ack
     /// state (strings must ship again), the primed connection, learned id
-    /// translations, cached responses (the fresh incarnation reuses call
-    /// ids from zero) and deferred-call bookkeeping.
+    /// translations and its served calls (the fresh incarnation reuses
+    /// call ids from zero).
     fn purge_peer(&mut self, peer: NodeId) {
         self.primed.remove(&peer);
         self.shipped.remove(&peer);
         self.learned.retain(|(node, _), _| *node != peer);
-        self.response_cache.retain(|(node, _), _| *node != peer);
-        self.cache_order.retain(|(node, _)| *node != peer);
-        self.deferred.retain(|(node, _), _| *node != peer);
+        self.served.retain(|(node, _), _| *node != peer);
     }
 
-    /// Drops dedup-cache and deferred entries for `peer` whose recorded
-    /// caller epoch differs from `epoch`. The dropped keys' `cache_order`
-    /// slots go too: the fresh incarnation reuses call ids from zero, and
-    /// re-caching a key whose stale order slot survived would duplicate
-    /// it — making a later eviction pop the stale slot and drop a *live*
-    /// cached response (the PR 3 eviction-corruption regression).
+    /// Drops `peer`'s served calls whose recorded caller epoch differs
+    /// from `epoch`.
     fn purge_stale_epoch_entries(&mut self, peer: NodeId, epoch: u64) {
-        self.response_cache
-            .retain(|(node, _), (_, _, e)| *node != peer || *e == epoch);
-        self.deferred
-            .retain(|(node, _), e| *node != peer || *e == epoch);
-        let cache = &self.response_cache;
-        self.cache_order
-            .retain(|key| key.0 != peer || cache.contains_key(key));
+        self.served
+            .retain(|(node, _), call| *node != peer || call.caller_epoch == epoch);
     }
 
     /// Translates a wire id from `from` to a local id, learning the
@@ -584,15 +584,13 @@ impl<'a, 'c> Env<'a, 'c> {
     /// Same as [`Env::reply`].
     pub fn reply_with(&mut self, handle: ReplyHandle, result: Result<&[u8], &Fault>) -> bool {
         let key = (handle.caller, handle.call_id);
-        match self.state.deferred.get(&key) {
-            // The entry belongs to this handle's incarnation: answer it.
-            Some(&epoch) if epoch == handle.caller_epoch => {
-                self.state.deferred.remove(&key);
-            }
+        match self.state.served.get(&key) {
             // A *fresh* incarnation's call reused the id while this
             // handle's caller is dead: the entry is not ours to answer.
-            Some(_) => return false,
-            None => {
+            Some(call) if call.caller_epoch != handle.caller_epoch => return false,
+            // The entry belongs to this handle's incarnation: answer it.
+            Some(ServedCall { reply: None, .. }) => {}
+            _ => {
                 // The caller restarted while its call was deferred: the
                 // entry was purged with the dead incarnation (our learned
                 // view of the peer's epoch has moved past the handle's).
@@ -619,9 +617,9 @@ impl<'a, 'c> Env<'a, 'c> {
             result,
         );
         self.state
-            .cache_response(key, frame.clone(), label, handle.caller_epoch);
-        let delay = self.surcharge;
-        self.ctx.send_after(delay, handle.caller, label, frame);
+            .cache_reply(key, frame.clone(), label, self.ctx.now());
+        self.ctx
+            .send_after(self.surcharge, handle.caller, label, frame);
         true
     }
 
@@ -721,17 +719,23 @@ impl<A: App> Endpoint<A> {
             call_id,
             caller_epoch,
         };
-        // At-most-once: duplicate of an answered call re-sends the cached
-        // response frame without re-executing or re-encoding.
-        if let Some((frame, label, _)) = self.state.response_cache.get(&key) {
-            let (frame, label) = (frame.clone(), *label);
-            ctx.send(from, label, frame);
-            return;
-        }
-        // Duplicate of a call still being processed (deferred): drop it;
-        // the eventual reply satisfies the client's retransmission.
-        if self.state.deferred.contains_key(&key) {
-            return;
+        // At-most-once: a duplicate of an answered call re-sends the cached
+        // frame without re-executing or re-encoding; a duplicate of a
+        // deferred call is dropped (its eventual reply answers both).
+        self.state.expire(ctx.now());
+        match self.state.served.entry(key) {
+            Entry::Occupied(call) => {
+                if let Some((frame, label, _)) = &call.get().reply {
+                    ctx.send(from, *label, frame.clone());
+                }
+                return;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(ServedCall {
+                    caller_epoch,
+                    reply: None,
+                });
+            }
         }
         if ctx.trace_enabled() {
             // Invariant marker for the chaos harness: one per *execution*
@@ -769,13 +773,11 @@ impl<A: App> Endpoint<A> {
                 caller_epoch,
                 result.as_ref().map(|v| v.as_slice()),
             );
-            self.state
-                .cache_response(key, frame.clone(), label, caller_epoch);
+            self.state.cache_reply(key, frame.clone(), label, ctx.now());
             ctx.send_after(dispatch_cost + service, from, label, frame);
             return;
         }
         // ...then the app layer (e.g. MAGE system services).
-        self.state.deferred.insert(key, caller_epoch);
         let call = InboundCall {
             object,
             method,
@@ -1045,14 +1047,8 @@ impl<A> std::fmt::Debug for Endpoint<A> {
 mod tests {
     use super::*;
 
-    fn state(cache_size: usize) -> EndpointState {
-        EndpointState::new(
-            Config {
-                response_cache_size: cache_size,
-                ..Config::default()
-            },
-            SymbolTable::shared(),
-        )
+    fn state() -> EndpointState {
+        EndpointState::new(Config::default(), SymbolTable::shared())
     }
 
     fn key(node: u32, call: u64) -> (NodeId, u64) {
@@ -1063,52 +1059,109 @@ mod tests {
         Bytes::from(vec![tag])
     }
 
-    /// Regression: re-caching an existing `(peer, token)` key used to push
-    /// a duplicate entry into `cache_order`, so a later eviction popped the
-    /// stale order entry and could drop a *live* cached response while the
-    /// map stayed over budget.
-    #[test]
-    fn recaching_a_key_does_not_corrupt_eviction_order() {
-        let mut st = state(2);
-        st.cache_response(key(0, 1), frame(1), "rsp:ok", 0);
-        st.cache_response(key(0, 2), frame(2), "rsp:ok", 0);
-        // Re-cache the first key: the map entry updates in place and the
-        // order queue must not grow a duplicate.
-        st.cache_response(key(0, 1), frame(11), "rsp:ok", 0);
-        assert_eq!(st.response_cache.get(&key(0, 1)).unwrap().0, frame(11));
-        assert_eq!(st.cache_order.len(), 2);
-        // Keep inserting: the budget must hold and the newest entries
-        // must survive every eviction.
-        st.cache_response(key(0, 3), frame(3), "rsp:ok", 0);
-        st.cache_response(key(0, 4), frame(4), "rsp:ok", 0);
-        st.cache_response(key(0, 5), frame(5), "rsp:ok", 0);
-        assert_eq!(st.response_cache.len(), 2, "cache must stay within budget");
-        assert!(st.response_cache.contains_key(&key(0, 4)));
-        assert!(st.response_cache.contains_key(&key(0, 5)));
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::from_micros(ms * 1000)
     }
 
-    /// Out-of-band purges (peer restarts) may leave stale order entries
-    /// behind; eviction must skip them rather than under-evict.
+    fn cache(st: &mut EndpointState, key: (NodeId, u64), epoch: u64, now: SimTime) {
+        defer(st, key, epoch);
+        st.cache_reply(key, frame(key.1 as u8), "rsp:ok", now);
+    }
+
+    fn defer(st: &mut EndpointState, key: (NodeId, u64), epoch: u64) {
+        let deferred = ServedCall {
+            caller_epoch: epoch,
+            reply: None,
+        };
+        st.served.insert(key, deferred);
+    }
+
+    /// The table's bound: once virtual time passes a reply's horizon and
+    /// the table is touched again, no reply older than the horizon is
+    /// left, and every younger one still answers its duplicates.
     #[test]
-    fn eviction_survives_out_of_band_purges() {
-        let mut st = state(2);
-        st.cache_response(key(1, 1), frame(1), "rsp:ok", 0);
-        st.cache_response(key(2, 1), frame(2), "rsp:ok", 0);
-        st.purge_peer(NodeId::from_raw(1));
-        assert_eq!(st.response_cache.len(), 1);
-        st.cache_response(key(2, 2), frame(3), "rsp:ok", 0);
-        st.cache_response(key(2, 3), frame(4), "rsp:ok", 0);
-        assert_eq!(st.response_cache.len(), 2);
-        assert!(st.response_cache.contains_key(&key(2, 2)));
-        assert!(st.response_cache.contains_key(&key(2, 3)));
+    fn no_reply_outlives_its_horizon() {
+        let mut st = state();
+        let horizon = st.cfg.retry_horizon();
+        // Four sends 200 ms apart, plus one timeout for the last's flight.
+        assert_eq!(horizon, SimDuration::from_millis(1000));
+        for call in 0..100u64 {
+            cache(&mut st, key(1, call), 0, at_ms(call * 10));
+        }
+        defer(&mut st, key(2, 0), 0);
+        assert_eq!(st.served.len(), 101, "nothing is due yet");
+        let now = at_ms(1500);
+        st.expire(now);
+        for (k, call) in &st.served {
+            if let Some((_, _, expires)) = call.reply {
+                assert!(expires > now, "{k:?} outlived its horizon");
+            }
+        }
+        // Replies cached after 500 ms are younger than the horizon.
+        assert_eq!(st.served.len(), 49 + 1);
+        assert!(st.served.contains_key(&key(1, 51)));
+        assert!(!st.served.contains_key(&key(1, 50)));
+        assert!(
+            st.served.contains_key(&key(2, 0)),
+            "deferred calls never expire"
+        );
+        // Touching the table far in the future leaves only the deferred call.
+        cache(&mut st, key(3, 0), 0, at_ms(990) + horizon);
+        assert_eq!(st.served.len(), 2);
+        assert_eq!(st.expiry.len(), 1);
+    }
+
+    /// After an epoch purge a fresh incarnation reuses call ids from zero.
+    /// Its reply to a reused key lives for its own full horizon, although
+    /// the dead incarnation's expiry slot for the same key comes due first.
+    #[test]
+    fn a_reused_key_keeps_its_reply_for_its_own_horizon() {
+        let mut st = state();
+        let horizon = st.cfg.retry_horizon();
+        let peer = NodeId::from_raw(1);
+        assert!(!st.note_peer_epoch(peer, 0));
+        cache(&mut st, (peer, 0), 0, at_ms(0));
+        assert!(st.note_peer_epoch(peer, 1), "restart detected");
+        assert!(st.served.is_empty(), "the dead incarnation's reply is gone");
+        cache(&mut st, (peer, 0), 1, at_ms(400));
+        // The dead slot is due; the live reply is not.
+        st.expire(at_ms(0) + horizon);
+        assert_eq!(st.served[&(peer, 0)].caller_epoch, 1);
+        st.expire(at_ms(1399));
+        assert!(st.served.contains_key(&(peer, 0)), "alive to its horizon");
+        st.expire(at_ms(400) + horizon);
+        assert!(st.served.is_empty());
+        assert!(st.expiry.is_empty());
+    }
+
+    /// Slots orphaned by either purge never remove a live entry — neither
+    /// a deferred call nor a reply — that later took the same key.
+    #[test]
+    fn slots_orphaned_by_a_purge_never_remove_a_live_entry() {
+        let mut st = state();
+        let horizon = st.cfg.retry_horizon();
+        let (a, b) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        // Entries installed before either peer's epoch is known.
+        cache(&mut st, (a, 0), 0, at_ms(0));
+        cache(&mut st, (b, 0), 0, at_ms(0));
+        st.purge_peer(a);
+        assert!(!st.note_peer_epoch(b, 1), "first sighting purges epoch 0");
+        assert!(st.served.is_empty());
+        assert_eq!(st.expiry.len(), 2, "purges leave their slots behind");
+        defer(&mut st, (a, 0), 1);
+        cache(&mut st, (b, 0), 1, at_ms(1));
+        st.expire(at_ms(0) + horizon);
+        assert_eq!(st.expiry.len(), 1, "both orphaned slots popped");
+        assert!(st.served[&(a, 0)].reply.is_none(), "deferred call kept");
+        assert!(st.served[&(b, 0)].reply.is_some(), "live reply kept");
     }
 
     /// A peer-epoch change must invalidate every per-peer table: symbol
-    /// acks (strings ship again), priming, learned translations, cached
-    /// responses and deferred bookkeeping — and only for that peer.
+    /// acks (strings ship again), priming, learned translations and the
+    /// peer's served calls, deferred or answered — and only for that peer.
     #[test]
     fn epoch_change_purges_all_per_peer_state() {
-        let mut st = state(8);
+        let mut st = state();
         let peer = NodeId::from_raw(1);
         let other = NodeId::from_raw(2);
         let name = st.syms.intern("geoData");
@@ -1118,8 +1171,8 @@ mod tests {
             assert!(!st.needs_name(node, name), "acked ids travel alone");
             st.primed.insert(node);
             st.learned.insert((node, 7), name);
-            st.cache_response((node, 1), frame(9), "rsp:ok", 0);
-            st.deferred.insert((node, 2), 0);
+            cache(&mut st, (node, 1), 0, SimTime::ZERO);
+            defer(&mut st, (node, 2), 0);
         }
         assert!(!st.note_peer_epoch(peer, 0), "first sighting records only");
         assert!(st.note_peer_epoch(peer, 1), "epoch bump detected");
@@ -1129,66 +1182,40 @@ mod tests {
         );
         assert!(!st.primed.contains(&peer));
         assert!(!st.learned.contains_key(&(peer, 7)));
-        assert!(!st.response_cache.contains_key(&(peer, 1)));
-        assert!(!st.deferred.contains_key(&(peer, 2)));
+        assert!(!st.served.contains_key(&(peer, 1)));
+        assert!(!st.served.contains_key(&(peer, 2)));
         // The other peer's state is untouched.
         assert!(!st.needs_name(other, name));
         assert!(st.primed.contains(&other));
         assert!(st.learned.contains_key(&(other, 7)));
-        assert!(st.response_cache.contains_key(&(other, 1)));
-        assert!(st.deferred.contains_key(&(other, 2)));
+        assert!(st.served.contains_key(&(other, 1)));
+        assert!(st.served.contains_key(&(other, 2)));
     }
 
-    /// The first-contact-after-restart edge: dedup-cache and deferred
-    /// entries can exist for a peer that was never recorded in
-    /// `peer_epochs`. The first sighting of that peer's epoch must still
-    /// drop every entry stamped with a *different* caller epoch — they
-    /// belong to a dead incarnation and must neither answer nor block the
-    /// fresh incarnation's calls.
+    /// The first-contact-after-restart edge: call-table entries can exist
+    /// for a peer that was never recorded in `peer_epochs`. The first
+    /// sighting of that peer's epoch must still drop every entry stamped
+    /// with a *different* caller epoch — they belong to a dead incarnation
+    /// and must neither answer nor block the fresh incarnation's calls.
     #[test]
     fn first_sighting_purges_entries_with_stale_caller_epochs() {
-        let mut st = state(8);
+        let mut st = state();
         let peer = NodeId::from_raw(3);
         // Entries from epoch 0 and epoch 2, installed without the peer
         // ever being noted in `peer_epochs`.
-        st.cache_response((peer, 1), frame(1), "rsp:ok", 0);
-        st.cache_response((peer, 2), frame(2), "rsp:ok", 2);
-        st.deferred.insert((peer, 3), 0);
-        st.deferred.insert((peer, 4), 2);
+        cache(&mut st, (peer, 1), 0, SimTime::ZERO);
+        cache(&mut st, (peer, 2), 2, SimTime::ZERO);
+        defer(&mut st, (peer, 3), 0);
+        defer(&mut st, (peer, 4), 2);
         assert!(!st.peer_epochs.contains_key(&peer), "precondition");
         // First sighting at epoch 2: stale-epoch entries go, current stay.
         assert!(
             !st.note_peer_epoch(peer, 2),
             "first sighting is not a restart"
         );
-        assert!(!st.response_cache.contains_key(&(peer, 1)));
-        assert!(st.response_cache.contains_key(&(peer, 2)));
-        assert!(!st.deferred.contains_key(&(peer, 3)));
-        assert!(st.deferred.contains_key(&(peer, 4)));
-    }
-
-    /// The epoch-purge must also drop the purged keys' `cache_order`
-    /// slots: the fresh incarnation reuses call ids, and a surviving
-    /// stale slot would duplicate on re-cache — making a later eviction
-    /// pop the stale slot and drop a *live* response while the map stays
-    /// over budget (the PR 3 eviction-corruption regression class).
-    #[test]
-    fn epoch_purge_cleans_cache_order_so_reused_ids_do_not_corrupt_eviction() {
-        let mut st = state(2);
-        let peer = NodeId::from_raw(1);
-        st.cache_response((peer, 0), frame(1), "rsp:ok", 0);
-        // First sighting at epoch 1 purges the epoch-0 entry…
-        assert!(!st.note_peer_epoch(peer, 1));
-        assert!(st.response_cache.is_empty());
-        // …including its order slot, so re-caching the reused id does not
-        // duplicate it.
-        st.cache_response((peer, 0), frame(2), "rsp:ok", 1);
-        assert_eq!(st.cache_order.len(), 1);
-        // Evictions stay coherent: the newest entries always survive.
-        st.cache_response((peer, 1), frame(3), "rsp:ok", 1);
-        st.cache_response((peer, 2), frame(4), "rsp:ok", 1);
-        assert_eq!(st.response_cache.len(), 2);
-        assert!(st.response_cache.contains_key(&(peer, 1)));
-        assert!(st.response_cache.contains_key(&(peer, 2)));
+        assert!(!st.served.contains_key(&(peer, 1)));
+        assert!(st.served.contains_key(&(peer, 2)));
+        assert!(!st.served.contains_key(&(peer, 3)));
+        assert!(st.served.contains_key(&(peer, 4)));
     }
 }

@@ -48,7 +48,7 @@ pub enum Fault {
     /// this endpoint has never learned (the first-use carrier frame was
     /// lost, or this endpoint restarted and lost its learned table). The
     /// caller re-sends the request with the backing strings attached.
-    /// Never cached in the dedup cache — it is not an execution outcome.
+    /// Never cached in the call table — it is not an execution outcome.
     UnknownName {
         /// The raw wire id that failed to translate.
         id: u32,

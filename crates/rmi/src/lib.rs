@@ -7,7 +7,7 @@
 //! * [`Endpoint`] — one per namespace; serves a registry of named
 //!   [`RemoteObject`]s and originates calls for its [`App`]
 //! * at-most-once call semantics: client retransmission on loss plus a
-//!   server-side response cache keyed by call id
+//!   server-side call table keeping each reply for the caller's retry horizon
 //! * [`CostModel`] — CPU charges for marshalling, dispatch and connection
 //!   priming, calibrated to the paper's JDK 1.2.2 testbed
 //! * [`drive_call`] — a synchronous plain-RMI client used as the *Java's
