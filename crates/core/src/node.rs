@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! The MAGE node: one per namespace, combining the paper's `MageServer`,
 //! `MageExternalServer` and MAGE registry roles (§4.1, Figure 6).
 //!
@@ -49,8 +50,6 @@ pub struct NodeConfig {
     pub invoke_overhead: SimDuration,
     /// CPU charged to reconstruct an object from its migration snapshot.
     pub reify_cost: SimDuration,
-    /// Whether classes with static fields may be replicated here (§4.2).
-    pub allow_static_classes: bool,
     /// Retries when an invocation races a migration (object moved between
     /// find and invoke).
     pub race_retries: u8,
@@ -63,7 +62,6 @@ impl Default for NodeConfig {
             bind_overhead: SimDuration::from_micros(1_200),
             invoke_overhead: SimDuration::from_micros(500),
             reify_cost: SimDuration::from_micros(1_000),
-            allow_static_classes: false,
             race_retries: 3,
         }
     }
@@ -187,6 +185,8 @@ pub struct MageNode {
     pub(crate) next_task: u64,
     pub(crate) trust: TrustPolicy,
     pub(crate) quotas: Quotas,
+    /// Whether classes with static fields may be replicated here (§4.2).
+    pub(crate) allow_static_classes: bool,
     /// Find requests for objects currently in transit, answered when the
     /// move settles (with the destination) or aborts (with this node).
     /// Concurrent clients may legitimately look an object up mid-move —
@@ -234,6 +234,7 @@ impl MageNode {
             next_task: 0,
             trust: TrustPolicy::default(),
             quotas: Quotas::unlimited(),
+            allow_static_classes: false,
             transit_finds: BTreeMap::new(),
             backups: BTreeMap::new(),
         }
@@ -612,7 +613,7 @@ impl MageNode {
             )));
         }
         let args: proto::ReceiveClassArgs = decode_args(&call)?;
-        if args.has_static_fields && !self.config.allow_static_classes {
+        if args.has_static_fields && !self.allow_static_classes {
             return Err(Fault::AccessDenied(format!(
                 "class {} has static fields; replication would fork static state",
                 self.name_str(args.class)
@@ -701,17 +702,6 @@ impl MageNode {
 
     fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: Command) {
         match cmd {
-            Command::DeployClass { op, class } => {
-                if !self.defs.contains_key(&class) {
-                    let err = MageError::ClassUnavailable(self.name_str(class));
-                    return self.complete(env, op, Err(err));
-                }
-                self.classes.insert(class);
-                let me = env.node();
-                self.registry
-                    .update(CompKey::class(class), Located::untracked(me));
-                self.complete_admin(env, op);
-            }
             Command::CreateObject { op, args } => {
                 let result = self.create_local_object(env, &args);
                 self.complete(env, op, result);
@@ -739,45 +729,7 @@ impl MageNode {
                 env.charge(self.config.bind_overhead);
                 self.exec_start(env, op, spec);
             }
-            Command::SetTrust { op, allow } => {
-                self.trust = match allow {
-                    None => TrustPolicy::TrustAll,
-                    Some(ids) => TrustPolicy::allow_raw(ids),
-                };
-                self.complete_admin(env, op);
-            }
-            Command::SetQuota {
-                op,
-                max_objects,
-                max_classes,
-            } => {
-                self.quotas = Quotas {
-                    max_objects,
-                    max_classes,
-                };
-                self.complete_admin(env, op);
-            }
-            Command::AllowStaticClasses { op, allow } => {
-                self.config.allow_static_classes = allow;
-                self.complete_admin(env, op);
-            }
-            Command::SeedRegistry { op, key, loc } => {
-                // Admin seeds construct pathological chains on purpose;
-                // they carry no identity knowledge.
-                self.registry
-                    .update(key, Located::untracked(NodeId::from_raw(loc)));
-                self.complete_admin(env, op);
-            }
         }
-    }
-
-    /// Completes an admin command: it answers only where it ran.
-    fn complete_admin(&mut self, env: &mut Env<'_, '_>, op: OpId) {
-        let done = Outcome {
-            location: env.node().as_raw(),
-            ..Outcome::default()
-        };
-        self.complete(env, op, Ok(done));
     }
 
     /// Creates the object `args` describes on this node for its own

@@ -471,18 +471,12 @@ pub struct ExecSpec {
     pub guard: bool,
 }
 
-/// Commands injected by the experiment driver into a MAGE node. Each
-/// completes its op with a `Result<Outcome, MageError>`.
+/// The session operations a driver injects into its MAGE node. Each
+/// completes its op with a `Result<Outcome, MageError>`. Admin
+/// (deployment, trust, quotas, registry seeding) is not a command: the
+/// runtime changes the hosted node in place, as it crashes nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Make a class available in this namespace (out-of-band deployment).
-    DeployClass {
-        /// Operation to complete.
-        op: OpId,
-        /// Interned class name (must be defined in the world's class
-        /// table).
-        class: NameId,
-    },
     /// Create and host an object in this namespace.
     CreateObject {
         /// Operation to complete.
@@ -525,42 +519,6 @@ pub enum Command {
         op: OpId,
         /// The plan.
         spec: ExecSpec,
-    },
-    /// Restrict which peers may push objects/classes into this namespace
-    /// (`None` = trust all, the paper's default: "MAGE trusts its
-    /// constituent servers", §7).
-    SetTrust {
-        /// Operation to complete.
-        op: OpId,
-        /// Allowed peer raw ids, or `None` to trust everyone.
-        allow: Option<Vec<u32>>,
-    },
-    /// Set admission quotas for this namespace.
-    SetQuota {
-        /// Operation to complete.
-        op: OpId,
-        /// Maximum hosted objects (`None` = unlimited).
-        max_objects: Option<u64>,
-        /// Maximum cached classes (`None` = unlimited).
-        max_classes: Option<u64>,
-    },
-    /// Permit or refuse replication of classes with static fields (§4.2).
-    AllowStaticClasses {
-        /// Operation to complete.
-        op: OpId,
-        /// Whether to allow them.
-        allow: bool,
-    },
-    /// Admin/fault-injection hook: overwrite this node's registry entry
-    /// for a component, so tests can construct pathological forwarding
-    /// chains (stale self-pointers, cycles) deliberately.
-    SeedRegistry {
-        /// Operation to complete.
-        op: OpId,
-        /// Component key.
-        key: CompKey,
-        /// Raw node id the entry should point at.
-        loc: u32,
     },
 }
 

@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! The experiment facade over a simulated MAGE deployment.
 //!
 //! [`Runtime`] owns a [`World`] of MAGE nodes plus the world-wide
@@ -6,8 +7,14 @@
 //! runtime keeps only what is genuinely shared — the class table, the
 //! namespace directory, origin-server knowledge ("clients share the name
 //! of the mobile object's origin server", §7) and admin controls. Every
-//! operation advances virtual time deterministically, so `rt.now()`
-//! deltas are the measurements the benchmark harness reports.
+//! session operation advances virtual time deterministically, so
+//! `rt.now()` deltas are the measurements the benchmark harness reports.
+//!
+//! Admin is out-of-band, like installing a jar on a host: deployment,
+//! trust, quotas and registry seeding change the hosted [`MageNode`] in
+//! place, as [`Runtime::crash`] and [`Runtime::partition_between`]
+//! change the world. No message is sent and no virtual time passes; a
+//! namespace that is down is [`MageError::Unreachable`].
 //!
 //! ```
 //! use mage_core::attribute::Rev;
@@ -44,12 +51,14 @@ use mage_rmi::{Config as RmiConfig, Endpoint, NameId, SymbolTable};
 use mage_sim::{LinkSpec, Network, NodeId, OpId, SimDuration, SimTime, World};
 use serde::Serialize;
 
+use crate::admission::Quotas;
 use crate::class::ClassDef;
 use crate::component::Visibility;
 use crate::error::MageError;
 use crate::node::{MageNode, NodeConfig, ProtoIds};
-use crate::proto::{Command, Outcome};
-use crate::registry::{CompKey, IncarnationMinter};
+use crate::proto::Outcome;
+use crate::registry::{CompKey, IncarnationMinter, Located};
+use crate::security::TrustPolicy;
 use crate::session::Session;
 
 /// World-wide deployment knowledge shared by every session: where classes
@@ -104,26 +113,20 @@ impl Inner {
         })
     }
 
-    /// Hands `node` a typed command (no encoding: the driver shares the
-    /// node's process).
-    pub fn inject(&mut self, node: NodeId, cmd: Command) {
-        self.world.inject(node, "mage-cmd", Box::new(cmd));
-    }
-
     /// Runs the world until `op` completes and takes its outcome.
     pub fn wait(&mut self, op: OpId) -> Result<Outcome, MageError> {
         self.world.block_on::<Result<Outcome, MageError>>(op)?
     }
 
-    /// Injects a command and blocks until it completes.
-    pub fn command_sync(
-        &mut self,
-        node: NodeId,
-        build: impl FnOnce(OpId) -> Command,
-    ) -> Result<Outcome, MageError> {
-        let op = self.world.begin_op();
-        self.inject(node, build(op));
-        self.wait(op)
+    /// The MAGE runtime hosted at `node`, for out-of-band admin: changing
+    /// it delivers no message and advances no virtual time.
+    pub fn node_mut(&mut self, node: NodeId) -> Result<&mut MageNode, MageError> {
+        self.world
+            .actor_mut::<Endpoint<MageNode>>(node)
+            .map(Endpoint::app_mut)
+            .ok_or(MageError::Unreachable {
+                peer: node.as_raw(),
+            })
     }
 }
 
@@ -361,17 +364,22 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Fails if the namespace or class is unknown.
+    /// Fails if the namespace or class is unknown, and with
+    /// [`MageError::Unreachable`] while the namespace is down.
     pub fn deploy_class(&mut self, class: &str, node: &str) -> Result<(), MageError> {
         let id = self.node_id(node)?;
+        let unavailable = || MageError::ClassUnavailable(class.to_owned());
         let mut inner = self.inner.borrow_mut();
         // Every defined class was interned at build time: an unknown name
         // is not a class, and is not interned here either.
-        let Some(class) = inner.syms.lookup(class) else {
-            return Err(MageError::ClassUnavailable(class.to_owned()));
-        };
-        inner.command_sync(id, |op| Command::DeployClass { op, class })?;
-        inner.dir.homes.insert(CompKey::class(class), id);
+        let key = CompKey::class(inner.syms.lookup(class).ok_or_else(unavailable)?);
+        let mage = inner.node_mut(id)?;
+        if !mage.defs.contains_key(&key.id) {
+            return Err(unavailable());
+        }
+        mage.classes.insert(key.id);
+        mage.registry.update(key, Located::untracked(id));
+        inner.dir.homes.insert(key, id);
         Ok(())
     }
 
@@ -395,22 +403,20 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Fails on unknown namespace names.
+    /// Fails on unknown namespace names, and with
+    /// [`MageError::Unreachable`] while the namespace is down.
     pub fn set_trust(&mut self, node: &str, allow: Option<&[&str]>) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        let allow = match allow {
-            None => None,
-            Some(names) => {
-                let mut ids = Vec::with_capacity(names.len());
-                for name in names {
-                    ids.push(self.node_id(name)?.as_raw());
-                }
-                Some(ids)
-            }
+        let trust = match allow {
+            None => TrustPolicy::TrustAll,
+            Some(names) => TrustPolicy::AllowList(
+                names
+                    .iter()
+                    .map(|name| self.node_id(name))
+                    .collect::<Result<_, _>>()?,
+            ),
         };
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::SetTrust { op, allow })?;
+        self.inner.borrow_mut().node_mut(id)?.trust = trust;
         Ok(())
     }
 
@@ -418,7 +424,8 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Fails on unknown namespace names.
+    /// Fails on unknown namespace names, and with
+    /// [`MageError::Unreachable`] while the namespace is down.
     pub fn set_quota(
         &mut self,
         node: &str,
@@ -426,13 +433,10 @@ impl Runtime {
         max_classes: Option<u64>,
     ) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::SetQuota {
-                op,
-                max_objects,
-                max_classes,
-            })?;
+        self.inner.borrow_mut().node_mut(id)?.quotas = Quotas {
+            max_objects,
+            max_classes,
+        };
         Ok(())
     }
 
@@ -441,12 +445,11 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Fails on unknown namespace names.
+    /// Fails on unknown namespace names, and with
+    /// [`MageError::Unreachable`] while the namespace is down.
     pub fn allow_static_classes(&mut self, node: &str, allow: bool) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::AllowStaticClasses { op, allow })?;
+        self.inner.borrow_mut().node_mut(id)?.allow_static_classes = allow;
         Ok(())
     }
 
@@ -512,11 +515,13 @@ impl Runtime {
     /// Fault-injection hook: overwrites `node`'s registry entry for
     /// `component` (`"class:"` prefix for classes) to point at `at`, so
     /// tests can construct pathological forwarding chains — stale
-    /// self-pointers and cycles — deliberately.
+    /// self-pointers and cycles — deliberately. The entry carries no
+    /// identity knowledge.
     ///
     /// # Errors
     ///
-    /// Fails on unknown namespace names.
+    /// Fails on unknown namespace names, and with
+    /// [`MageError::Unreachable`] while the namespace is down.
     pub fn seed_registry_entry(
         &mut self,
         node: &str,
@@ -524,10 +529,10 @@ impl Runtime {
         at: &str,
     ) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        let loc = self.node_id(at)?.as_raw();
+        let at = Located::untracked(self.node_id(at)?);
         let mut inner = self.inner.borrow_mut();
         let key = CompKey::parse(&inner.syms, component);
-        inner.command_sync(id, move |op| Command::SeedRegistry { op, key, loc })?;
+        inner.node_mut(id)?.registry.update(key, at);
         Ok(())
     }
 

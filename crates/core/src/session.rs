@@ -250,8 +250,10 @@ impl Session {
             .map(|entry| entry.node)
     }
 
-    /// Injects a command and returns a typed handle to its outcome; the
-    /// handle records where `learn` answered when it is waited on.
+    /// Hands this session's node a typed command (no encoding: the driver
+    /// shares the node's process) and returns a typed handle to its
+    /// outcome; the handle records where `learn` answered when it is
+    /// waited on.
     fn issue<T>(
         &self,
         learn: Option<CompKey>,
@@ -261,11 +263,19 @@ impl Session {
         let op = {
             let mut inner = self.inner.borrow_mut();
             let op = inner.world.begin_op();
-            inner.inject(self.client, build(op));
+            inner
+                .world
+                .inject(self.client, "mage-cmd", Box::new(build(op)));
             op
         };
         let (inner, state) = (Rc::clone(&self.inner), Rc::clone(&self.state));
         Pending::new(op, inner, state, learn, decode)
+    }
+
+    /// The origin server the directory names for `key`, as a command's
+    /// home hint.
+    fn home_hint(&self, key: CompKey) -> Option<u32> {
+        self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw())
     }
 
     /// Resolves a plan's target to a node; `Current` is `current`, the
@@ -318,21 +328,7 @@ impl Session {
         }
         .unwrap_or(self.client);
 
-        // Backup home of a replicated object: explicit, or the namespace
-        // after the birthplace in id order. Fixed for the object's life.
-        let backup_node = match (durability, backup) {
-            (Durability::Volatile, _) => None,
-            (Durability::Replicated { .. }, Some(node)) => Some(self.node_id(&node)?),
-            (Durability::Replicated { .. }, None) => {
-                let count = self.inner.borrow().ids.len() as u32;
-                if count < 2 {
-                    return Err(MageError::BadPlan(
-                        "replication needs at least two namespaces".into(),
-                    ));
-                }
-                Some(NodeId::from_raw((target.as_raw() + 1) % count))
-            }
-        };
+        let backup_node = self.backup_home(durability, backup.as_deref(), target)?;
 
         // Every defined class was interned at build time: an unknown name
         // is no class, and is not interned here either.
@@ -351,17 +347,12 @@ impl Session {
             // Creation, not factory rebind: a taken name errors.
             replace: false,
         };
-        let mut inner = self.inner.borrow_mut();
         // Remote birth: the ordinary instantiate ladder (with class
         // logistics) places the object at the attribute's target.
-        let remote = (target != self.client).then(|| {
-            inner
-                .dir
-                .homes
-                .get(&CompKey::class(class_id))
-                .map(|n| n.as_raw())
-        });
-        let outcome = inner.command_sync(self.client, |op| match remote {
+        let remote = (target != self.client).then(|| self.home_hint(CompKey::class(class_id)));
+        let key = CompKey::object(object_id);
+        let client = self.client;
+        let build = move |op| match remote {
             None => Command::CreateObject { op, args },
             Some(home_hint) => Command::Execute {
                 op,
@@ -381,36 +372,57 @@ impl Session {
                     guard: false,
                 },
             },
-        })?;
-
-        let at = NodeId::from_raw(outcome.location);
-        let key = CompKey::object(object_id);
-        inner.dir.homes.insert(key, at);
-        inner.dir.visibility.insert(object_id, visibility);
-        // A volatile re-creation under a previously replicated name must
-        // not leave a stale backup hint behind.
-        match backup_node {
-            Some(backup) => inner.dir.backups.insert(key, backup),
-            None => inner.dir.backups.remove(&key),
         };
-        drop(inner);
-        self.state
-            .borrow_mut()
-            .cached_loc
-            .insert(key, Located::new(at, outcome.incarnation));
-        Ok(ObjectHandle {
-            stub: Stub {
-                client: self.client,
-                at,
-                object: name,
-                object_id,
-                class,
-                class_id,
-                home: Some(at),
-                incarnation: outcome.incarnation,
-            },
-            durability,
-            pinned,
+        let decode: DecodeFn<ObjectHandle> = Box::new(move |outcome, dir| {
+            let at = NodeId::from_raw(outcome.location);
+            dir.homes.insert(key, at);
+            dir.visibility.insert(object_id, visibility);
+            // A volatile re-creation under a previously replicated name
+            // must not leave a stale backup hint behind.
+            match backup_node {
+                Some(backup) => dir.backups.insert(key, backup),
+                None => dir.backups.remove(&key),
+            };
+            Ok(ObjectHandle {
+                stub: Stub {
+                    client,
+                    at,
+                    object: name,
+                    object_id,
+                    class,
+                    class_id,
+                    home: Some(at),
+                    incarnation: outcome.incarnation,
+                },
+                durability,
+                pinned,
+            })
+        });
+        self.issue(Some(key), build, decode).wait()
+    }
+
+    /// The backup home of an object created at `birthplace`: none for a
+    /// volatile object; for a replicated one, `named` or else the
+    /// namespace after the birthplace in id order. Fixed for the object's
+    /// life.
+    fn backup_home(
+        &self,
+        durability: Durability,
+        named: Option<&str>,
+        birthplace: NodeId,
+    ) -> Result<Option<NodeId>, MageError> {
+        Ok(match (durability, named) {
+            (Durability::Volatile, _) => None,
+            (Durability::Replicated { .. }, Some(node)) => Some(self.node_id(node)?),
+            (Durability::Replicated { .. }, None) => {
+                let count = self.inner.borrow().ids.len() as u32;
+                if count < 2 {
+                    return Err(MageError::BadPlan(
+                        "replication needs at least two namespaces".into(),
+                    ));
+                }
+                Some(NodeId::from_raw((birthplace.as_raw() + 1) % count))
+            }
         })
     }
 
@@ -434,7 +446,7 @@ impl Session {
     pub fn find_async(&self, name: &str) -> Result<Pending<NodeId>, MageError> {
         let key = CompKey::lookup(&self.syms, name)
             .ok_or_else(|| MageError::NotFound(name.to_owned()))?;
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
+        let home_hint = self.home_hint(key);
         Ok(self.issue(
             Some(key),
             move |op| Command::Find { op, key, home_hint },
@@ -706,20 +718,25 @@ impl Session {
             .get(&key)
             .filter(|entry| location == Some(entry.node) && !entry.incarnation.is_none())
             .map(|entry| entry.incarnation);
-        let inner = self.inner.borrow();
+        // Only a factory plan fetches the class, so only it falls back
+        // from the object's home to the class's.
+        let class_home = is_factory
+            .then(|| self.home_hint(CompKey::class(class_id)))
+            .flatten();
         let spec = ExecSpec {
             class: class_id,
             object: object_id,
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation,
             identity_pinned: false,
-            home_hint: inner
+            home_hint: self.home_hint(key).or(class_home),
+            backup_hint: self
+                .inner
+                .borrow()
                 .dir
-                .homes
+                .backups
                 .get(&key)
-                .or_else(|| inner.dir.homes.get(&CompKey::class(class_id)))
                 .map(|n| n.as_raw()),
-            backup_hint: inner.dir.backups.get(&key).map(|n| n.as_raw()),
             action,
             invoke,
             guard,
@@ -1010,7 +1027,7 @@ impl Session {
     pub fn lock_async(&self, name: &str, target: &str) -> Result<Pending<LockKind>, MageError> {
         let target = self.node_id(target)?;
         let key = self.object_key(name)?;
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
+        let home_hint = self.home_hint(key);
         Ok(self.issue(
             None,
             move |op| Command::Lock {
@@ -1044,7 +1061,7 @@ impl Session {
     /// that was never interned.
     pub fn unlock_async(&self, name: &str) -> Result<Pending<()>, MageError> {
         let key = self.object_key(name)?;
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
+        let home_hint = self.home_hint(key);
         Ok(self.issue(
             None,
             move |op| Command::Unlock {

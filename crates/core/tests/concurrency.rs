@@ -131,11 +131,11 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             outcome: Ok(()),
         },
         LadderRow {
-            what: "a public object no node hosts: the session's find answers \
-                   locally, the engine's find asks the class home",
+            what: "a public object no node hosts: the session's and the engine's \
+                   finds answer locally (only a factory falls back to the class home)",
             attr: Box::new(Rpc::new("TestObject", "ghost", "server")),
             binds: 1,
-            finds: 1,
+            finds: 0,
             outcome: Err(MageError::NotFound("ghost".into())),
         },
         LadderRow {

@@ -518,6 +518,41 @@ fn static_field_classes_are_refused_until_allowed() {
 }
 
 #[test]
+fn admin_changes_the_hosted_node_out_of_band() {
+    let mut rt = fast_runtime(&["lab", "other", "down"]);
+    let sent = |rt: &Runtime| {
+        let world = rt.world();
+        (world.metrics().net.delivered, world.metrics().net.dropped)
+    };
+    // A crashed namespace hosts no node to change: every admin call is
+    // `Unreachable` at once, without running the world.
+    let down = rt.node_id("down").unwrap().as_raw();
+    rt.crash("down").unwrap();
+    let (before, now) = (sent(&rt), rt.now());
+    let unreachable = Err(MageError::Unreachable { peer: down });
+    assert_eq!(rt.deploy_class("TestObject", "down"), unreachable);
+    assert_eq!(rt.set_trust("down", Some(&["lab"])), unreachable);
+    assert_eq!(rt.set_quota("down", Some(1), None), unreachable);
+    assert_eq!(rt.allow_static_classes("down", true), unreachable);
+    assert_eq!(rt.seed_registry_entry("down", "x", "lab"), unreachable);
+    assert_eq!((sent(&rt), rt.now()), (before, now));
+
+    // On a live namespace, admin steps nothing: a call in flight stays in
+    // flight across it, then completes.
+    rt.deploy_class("TestObject", "lab").unwrap();
+    let lab = rt.session("lab").unwrap();
+    let handle = lab
+        .create(ObjectSpec::new("counter").class("TestObject"))
+        .unwrap();
+    let pending = lab.call_async(handle.stub(), methods::INC, &()).unwrap();
+    let before = sent(&rt);
+    rt.set_quota("other", Some(1), None).unwrap();
+    assert_eq!(sent(&rt), before);
+    assert!(!pending.is_done());
+    assert_eq!(pending.wait(), Ok(1));
+}
+
+#[test]
 fn custom_policy_attribute_moves_off_loaded_hosts() {
     let mut rt = fast_runtime(&["hot", "cool"]);
     with_object(&mut rt, "hot", "worker");

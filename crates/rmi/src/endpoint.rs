@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! The RMI endpoint: one per namespace, acting as both client and server.
 //!
 //! Responsibilities mirrored from Java RMI:
@@ -697,9 +698,10 @@ impl<A: App> Endpoint<A> {
         self.state.objects.insert(id, object);
     }
 
-    /// Shared access to the app (for post-run inspection in tests).
-    pub fn app(&self) -> &A {
-        &self.app
+    /// The app, for out-of-band changes between events (reach a running
+    /// endpoint with [`World::actor_mut`](mage_sim::World::actor_mut)).
+    pub fn app_mut(&mut self) -> &mut A {
+        &mut self.app
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -939,7 +941,7 @@ impl<A: App> Endpoint<A> {
     }
 }
 
-impl<A: App> Actor for Endpoint<A> {
+impl<A: App + 'static> Actor for Endpoint<A> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
         self.app.on_start(&mut env);

@@ -77,7 +77,12 @@ impl OpId {
 /// (sends, timers, op completions) go through the [`Context`], which the
 /// scheduler applies after the handler returns. This keeps dispatch
 /// deterministic and lets a handler never observe partially applied state.
-pub trait Actor {
+///
+/// Actors are `'static` values (the [`Any`] supertrait): between events
+/// the driver can reach a running node's actor by its concrete type with
+/// [`World::actor_mut`](crate::World::actor_mut), to change it out of
+/// band the way [`World::crash`](crate::World::crash) changes the world.
+pub trait Actor: Any {
     /// Called once when the node is added to the world.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 

@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! The world: a deterministic discrete-event scheduler over actors and the
 //! network fabric.
 
@@ -313,6 +314,14 @@ impl World {
         }
         self.with_actor(node, |actor, ctx| actor.on_start(ctx));
         true
+    }
+
+    /// The actor running on `node`, if it is an `A`: out-of-band access
+    /// between events, which delivers nothing and advances no time.
+    /// `None` while the node is down or when it runs another actor type.
+    pub fn actor_mut<A: Actor>(&mut self, node: NodeId) -> Option<&mut A> {
+        let actor: &mut dyn Any = self.nodes.get_mut(node.index())?.actor.as_deref_mut()?;
+        actor.downcast_mut()
     }
 
     /// Whether `node` is currently running.
@@ -1089,6 +1098,21 @@ mod tests {
         assert!(world.is_up(a));
         // Fresh actor: the counter restarted from zero.
         assert_eq!(ask(&mut world), 1);
+    }
+
+    #[test]
+    fn actor_mut_reaches_only_a_running_actor_of_its_type() {
+        let mut world = World::new(1);
+        let a = world.add_node_with("a", || Box::new(CountingActor { seen: 0 }));
+        world.actor_mut::<CountingActor>(a).unwrap().seen = 41;
+        let op = world.begin_op();
+        world.inject(a, "ask", Box::new(op));
+        assert_eq!(world.block_on::<u64>(op), Ok(42));
+        assert!(world.actor_mut::<Ponger>(a).is_none(), "another type");
+        world.crash(a);
+        assert!(world.actor_mut::<CountingActor>(a).is_none(), "down");
+        world.restart(a);
+        assert_eq!(world.actor_mut::<CountingActor>(a).unwrap().seen, 0);
     }
 
     #[test]
