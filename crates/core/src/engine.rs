@@ -16,14 +16,18 @@
 //!   moves and autonomous mobile-agent hops
 //! * [`CheckpointTask`] — a durability snapshot on its way to a backup
 //!
+//! A move, a checkpoint and a remote instantiation each place an object
+//! at a namespace that may lack its class. All three ride one
+//! [`ClassLadder`]: [`MageNode::place`] sends the request, and
+//! [`MageNode::climb`] pushes the class on the first `ClassMissing` and
+//! then resends, so each owner handles only the final answer.
+//!
 //! Every locate goes through [`MageNode::resolve_location`], and every
 //! find, lock and unlock request is built by [`MageNode::send_find`],
 //! [`MageNode::send_lock`] or [`MageNode::send_unlock`]. Tasks carry
 //! interned [`NameId`]s / [`CompKey`]s; strings are resolved only on error
 //! paths.
 #![warn(clippy::too_many_lines)]
-
-use std::sync::Arc;
 
 use bytes::Bytes;
 use mage_codec::ByteBuf;
@@ -151,28 +155,42 @@ impl ClientCallKind {
     }
 }
 
-/// Where a move or checkpoint stands on the class-push ladder: a target
-/// that answers `ClassMissing` gets the class pushed once, then the
-/// original call again (a backup must hold the class to be able to
-/// restore, a move target to reify the object).
-pub(crate) enum PushPhase {
-    /// The original call is in flight; `retried_class` once the class
-    /// push has been spent.
-    Sent { retried_class: bool },
-    /// The class push is in flight.
-    SentClass,
+/// A call that places an object at `dest` (a move's `receive`, a
+/// `checkpoint` or an `instantiate`), on its way up the class-push
+/// ladder: a target that answers `ClassMissing` gets the class cloned to
+/// it once, then the same request again (§4.2; a move target needs the
+/// class to reify the object, a backup to be able to restore it).
+/// [`MageNode::place`] sends the request and [`MageNode::climb`] steps
+/// the ladder on each reply, so its owner only handles the final answer.
+pub(crate) struct ClassLadder {
+    pub dest: NodeId,
+    /// The class the target must cache.
+    pub class: NameId,
+    /// The service method `request` calls.
+    pub method: NameId,
+    /// The call's arguments, encoded once: a resend carries these bytes.
+    pub request: Vec<u8>,
+    pub rung: Rung,
+}
+
+/// Which call of a [`ClassLadder`] is in flight.
+pub(crate) enum Rung {
+    /// The request.
+    Sent,
+    /// The class push; the request goes again once it lands.
+    Pushing,
+    /// The request again, after a push; its answer is final.
+    Resent,
 }
 
 /// A checkpoint in flight to a backup home: a full snapshot, or a
 /// confirmation of one the backup acknowledged earlier.
 pub(crate) struct CheckpointTask {
-    pub dest: NodeId,
+    pub ladder: ClassLadder,
     pub head: proto::CheckpointHeader,
-    /// The full snapshot, shared with the object's
-    /// [`ShippedSnapshot`](crate::node::ShippedSnapshot) record and kept
-    /// for the re-send after a class push; `None` for a confirmation.
-    pub state: Option<Arc<Vec<u8>>>,
-    pub phase: PushPhase,
+    /// Whether the request only confirms the snapshot the object's
+    /// [`ShippedSnapshot`](crate::node::ShippedSnapshot) record names.
+    pub confirm: bool,
 }
 
 /// Why a move was started; decides who hears about the outcome.
@@ -187,10 +205,13 @@ pub(crate) enum MoveOrigin {
 
 pub(crate) struct MoveOutTask {
     pub name: NameId,
-    pub dest: NodeId,
     pub origin: MoveOrigin,
-    pub phase: PushPhase,
-    pub receive_args: proto::ReceiveArgs,
+    /// The `receive` call, to `ladder.dest`.
+    pub ladder: ClassLadder,
+    /// The moving object's incarnation, the same at its new home.
+    pub incarnation: Incarnation,
+    /// Lock holders packed with the object; reinstalled if the move aborts.
+    pub locks: crate::lock::HolderTransfer,
     /// Waiters removed from the lock queue at pack time. Bounced after the
     /// move commits (so their re-find sees the forwarding address) or
     /// re-queued if the move aborts.
@@ -219,13 +240,8 @@ pub(crate) enum ExecPhase {
     AwaitFetchClass {
         dest: NodeId,
     },
-    AwaitPushClass {
-        dest: NodeId,
-    },
-    AwaitInstantiate {
-        dest: NodeId,
-        retried_class: bool,
-    },
+    /// An instantiation at `ladder.dest`, on its class-push ladder.
+    AwaitInstantiate(ClassLadder),
     AwaitInvoke,
     AwaitUnlock,
     /// Consulting the backup home of a replicated object after a
@@ -246,9 +262,8 @@ impl ExecPhase {
             self,
             ExecPhase::AwaitInvoke
                 | ExecPhase::AwaitRestore { .. }
-                | ExecPhase::AwaitInstantiate { .. }
+                | ExecPhase::AwaitInstantiate(_)
                 | ExecPhase::AwaitFetchClass { .. }
-                | ExecPhase::AwaitPushClass { .. }
         )
     }
 }
@@ -526,11 +541,63 @@ impl MageNode {
         }
     }
 
-    // ---- durability checkpoint shipping ----
+    // ---- the class-push ladder (§4.2) ----
 
-    /// Drives one checkpoint to its backup home and settles its answer
-    /// (see [`MageNode::settle_checkpoint`]). A `ClassMissing` fault
-    /// pushes the class and re-sends once.
+    /// Sends `method` with `args` to `dest` under `token`, the first rung
+    /// of a [`ClassLadder`] for an object of `class`.
+    pub(crate) fn place<T: serde::Serialize + ?Sized>(
+        &self,
+        env: &mut Env<'_, '_>,
+        dest: NodeId,
+        method: NameId,
+        args: &T,
+        class: NameId,
+        token: u64,
+    ) -> ClassLadder {
+        let request = self.call_service(env, dest, method, args, token);
+        ClassLadder {
+            dest,
+            class,
+            method,
+            request,
+            rung: Rung::Sent,
+        }
+    }
+
+    /// Steps `ladder` on `result`, the reply to its latest call. The first
+    /// `ClassMissing` pushes the class under `token` when this node caches
+    /// it, and an acknowledged push resends the request; both return
+    /// `None`, and the owner parks its task again. Any other reply is the
+    /// ladder's answer and goes back to the owner.
+    pub(crate) fn climb(
+        &self,
+        env: &mut Env<'_, '_>,
+        token: u64,
+        ladder: &mut ClassLadder,
+        result: Result<Bytes, RmiError>,
+    ) -> Option<Result<Bytes, RmiError>> {
+        let missing = matches!(result, Err(RmiError::Fault(Fault::ClassMissing(_))));
+        match ladder.rung {
+            Rung::Sent if missing => {
+                let Some(args) = self.class_transfer_args(ladder.class) else {
+                    return Some(result);
+                };
+                self.call_service(env, ladder.dest, self.ids.receive_class, &args, token);
+                ladder.rung = Rung::Pushing;
+                None
+            }
+            Rung::Pushing if result.is_ok() => {
+                let (dest, service) = (ladder.dest, self.ids.service);
+                env.call(dest, service, ladder.method, &ladder.request, token);
+                ladder.rung = Rung::Resent;
+                None
+            }
+            _ => Some(result),
+        }
+    }
+
+    /// Settles one checkpoint's answer (see
+    /// [`MageNode::settle_checkpoint`]) once its ladder gives one.
     fn step_checkpoint(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -538,89 +605,24 @@ impl MageNode {
         mut task: CheckpointTask,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            PushPhase::Sent { retried_class } => match result {
-                Ok(reply) => {
-                    let held = decode::<bool>(&reply).unwrap_or(false);
-                    self.settle_checkpoint(env, &task, held);
-                }
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if !self.push_class(env, task.dest, task.head.class, token) {
-                        if env.trace_enabled() {
-                            env.note(format!(
-                                "checkpoint of {} dropped: class {} undefined",
-                                self.name_str(task.head.name),
-                                self.name_str(task.head.class)
-                            ));
-                        }
-                        self.settle_checkpoint(env, &task, false);
-                        return;
-                    }
-                    task.phase = PushPhase::SentClass;
-                    self.tasks.insert(token, Task::Checkpoint(task));
-                }
-                Err(e) => {
-                    if env.trace_enabled() {
-                        env.note(format!(
-                            "checkpoint of {} to {} dropped: {e}",
-                            self.name_str(task.head.name),
-                            task.dest
-                        ));
-                    }
-                    self.settle_checkpoint(env, &task, false);
-                }
-            },
-            PushPhase::SentClass => match result {
-                Ok(_) => {
-                    self.send_checkpoint(env, token, &task);
-                    task.phase = PushPhase::Sent {
-                        retried_class: true,
-                    };
-                    self.tasks.insert(token, Task::Checkpoint(task));
-                }
-                Err(e) => {
-                    if env.trace_enabled() {
-                        env.note(format!(
-                            "checkpoint class push to {} dropped: {e}",
-                            task.dest
-                        ));
-                    }
-                    self.settle_checkpoint(env, &task, false);
-                }
-            },
-        }
-    }
-
-    /// Pushes `class` to `dest` under `token`, the middle rung of the
-    /// class-push ladder (see [`PushPhase`]). Returns `false`, sending
-    /// nothing, when the class library does not define the class.
-    pub(crate) fn push_class(
-        &self,
-        env: &mut Env<'_, '_>,
-        dest: NodeId,
-        class: NameId,
-        token: u64,
-    ) -> bool {
-        let Some(args) = self.class_transfer_args(class) else {
-            return false;
+        let Some(result) = self.climb(env, token, &mut task.ladder, result) else {
+            self.tasks.insert(token, Task::Checkpoint(task));
+            return;
         };
-        self.call_service(env, dest, self.ids.receive_class, &args, token);
-        true
-    }
-
-    /// Sends `task`'s full snapshot, or its confirmation, under `token`.
-    pub(crate) fn send_checkpoint(&self, env: &mut Env<'_, '_>, token: u64, task: &CheckpointTask) {
-        let method = self.ids.checkpoint;
-        match &task.state {
-            Some(state) => {
-                let args = proto::CheckpointArgsRef {
-                    head: &task.head,
-                    state,
-                };
-                self.call_service(env, task.dest, method, &args, token);
+        let held = match result {
+            Ok(reply) => decode::<bool>(&reply).unwrap_or(false),
+            Err(e) => {
+                if env.trace_enabled() {
+                    env.note(format!(
+                        "checkpoint of {} to {} dropped: {e}",
+                        self.name_str(task.head.name),
+                        task.ladder.dest
+                    ));
+                }
+                false
             }
-            None => self.call_service(env, task.dest, method, &task.head.confirmation(), token),
-        }
+        };
+        self.settle_checkpoint(env, &task, held);
     }
 
     // ---- driver find ----
@@ -823,20 +825,16 @@ impl MageNode {
             snapshot_epoch,
         };
         let token = self.next_token();
-        self.call_service(env, dest, self.ids.receive, &receive_args, token);
-        self.tasks.insert(
-            token,
-            Task::MoveOut(MoveOutTask {
-                name,
-                dest,
-                origin,
-                phase: PushPhase::Sent {
-                    retried_class: false,
-                },
-                receive_args,
-                parked_waiters,
-            }),
-        );
+        let ladder = self.place(env, dest, self.ids.receive, &receive_args, class, token);
+        let task = MoveOutTask {
+            name,
+            origin,
+            ladder,
+            incarnation,
+            locks: receive_args.locks,
+            parked_waiters,
+        };
+        self.tasks.insert(token, Task::MoveOut(task));
     }
 
     fn step_move(
@@ -846,46 +844,20 @@ impl MageNode {
         mut task: MoveOutTask,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            PushPhase::Sent { retried_class } => match result {
-                Ok(_) => {
-                    // Transfer acknowledged: drop the local copy and leave a
-                    // forwarding address (§4.1) carrying the incarnation —
-                    // a move is the same identity at a new home.
-                    self.objects.remove(&task.name);
-                    self.registry.update(
-                        CompKey::object(task.name),
-                        Located::new(task.dest, task.receive_args.incarnation),
-                    );
-                    self.finish_move_ok(env, task);
-                }
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if !self.push_class(env, task.dest, task.receive_args.class, token) {
-                        let err = MageError::ClassUnavailable("unknown class".into());
-                        self.abort_move(env, task, err);
-                        return;
-                    }
-                    task.phase = PushPhase::SentClass;
-                    self.tasks.insert(token, Task::MoveOut(task));
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.abort_move(env, task, err);
-                }
-            },
-            PushPhase::SentClass => match result {
-                Ok(_) => {
-                    self.call_service(env, task.dest, self.ids.receive, &task.receive_args, token);
-                    task.phase = PushPhase::Sent {
-                        retried_class: true,
-                    };
-                    self.tasks.insert(token, Task::MoveOut(task));
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.abort_move(env, task, err);
-                }
-            },
+        match self.climb(env, token, &mut task.ladder, result) {
+            None => {
+                self.tasks.insert(token, Task::MoveOut(task));
+            }
+            Some(Ok(_)) => {
+                // Transfer acknowledged: drop the local copy and leave a
+                // forwarding address (§4.1) carrying the incarnation — a
+                // move is the same identity at a new home.
+                self.objects.remove(&task.name);
+                let at = Located::new(task.ladder.dest, task.incarnation);
+                self.registry.update(CompKey::object(task.name), at);
+                self.finish_move_ok(env, task);
+            }
+            Some(Err(e)) => self.abort_move(env, task, rmi_error_to_mage(&e)),
         }
     }
 
@@ -918,13 +890,10 @@ impl MageNode {
         // Re-home: the aborted transfer (e.g. to a crashed target) must
         // leave the registry pointing at the surviving copy, not at
         // whatever the chain said before the move started.
-        self.registry.update(
-            CompKey::object(task.name),
-            Located::new(me, task.receive_args.incarnation),
-        );
-        self.flush_transit_finds(env, task.name, me, task.receive_args.incarnation);
-        self.locks
-            .install(task.name, task.receive_args.locks.clone());
+        let at = Located::new(me, task.incarnation);
+        self.registry.update(CompKey::object(task.name), at);
+        self.flush_transit_finds(env, task.name, me, task.incarnation);
+        self.locks.install(task.name, task.locks);
         // Re-queue the waiters we parked; immediate grants are answered
         // directly (reply handles are Copy).
         for waiter in task.parked_waiters {
@@ -950,7 +919,7 @@ impl MageNode {
             env.note(format!(
                 "move of {} to {} failed: {err}",
                 self.name_str(task.name),
-                task.dest
+                task.ladder.dest
             ));
         }
         self.finish_move_failed(env, task.origin, err);
@@ -969,30 +938,26 @@ impl MageNode {
             );
         }
         // Finds that arrived mid-move resolve to the destination.
-        self.flush_transit_finds(env, task.name, task.dest, task.receive_args.incarnation);
+        let dest = task.ladder.dest;
+        self.flush_transit_finds(env, task.name, dest, task.incarnation);
         match task.origin {
             MoveOrigin::Reply(handle) => {
                 let payload = mage_codec::to_bytes(&FindReply {
-                    location: task.dest.as_raw(),
-                    incarnation: task.receive_args.incarnation,
+                    location: dest.as_raw(),
+                    incarnation: task.incarnation,
                 })
                 .expect("find reply encodes");
                 env.reply(handle, Ok(payload));
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(
-                        env,
-                        exec_id,
-                        *t,
-                        Ok((task.dest, task.receive_args.incarnation)),
-                    );
+                    self.exec_move_done(env, exec_id, *t, Ok((dest, task.incarnation)));
                 }
             }
             MoveOrigin::Autonomous => {
                 if env.trace_enabled() {
                     let name = self.name_str(task.name);
-                    env.note(format!("agent {} hopped to {}", name, task.dest));
+                    env.note(format!("agent {name} hopped to {dest}"));
                 }
             }
         }

@@ -17,7 +17,8 @@ use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
 use crate::engine::{
-    decode, is_unreachable, rmi_error_to_mage, ExecPhase, ExecTask, MoveOrigin, Resume, Task,
+    decode, is_unreachable, rmi_error_to_mage, ClassLadder, ExecPhase, ExecTask, MoveOrigin,
+    Resume, Rung, Task,
 };
 use crate::error::MageError;
 use crate::lock::LockKind;
@@ -196,7 +197,7 @@ impl MageNode {
     fn exec_instantiate(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
         let me = env.node();
         if dest != me {
-            return self.exec_send_instantiate(env, id, task, dest, false);
+            return self.exec_send_instantiate(env, id, task, dest, None);
         }
         if !self.classes.contains(&task.spec.class) {
             return self.exec_fetch_class(env, id, task, me);
@@ -210,24 +211,37 @@ impl MageNode {
         }
     }
 
-    /// Asks `dest` to instantiate the plan's object (again, once
-    /// `retried_class` says the class was pushed there).
+    /// Asks `dest` to instantiate the plan's object. With `push`, the
+    /// ladder starts a rung up: the class goes first, the request once it
+    /// lands.
     fn exec_send_instantiate(
         &mut self,
         env: &mut Env<'_, '_>,
         id: u64,
         task: ExecTask,
         dest: NodeId,
-        retried_class: bool,
+        push: Option<&proto::ReceiveClassArgs>,
     ) {
-        if let ActionSpec::Instantiate { args, .. } = &task.spec.action {
-            self.call_service(env, dest, self.ids.instantiate, args, id);
-        }
-        let phase = ExecPhase::AwaitInstantiate {
-            dest,
-            retried_class,
+        let ActionSpec::Instantiate { args, .. } = &task.spec.action else {
+            unreachable!("only instantiate plans instantiate");
         };
-        self.exec_park(id, task, phase);
+        let (method, class) = (self.ids.instantiate, task.spec.class);
+        let ladder = match push {
+            None => self.place(env, dest, method, args, class, id),
+            Some(push) => {
+                self.call_service(env, dest, self.ids.receive_class, push, id);
+                let request = mage_codec::to_bytes(args).expect("service args encode");
+                let rung = Rung::Pushing;
+                ClassLadder {
+                    dest,
+                    class,
+                    method,
+                    request,
+                    rung,
+                }
+            }
+        };
+        self.exec_park(id, task, ExecPhase::AwaitInstantiate(ladder));
     }
 
     /// Starts class logistics for an instantiation at `dest`: fetch the
@@ -509,22 +523,20 @@ impl MageNode {
         result: Result<Bytes, RmiError>,
     ) {
         task.note_dead_peer(&result);
-        match task.phase {
+        // Every handler parks the task under its next phase, or ends it.
+        match std::mem::replace(&mut task.phase, ExecPhase::AwaitInvoke) {
             ExecPhase::AwaitFind { resume } => self.exec_on_found(env, id, task, resume, result),
             ExecPhase::AwaitLock { at } => self.exec_on_locked(env, id, task, at, result),
             ExecPhase::AwaitMove => self.exec_on_moved(env, id, task, result),
             ExecPhase::AwaitFetchClass { dest } => {
                 self.exec_on_class_fetched(env, id, task, dest, result);
             }
-            ExecPhase::AwaitPushClass { dest } => match result {
-                // The class is in place; retry the instantiation.
-                Ok(_) => self.exec_send_instantiate(env, id, task, dest, true),
-                Err(e) => self.exec_fail(env, id, task, rmi_error_to_mage(&e)),
-            },
-            ExecPhase::AwaitInstantiate {
-                dest,
-                retried_class,
-            } => self.exec_on_instantiated(env, id, task, dest, retried_class, result),
+            ExecPhase::AwaitInstantiate(mut ladder) => {
+                match self.climb(env, id, &mut ladder, result) {
+                    Some(result) => self.exec_on_instantiated(env, id, task, ladder.dest, result),
+                    None => self.exec_park(id, task, ExecPhase::AwaitInstantiate(ladder)),
+                }
+            }
             ExecPhase::AwaitInvoke => self.exec_on_invoked(env, id, task, result),
             ExecPhase::AwaitUnlock => {
                 if let Err(e) = result {
@@ -535,22 +547,17 @@ impl MageNode {
                 task.locked_at = None;
                 self.exec_finish(env, task);
             }
-            ExecPhase::AwaitRestore { ref mut original } => {
-                // The phase owns the original error; take it out before
-                // the task moves on.
-                let original = std::mem::replace(original, MageError::NotFound(String::new()));
-                match result {
-                    // The backup had no snapshot, or is itself dead: the
-                    // crash-shaped failure that sent us here surfaces typed
-                    // (restore_tried blocks a second consultation).
-                    Err(_) => self.exec_fail(env, id, task, original),
-                    result => {
-                        if let Some((task, found)) = self.exec_decode(env, id, task, result) {
-                            self.exec_resume_after_restore(env, id, task, found);
-                        }
+            ExecPhase::AwaitRestore { original } => match result {
+                // The backup had no snapshot, or is itself dead: the
+                // crash-shaped failure that sent us here surfaces typed
+                // (restore_tried blocks a second consultation).
+                Err(_) => self.exec_fail(env, id, task, original),
+                result => {
+                    if let Some((task, found)) = self.exec_decode(env, id, task, result) {
+                        self.exec_resume_after_restore(env, id, task, found);
                     }
                 }
-            }
+            },
         }
     }
 
@@ -686,8 +693,7 @@ impl MageNode {
         if dest == me {
             self.exec_begin_action(env, id, task);
         } else {
-            self.call_service(env, dest, self.ids.receive_class, &class_args, id);
-            self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
+            self.exec_send_instantiate(env, id, task, dest, Some(&class_args));
         }
     }
 
@@ -697,21 +703,18 @@ impl MageNode {
         id: u64,
         task: ExecTask,
         dest: NodeId,
-        retried_class: bool,
         result: Result<Bytes, RmiError>,
     ) {
         match result {
-            Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                // We have the class: push it to the target (traditional REV
-                // ships local code to the server). Neither we nor the
-                // target have it: pull it first (GREV-style third-party
-                // placement).
-                let class = task.spec.class;
-                if self.classes.contains(&class) && self.push_class(env, dest, class, id) {
-                    self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
-                } else {
-                    self.exec_fetch_class(env, id, task, dest);
-                }
+            // Neither we nor the target have the class: pull it first
+            // (GREV-style third-party placement). Had we cached it, the
+            // ladder would have pushed it (traditional REV ships local
+            // code to the server), and a target still missing it fails
+            // the call.
+            Err(RmiError::Fault(Fault::ClassMissing(_)))
+                if !self.classes.contains(&task.spec.class) =>
+            {
+                self.exec_fetch_class(env, id, task, dest);
             }
             // A malformed reply must surface, not silently yield
             // Incarnation::NONE — that would disable the identity check for

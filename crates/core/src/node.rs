@@ -26,7 +26,7 @@ use mage_sim::{NodeId, OpId, SimDuration};
 use crate::admission::Quotas;
 use crate::class::ClassDef;
 use crate::component::{Durability, Visibility};
-use crate::engine::{CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, PushPhase, Task};
+use crate::engine::{CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, Task};
 use crate::error::MageError;
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
@@ -136,8 +136,8 @@ pub(crate) struct Hosted {
 /// backup home. A fresh snapshot that is byte-identical to it is
 /// confirmed (or, while it is in flight, coalesced) instead of shipped.
 pub(crate) struct ShippedSnapshot {
-    /// The shipped bytes, shared with the in-flight checkpoint task.
-    pub state: Arc<Vec<u8>>,
+    /// The shipped bytes, compared against each fresh snapshot.
+    pub state: Vec<u8>,
     /// Epoch the bytes were shipped under.
     pub epoch: u64,
     /// The backup acknowledged storing them.
@@ -294,7 +294,8 @@ impl MageNode {
     }
 
     /// Calls system-service `method` on `to` with encoded `args`; the
-    /// reply reaches [`MageNode::step_task`] under `token`.
+    /// reply reaches [`MageNode::step_task`] under `token`. Returns the
+    /// encoded arguments.
     pub(crate) fn call_service<T: serde::Serialize + ?Sized>(
         &self,
         env: &mut Env<'_, '_>,
@@ -302,9 +303,10 @@ impl MageNode {
         method: NameId,
         args: &T,
         token: u64,
-    ) {
+    ) -> Vec<u8> {
         let args = mage_codec::to_bytes(args).expect("service args encode");
-        env.call(to, self.ids.service, method, args, token);
+        env.call(to, self.ids.service, method, &args, token);
+        args
     }
 
     /// Allocates a fresh task token (replies to calls issued under it
@@ -566,13 +568,20 @@ impl MageNode {
         }
     }
 
-    fn handle_receive(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> Served {
-        if !self.trust.admits(from) {
-            return Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept objects from {from}",
-                self.name
-            )));
+    /// The trust gate an inbound push from `from` passes before its
+    /// payload is decoded; `what` names the pushed thing in the refusal.
+    fn admit_peer(&self, from: NodeId, what: &str) -> Result<(), Fault> {
+        if self.trust.admits(from) {
+            return Ok(());
         }
+        Err(Fault::AccessDenied(format!(
+            "namespace {} does not accept {what} from {from}",
+            self.name
+        )))
+    }
+
+    fn handle_receive(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> Served {
+        self.admit_peer(from, "objects")?;
         let args: proto::ReceiveArgs = decode_args(&call)?;
         self.admit_object(args.class)?;
         self.host(env.node(), Arrival::Moved(&args))?;
@@ -606,12 +615,7 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> Served {
-        if !self.trust.admits(from) {
-            return Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept classes from {from}",
-                self.name
-            )));
-        }
+        self.admit_peer(from, "classes")?;
         let args: proto::ReceiveClassArgs = decode_args(&call)?;
         if args.has_static_fields && !self.allow_static_classes {
             return Err(Fault::AccessDenied(format!(
@@ -642,17 +646,14 @@ impl MageNode {
     fn handle_fetch_class(&mut self, call: InboundCall) -> Served {
         let args: proto::FetchClassArgs = decode_args(&call)?;
         let missing = || Fault::ClassMissing(self.name_str(args.class));
-        if !self.classes.contains(&args.class) {
-            return Err(missing());
-        }
         reply_ok(&self.class_transfer_args(args.class).ok_or_else(missing)?)
     }
 
     /// The `receiveClass` arguments that ship `class` to another namespace
-    /// (a fetch reply, or a push ahead of a move, checkpoint or
-    /// instantiation); `None` when no class of that name is defined.
+    /// (a fetch reply, or a push up a [`ClassLadder`](crate::engine::ClassLadder));
+    /// `None` when this node does not cache the class.
     pub(crate) fn class_transfer_args(&self, class: NameId) -> Option<proto::ReceiveClassArgs> {
-        let def = self.defs.get(&class)?;
+        let def = self.defs.get(self.classes.get(&class)?)?;
         Some(proto::ReceiveClassArgs {
             class,
             code: ByteBuf(vec![0u8; def.code_size() as usize]),
@@ -666,12 +667,7 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> Served {
-        if !self.trust.admits(from) {
-            return Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept instantiation from {from}",
-                self.name
-            )));
-        }
+        self.admit_peer(from, "instantiation")?;
         let args: proto::InstantiateArgs = decode_args(&call)?;
         self.admit_object(args.class)?;
         // Factory rebind semantics: a fresh instance replaces any previous
@@ -888,7 +884,7 @@ impl MageNode {
         };
         // Exact byte equality, never a hash: a false match would lose data.
         let confirmed_epoch = match &mut hosted.shipped {
-            Some(shipped) if backup != me && *shipped.state == state => {
+            Some(shipped) if backup != me && shipped.state == state => {
                 if !shipped.acked {
                     shipped.coalesced = true;
                     return;
@@ -916,30 +912,34 @@ impl MageNode {
             self.store_backup(env, head.with_state(state));
             return;
         }
-        let state = if confirmed_epoch.is_some() {
+        let confirm = confirmed_epoch.is_some();
+        let token = self.next_token();
+        let (method, class) = (self.ids.checkpoint, head.class);
+        let ladder = if confirm {
             env.count("checkpoint_confirms");
-            None
+            self.place(env, backup, method, &head.confirmation(), class, token)
         } else {
-            let state = Arc::new(state);
-            hosted.shipped = Some(ShippedSnapshot {
-                state: Arc::clone(&state),
-                epoch: head.epoch,
-                acked: false,
-                coalesced: false,
-            });
-            Some(state)
+            let args = proto::CheckpointArgsRef {
+                head: &head,
+                state: &state,
+            };
+            let ladder = self.place(env, backup, method, &args, class, token);
+            if let Some(hosted) = self.objects.get_mut(&name) {
+                hosted.shipped = Some(ShippedSnapshot {
+                    state,
+                    epoch: head.epoch,
+                    acked: false,
+                    coalesced: false,
+                });
+            }
+            ladder
         };
-        let token = self.spawn_task(Task::Checkpoint(CheckpointTask {
-            dest: backup,
+        let task = CheckpointTask {
+            ladder,
             head,
-            state,
-            phase: PushPhase::Sent {
-                retried_class: false,
-            },
-        }));
-        if let Some(Task::Checkpoint(task)) = self.tasks.get(&token) {
-            self.send_checkpoint(env, token, task);
-        }
+            confirm,
+        };
+        self.tasks.insert(token, Task::Checkpoint(task));
     }
 
     /// Settles the backup's answer to `task` against the object's
@@ -957,7 +957,7 @@ impl MageNode {
         held: bool,
     ) {
         let head = &task.head;
-        let confirm = task.state.is_none();
+        let confirm = task.confirm;
         if confirm && !held {
             env.count("checkpoint_confirms_refused");
         }
@@ -1034,12 +1034,7 @@ impl MageNode {
         from: NodeId,
         call: InboundCall,
     ) -> Served {
-        if !self.trust.admits(from) {
-            return Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept checkpoints from {from}",
-                self.name
-            )));
-        }
+        self.admit_peer(from, "checkpoints")?;
         let args = match proto::CheckpointCall::decode(call.args()) {
             Ok(proto::CheckpointCall::Full(args)) => args,
             Ok(proto::CheckpointCall::Confirm(confirm)) => {

@@ -84,7 +84,7 @@ pub(crate) struct Directory {
 /// and deterministic; interleaving is decided by who pumps the world).
 pub(crate) struct Inner {
     pub world: World,
-    pub ids: Arc<BTreeMap<String, NodeId>>,
+    pub ids: BTreeMap<String, NodeId>,
     pub dir: Directory,
     /// The world-wide symbol table shared with every node and endpoint.
     pub syms: Arc<SymbolTable>,
@@ -279,19 +279,17 @@ impl RuntimeBuilder {
             });
             debug_assert_eq!(Some(id), ids.get(name).copied());
         }
-        let ids = Arc::new(ids);
         // Reverse index for O(1) `node_name`; node ids are dense and
         // assigned in insertion order.
         let names = Arc::new(self.nodes);
         Runtime {
             inner: Rc::new(RefCell::new(Inner {
                 world,
-                ids: Arc::clone(&ids),
+                ids,
                 dir: Directory::default(),
                 syms,
                 scratch: Vec::new(),
             })),
-            ids,
             names,
         }
     }
@@ -304,7 +302,6 @@ impl RuntimeBuilder {
 /// deployment, time, trace, network control and admin policies.
 pub struct Runtime {
     inner: Rc<RefCell<Inner>>,
-    ids: Arc<BTreeMap<String, NodeId>>,
     names: Arc<Vec<String>>,
 }
 
@@ -346,10 +343,7 @@ impl Runtime {
     ///
     /// Returns [`MageError::BadPlan`] for unknown names.
     pub fn node_id(&self, name: &str) -> Result<NodeId, MageError> {
-        self.ids
-            .get(name)
-            .copied()
-            .ok_or_else(|| MageError::BadPlan(format!("unknown namespace {name:?}")))
+        self.inner.borrow().node_id(name)
     }
 
     /// The display name of a node (O(1) via the reverse index).
@@ -602,7 +596,7 @@ impl Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("namespaces", &self.ids.len())
+            .field("namespaces", &self.names.len())
             .field("now", &self.now())
             .finish_non_exhaustive()
     }

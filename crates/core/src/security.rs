@@ -21,11 +21,6 @@ pub enum TrustPolicy {
 }
 
 impl TrustPolicy {
-    /// Builds an allow-list policy from raw node ids.
-    pub fn allow_raw(ids: impl IntoIterator<Item = u32>) -> Self {
-        TrustPolicy::AllowList(ids.into_iter().map(NodeId::from_raw).collect())
-    }
-
     /// Whether `peer` may push components into this namespace.
     pub fn admits(&self, peer: NodeId) -> bool {
         match self {
@@ -48,7 +43,8 @@ mod tests {
 
     #[test]
     fn allow_list_admits_only_members() {
-        let policy = TrustPolicy::allow_raw([1, 3]);
+        let policy =
+            TrustPolicy::AllowList(BTreeSet::from([NodeId::from_raw(1), NodeId::from_raw(3)]));
         assert!(policy.admits(NodeId::from_raw(1)));
         assert!(policy.admits(NodeId::from_raw(3)));
         assert!(!policy.admits(NodeId::from_raw(2)));
@@ -56,7 +52,7 @@ mod tests {
 
     #[test]
     fn empty_allow_list_admits_nobody() {
-        let policy = TrustPolicy::allow_raw([]);
+        let policy = TrustPolicy::AllowList(BTreeSet::from([]));
         assert!(!policy.admits(NodeId::from_raw(0)));
     }
 }

@@ -8,7 +8,7 @@ use mage_core::workload_support::{
     geo_data_filter_class, itinerary_agent_class, itinerary_state, methods, static_field_class,
     test_object_class,
 };
-use mage_core::{ClassDef, LockKind, MageError, ObjectSpec, Runtime};
+use mage_core::{ClassDef, Durability, LockKind, MageError, ObjectSpec, Runtime};
 use mage_rmi::Fault;
 use mage_sim::SimDuration;
 
@@ -701,4 +701,80 @@ fn move_onto_a_same_named_object_replaces_it_silently() {
 
     let (_, count) = sb.bind_invoke(&here, methods::GET, &()).unwrap();
     assert_eq!(count, Some(5), "b's own x is gone, replaced by a's");
+}
+
+/// The service calls a traced world sent since its trace was cleared, in
+/// order, without the `call:mage.` prefix.
+fn service_calls(rt: &Runtime) -> Vec<String> {
+    rt.world()
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            mage_sim::TraceEvent::Send { label, .. } => label.strip_prefix("call:mage."),
+            _ => None,
+        })
+        .map(str::to_owned)
+        .collect()
+}
+
+/// A traced world over `nodes` with `class` deployed at `deployed`, its
+/// trace cleared.
+fn traced_with_class(nodes: &[&str], class: &str, deployed: &str) -> Runtime {
+    let mut rt = Runtime::builder()
+        .fast()
+        .trace(true)
+        .nodes(nodes.iter().copied())
+        .class(test_object_class())
+        .class(geo_data_filter_class())
+        .build();
+    rt.deploy_class(class, deployed).unwrap();
+    rt.world_mut().trace_mut().clear();
+    rt
+}
+
+/// Each way an object lands at a namespace without its class climbs the
+/// same ladder: the request, the class, the request again (§4.2). A
+/// factory whose client lacks the class fetches it first.
+#[test]
+fn every_placement_climbs_one_class_push_ladder() {
+    // A REV move of an object hosted at the client.
+    let mut rt = traced_with_class(&["lab", "sensor1"], "TestObject", "lab");
+    let lab = rt.session("lab").unwrap();
+    lab.create(ObjectSpec::new("geo").class("TestObject"))
+        .unwrap();
+    rt.world_mut().trace_mut().clear();
+    lab.bind(&Rev::new("TestObject", "geo", "sensor1")).unwrap();
+    assert_eq!(service_calls(&rt), ["receive", "receiveClass", "receive"]);
+
+    // The first checkpoint to a backup without the class.
+    let mut rt = traced_with_class(&["a", "b"], "TestObject", "a");
+    let replicated = ObjectSpec::new("c")
+        .class("TestObject")
+        .durability(Durability::Replicated { backups: 1 })
+        .backup("b");
+    rt.session("a").unwrap().create(replicated).unwrap();
+    rt.run_until_idle().unwrap();
+    assert_eq!(
+        service_calls(&rt),
+        ["checkpoint", "receiveClass", "checkpoint"]
+    );
+
+    // A REV factory whose client caches the class.
+    let factory = Rev::factory("GeoDataFilterImpl", "geoData", "sensor1");
+    let rt = traced_with_class(&["lab", "sensor1"], "GeoDataFilterImpl", "lab");
+    rt.session("lab").unwrap().bind(&factory).unwrap();
+    assert_eq!(
+        service_calls(&rt),
+        ["instantiate", "receiveClass", "instantiate"]
+    );
+
+    // A REV factory whose client lacks the class, deployed at a third
+    // namespace.
+    let rt = traced_with_class(&["lab", "sensor1", "depot"], "GeoDataFilterImpl", "depot");
+    rt.session("lab").unwrap().bind(&factory).unwrap();
+    assert_eq!(
+        service_calls(&rt),
+        ["instantiate", "fetchClass", "receiveClass", "instantiate"]
+    );
 }
