@@ -41,6 +41,10 @@ use crate::proto::{self, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
 /// A continuation awaiting an RMI reply (keyed by its call token).
+// `Exec` is several times the other variants' size. Every entry of the
+// task table pays for it in place; boxing it would instead cost an
+// allocation per exec call, the steady-state path.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Task {
     /// A find walk on behalf of `waiter`: a driver find issued here, or a
     /// remote caller's find this node forwards along the chain.
@@ -54,8 +58,9 @@ pub(crate) enum Task {
     },
     /// A driver-initiated lock or unlock.
     Client(ClientCall),
-    /// A bind/invoke engine.
-    Exec(Box<ExecTask>),
+    /// A bind/invoke engine, unboxed: a call parks and resumes it once
+    /// per reply, and a box would cost an allocation each time.
+    Exec(ExecTask),
     /// An object transfer out of this namespace.
     MoveOut(MoveOutTask),
     /// A durability snapshot in flight to a backup home.
@@ -75,7 +80,13 @@ pub(crate) enum FindWaiter {
 impl FindWaiter {
     /// Answers with `found`. A forwarding hop passes `raw`, the encoded
     /// answer it received, which goes back out as is.
-    pub(crate) fn answer(self, env: &mut Env<'_, '_>, found: FindReply, raw: Option<&[u8]>) {
+    pub(crate) fn answer(
+        self,
+        node: &mut MageNode,
+        env: &mut Env<'_, '_>,
+        found: FindReply,
+        raw: Option<&[u8]>,
+    ) {
         match self {
             FindWaiter::Reply(handle) => match raw {
                 Some(raw) => {
@@ -92,7 +103,7 @@ impl FindWaiter {
                     incarnation: found.incarnation,
                     ..Outcome::default()
                 };
-                env.complete_op(op, Box::new(Ok::<_, MageError>(outcome)));
+                node.complete(env, op, Ok(outcome));
             }
         }
     }
@@ -100,7 +111,7 @@ impl FindWaiter {
     /// Answers with the failure of the walk's hop: a remote caller gets
     /// the fault (a dead hop as `Fault::Unreachable`), a driver find the
     /// matching [`MageError`].
-    pub(crate) fn fail(self, env: &mut Env<'_, '_>, err: &RmiError) {
+    pub(crate) fn fail(self, node: &mut MageNode, env: &mut Env<'_, '_>, err: &RmiError) {
         match self {
             FindWaiter::Reply(handle) => {
                 let fault = match err {
@@ -112,10 +123,7 @@ impl FindWaiter {
                 };
                 env.reply(handle, Err(fault));
             }
-            FindWaiter::Op(op) => {
-                let result: Result<Outcome, MageError> = Err(rmi_error_to_mage(err));
-                env.complete_op(op, Box::new(result));
-            }
+            FindWaiter::Op(op) => node.complete(env, op, Err(rmi_error_to_mage(err))),
         }
     }
 }
@@ -343,7 +351,7 @@ impl MageNode {
     /// Sends a fresh find walk for `key` to `to` under `token`; the walk
     /// has visited only this node.
     pub(crate) fn send_find(
-        &self,
+        &mut self,
         env: &mut Env<'_, '_>,
         to: NodeId,
         key: CompKey,
@@ -365,7 +373,7 @@ impl MageNode {
     /// when one is known: a re-creation racing the request is refused
     /// typed, never silently locked.
     pub(crate) fn send_lock(
-        &self,
+        &mut self,
         env: &mut Env<'_, '_>,
         at: NodeId,
         name: NameId,
@@ -383,7 +391,13 @@ impl MageNode {
     }
 
     /// Asks `at` to release this node's lock on `name`, under `token`.
-    pub(crate) fn send_unlock(&self, env: &mut Env<'_, '_>, at: NodeId, name: NameId, token: u64) {
+    pub(crate) fn send_unlock(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        at: NodeId,
+        name: NameId,
+        token: u64,
+    ) {
         let args = proto::UnlockArgs {
             name,
             client: env.node().as_raw(),
@@ -490,7 +504,7 @@ impl MageNode {
                 retried,
             } => self.step_find(env, waiter, key, home, retried, result),
             Task::Client(call) => self.step_client_call(env, token, call, result),
-            Task::Exec(t) => self.step_exec_reply(env, token, *t, result),
+            Task::Exec(t) => self.step_exec_reply(env, token, t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
             Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
         }
@@ -521,7 +535,7 @@ impl MageNode {
                 let retrying =
                     dead && !retried && self.retry_find_from_home(env, waiter, key, home);
                 if !retrying {
-                    waiter.fail(env, &err);
+                    waiter.fail(self, env, &err);
                 }
                 return;
             }
@@ -535,9 +549,9 @@ impl MageNode {
                     .update(key, Located::new(at, found.incarnation));
                 // A forwarded answer leaves straight out of the received
                 // frame — no copy.
-                waiter.answer(env, found, Some(&bytes));
+                waiter.answer(self, env, found, Some(&bytes));
             }
-            Err(e) => waiter.fail(env, &RmiError::Decode(e.to_string())),
+            Err(e) => waiter.fail(self, env, &RmiError::Decode(e.to_string())),
         }
     }
 
@@ -554,7 +568,11 @@ impl MageNode {
         class: NameId,
         token: u64,
     ) -> ClassLadder {
-        let request = self.call_service(env, dest, method, args, token);
+        // The ladder may resend the request, so it keeps its own bytes.
+        // They are not encoded in the node's scratch buffer, which would
+        // then hold the largest object state the node ever moved.
+        let request = mage_codec::to_bytes(args).expect("service args encode");
+        env.call(dest, self.ids.service, method, &request, token);
         ClassLadder {
             dest,
             class,
@@ -570,7 +588,7 @@ impl MageNode {
     /// `None`, and the owner parks its task again. Any other reply is the
     /// ladder's answer and goes back to the owner.
     pub(crate) fn climb(
-        &self,
+        &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
         ladder: &mut ClassLadder,
@@ -638,7 +656,8 @@ impl MageNode {
         let me = env.node();
         let waiter = FindWaiter::Op(op);
         if self.has_component(key) {
-            return waiter.answer(env, self.local_find_reply(key, me), None);
+            let found = self.local_find_reply(key, me);
+            return waiter.answer(self, env, found, None);
         }
         if self.park_transit_find(key, waiter) {
             // Our own object is mid-move: answer when the transfer settles.
@@ -876,7 +895,7 @@ impl MageNode {
             incarnation,
         };
         for waiter in self.transit_finds.remove(&name).unwrap_or_default() {
-            waiter.answer(env, found, None);
+            waiter.answer(self, env, found, None);
         }
     }
 
@@ -951,7 +970,7 @@ impl MageNode {
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(env, exec_id, *t, Ok((dest, task.incarnation)));
+                    self.exec_move_done(env, exec_id, t, Ok((dest, task.incarnation)));
                 }
             }
             MoveOrigin::Autonomous => {
@@ -970,7 +989,7 @@ impl MageNode {
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(env, exec_id, *t, Err(err));
+                    self.exec_move_done(env, exec_id, t, Err(err));
                 }
             }
             MoveOrigin::Autonomous => {

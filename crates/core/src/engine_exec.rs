@@ -82,7 +82,7 @@ impl MageNode {
     /// Parks `task` under `id` until the reply `phase` awaits.
     fn exec_park(&mut self, id: u64, mut task: ExecTask, phase: ExecPhase) {
         task.phase = phase;
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.tasks.insert(id, Task::Exec(task));
     }
 
     // ---- ladder stages ----

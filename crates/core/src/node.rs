@@ -30,7 +30,7 @@ use crate::engine::{CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, Task
 use crate::error::MageError;
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
-use crate::proto::{self, methods, Command, Outcome};
+use crate::proto::{self, methods, Command, OpCell, Outcome};
 use crate::registry::{CompKey, Incarnation, IncarnationMinter, Kind, Located, Registry};
 use crate::security::TrustPolicy;
 
@@ -183,6 +183,12 @@ pub struct MageNode {
     pub(crate) locks: LockTable<ReplyHandle>,
     pub(crate) tasks: HashMap<u64, Task>,
     pub(crate) next_task: u64,
+    /// The cell each running driver op arrived in, emptied; its result
+    /// goes back in it (see [`MageNode::complete`]).
+    pub(crate) ops: HashMap<OpId, Box<OpCell>>,
+    /// Encoding buffer for outgoing service calls' arguments (see
+    /// [`MageNode::call_service`]).
+    pub(crate) scratch: Vec<u8>,
     pub(crate) trust: TrustPolicy,
     pub(crate) quotas: Quotas,
     /// Whether classes with static fields may be replicated here (§4.2).
@@ -232,6 +238,8 @@ impl MageNode {
             locks: config_locks,
             tasks: HashMap::new(),
             next_task: 0,
+            ops: HashMap::new(),
+            scratch: Vec::new(),
             trust: TrustPolicy::default(),
             quotas: Quotas::unlimited(),
             allow_static_classes: false,
@@ -293,20 +301,20 @@ impl MageNode {
         }
     }
 
-    /// Calls system-service `method` on `to` with encoded `args`; the
-    /// reply reaches [`MageNode::step_task`] under `token`. Returns the
-    /// encoded arguments.
+    /// Calls system-service `method` on `to` with `args`, encoded into
+    /// this node's scratch buffer (the frame copies them); the reply
+    /// reaches [`MageNode::step_task`] under `token`.
     pub(crate) fn call_service<T: serde::Serialize + ?Sized>(
-        &self,
+        &mut self,
         env: &mut Env<'_, '_>,
         to: NodeId,
         method: NameId,
         args: &T,
         token: u64,
-    ) -> Vec<u8> {
-        let args = mage_codec::to_bytes(args).expect("service args encode");
-        env.call(to, self.ids.service, method, &args, token);
-        args
+    ) {
+        self.scratch.clear();
+        mage_codec::to_bytes_in(args, &mut self.scratch).expect("service args encode");
+        env.call(to, self.ids.service, method, &self.scratch, token);
     }
 
     /// Allocates a fresh task token (replies to calls issued under it
@@ -323,13 +331,29 @@ impl MageNode {
         id
     }
 
+    /// Completes driver op `op` with `result`, written into the cell the
+    /// op arrived in: a completion allocates nothing.
     pub(crate) fn complete(
         &mut self,
         env: &mut Env<'_, '_>,
         op: OpId,
         result: Result<Outcome, MageError>,
     ) {
-        env.complete_op(op, Box::new(result));
+        let mut cell = self.ops.remove(&op).expect("a running op has its cell");
+        *cell = OpCell::Done(result);
+        env.complete_op(op, cell);
+    }
+
+    /// Continuations awaiting an RMI reply here (finds, locks, binds,
+    /// moves and checkpoints in flight). Zero once the world is idle.
+    pub fn tasks_in_flight(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Driver ops running here, whose cells wait for their results.
+    /// Zero once the world is idle.
+    pub fn ops_in_flight(&self) -> usize {
+        self.ops.len()
     }
 
     // ---- server-side handlers (MageServer / MageExternalServer) ----
@@ -696,7 +720,11 @@ impl MageNode {
 
     // ---- driver commands ----
 
-    fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: Command) {
+    fn handle_command(&mut self, env: &mut Env<'_, '_>, mut cell: Box<OpCell>) {
+        let OpCell::Command(cmd) = cell.take() else {
+            panic!("a driver op arrives holding its command");
+        };
+        self.ops.insert(cmd.op(), cell);
         match cmd {
             Command::CreateObject { op, args } => {
                 let result = self.create_local_object(env, &args);
@@ -1133,10 +1161,10 @@ fn decode_args<T: serde::de::DeserializeOwned>(call: &InboundCall) -> Result<T, 
 
 impl App for MageNode {
     fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Box<dyn Any>) {
-        let cmd = payload
-            .downcast::<Command>()
-            .expect("MageNode is driven by proto::Command");
-        self.handle_command(env, *cmd);
+        let cell = payload
+            .downcast::<OpCell>()
+            .expect("MageNode is driven by proto::OpCell");
+        self.handle_command(env, cell);
     }
 
     fn on_call(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> CallOutcome {

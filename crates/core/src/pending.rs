@@ -13,7 +13,9 @@
 //!
 //! `wait` is also the one place a session learns where a component is:
 //! a find, an invocation or a bind records the outcome's location and
-//! incarnation for the component it names, just before decoding.
+//! incarnation for the component it names, just before decoding. And it
+//! hands the op's emptied [`OpCell`] back to its session, whose next op
+//! travels in it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,7 +23,7 @@ use std::rc::Rc;
 use mage_sim::{NodeId, OpId};
 
 use crate::error::MageError;
-use crate::proto::Outcome;
+use crate::proto::{OpCell, Outcome};
 use crate::registry::{CompKey, Located};
 use crate::runtime::{Directory, Inner};
 use crate::session::SessionState;
@@ -79,7 +81,8 @@ impl<T> Pending<T> {
     }
 
     /// Runs the world until the operation completes, records where the
-    /// component it names answered, then decodes its typed result.
+    /// component it names answered, keeps the op's cell as its session's
+    /// spare, then decodes its typed result.
     ///
     /// # Errors
     ///
@@ -88,11 +91,24 @@ impl<T> Pending<T> {
     pub fn wait(mut self) -> Result<T, MageError> {
         let decode = self.decode.take().expect("wait consumes the handle once");
         let mut inner = self.inner.borrow_mut();
-        let outcome = inner.wait(self.op)?;
-        if let Some(key) = self.learn {
-            let at = Located::new(NodeId::from_raw(outcome.location), outcome.incarnation);
-            self.state.borrow_mut().cached_loc.insert(key, at);
-        }
+        let mut cell = inner.wait(self.op).inspect_err(|_| {
+            // A stalled or over-budget wait gives the op up like a drop
+            // does, so a late completion is not retained.
+            inner.world.forget_op(self.op);
+        })?;
+        let OpCell::Done(result) = cell.take() else {
+            unreachable!("a node completes an op with its result");
+        };
+        let outcome = {
+            let mut state = self.state.borrow_mut();
+            state.spare = Some(cell);
+            let outcome = result?;
+            if let Some(key) = self.learn {
+                let at = Located::new(NodeId::from_raw(outcome.location), outcome.incarnation);
+                state.cached_loc.insert(key, at);
+            }
+            outcome
+        };
         decode(outcome, &mut inner.dir)
     }
 }

@@ -252,10 +252,10 @@ pub struct CheckpointArgs {
     pub class: NameId,
     /// Snapshot of the object's heap state. Not yet a [`ByteBuf`]: the
     /// benchmark harness keeps every round, so a faster durable workload
-    /// would trip its memory bound (ROADMAP item 1). Inlining the codec's
-    /// decode path already used about 7 of the 15 points of `peak_rss_mb`
-    /// headroom on `durable_failover` (5.41 to 5.78 MB at 30 s), so
-    /// about 8 points remain.
+    /// trips its memory bound (ROADMAP item 1). Encoding `u8` as one raw
+    /// byte alone, with checkpoints unchanged, completes about 45% more
+    /// `durable_failover` rounds in 30 s and lifts its `peak_rss_mb`
+    /// 12% (5.70 to 6.40 MB), within 3 points of the 15% bound.
     pub state: Vec<u8>,
     /// Incarnation of the primary at snapshot time.
     pub incarnation: Incarnation,
@@ -471,10 +471,11 @@ pub struct ExecSpec {
     pub guard: bool,
 }
 
-/// The session operations a driver injects into its MAGE node. Each
-/// completes its op with a `Result<Outcome, MageError>`. Admin
-/// (deployment, trust, quotas, registry seeding) is not a command: the
-/// runtime changes the hosted node in place, as it crashes nodes.
+/// The session operations a driver injects into its MAGE node, each in
+/// an [`OpCell`] that comes back as the op's completion with a
+/// `Result<Outcome, MageError>` written in. Admin (deployment, trust,
+/// quotas, registry seeding) is not a command: the runtime changes the
+/// hosted node in place, as it crashes nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Create and host an object in this namespace.
@@ -520,6 +521,41 @@ pub enum Command {
         /// The plan.
         spec: ExecSpec,
     },
+}
+
+impl Command {
+    /// The operation the command completes.
+    pub(crate) fn op(&self) -> OpId {
+        match self {
+            Command::CreateObject { op, .. }
+            | Command::Find { op, .. }
+            | Command::Lock { op, .. }
+            | Command::Unlock { op, .. }
+            | Command::Execute { op, .. } => *op,
+        }
+    }
+}
+
+/// The one heap cell a driver operation lives in, like
+/// `mage_rmi::DriverCmd`: injected holding its [`Command`], parked
+/// [`Empty`](OpCell::Empty) at the node while the op runs, and handed
+/// back as the op's completion holding its result. A session keeps the
+/// cell of the op it last waited on and refills it for its next op.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OpCell {
+    /// An op on its way to its node.
+    Command(Command),
+    /// A completed op's result.
+    Done(Result<Outcome, MageError>),
+    /// Neither: parked at the node, or spare at the session.
+    Empty,
+}
+
+impl OpCell {
+    /// Takes the cell's contents, leaving it [`Empty`](OpCell::Empty).
+    pub(crate) fn take(&mut self) -> OpCell {
+        std::mem::replace(self, OpCell::Empty)
+    }
 }
 
 /// Successful completion of a driver operation.

@@ -56,7 +56,7 @@ use crate::class::ClassDef;
 use crate::component::Visibility;
 use crate::error::MageError;
 use crate::node::{MageNode, NodeConfig, ProtoIds};
-use crate::proto::Outcome;
+use crate::proto::OpCell;
 use crate::registry::{CompKey, IncarnationMinter, Located};
 use crate::security::TrustPolicy;
 use crate::session::Session;
@@ -113,9 +113,10 @@ impl Inner {
         })
     }
 
-    /// Runs the world until `op` completes and takes its outcome.
-    pub fn wait(&mut self, op: OpId) -> Result<Outcome, MageError> {
-        self.world.block_on::<Result<Outcome, MageError>>(op)?
+    /// Runs the world until `op` completes and takes its cell, which
+    /// holds the result.
+    pub fn wait(&mut self, op: OpId) -> Result<Box<OpCell>, MageError> {
+        Ok(self.world.block_on_boxed::<OpCell>(op)?)
     }
 
     /// The MAGE runtime hosted at `node`, for out-of-band admin: changing

@@ -54,7 +54,7 @@ use crate::component::{Durability, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::pending::{DecodeFn, Pending};
-use crate::proto::{ActionSpec, Command, ExecSpec, InstantiateArgs, InvokeSpec, Outcome};
+use crate::proto::{ActionSpec, Command, ExecSpec, InstantiateArgs, InvokeSpec, OpCell, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 use crate::runtime::{Directory, Inner};
 use crate::spec::{ObjectHandle, ObjectSpec};
@@ -126,6 +126,10 @@ pub(crate) struct SessionState {
     /// Where this client last saw each component — and which incarnation
     /// it saw there. Identity rides with location knowledge everywhere.
     pub cached_loc: BTreeMap<CompKey, Located>,
+    /// The cell of the op this session last waited on, emptied, for its
+    /// next op to travel in (see [`OpCell`]). One slot: ops in flight
+    /// beyond the first get fresh cells, and spare ones are freed.
+    pub spare: Option<Box<OpCell>>,
 }
 
 /// Everything a bind plan resolved before execution; carried into the
@@ -253,7 +257,9 @@ impl Session {
     /// Hands this session's node a typed command (no encoding: the driver
     /// shares the node's process) and returns a typed handle to its
     /// outcome; the handle records where `learn` answered when it is
-    /// waited on.
+    /// waited on. The command travels in the session's spare [`OpCell`]
+    /// when it has one, so a steady stream of blocking ops allocates no
+    /// cell at all.
     fn issue<T>(
         &self,
         learn: Option<CompKey>,
@@ -263,9 +269,15 @@ impl Session {
         let op = {
             let mut inner = self.inner.borrow_mut();
             let op = inner.world.begin_op();
-            inner
-                .world
-                .inject(self.client, "mage-cmd", Box::new(build(op)));
+            let command = OpCell::Command(build(op));
+            let cell = match self.state.borrow_mut().spare.take() {
+                Some(mut cell) => {
+                    *cell = command;
+                    cell
+                }
+                None => Box::new(command),
+            };
+            inner.world.inject(self.client, "mage-cmd", cell);
             op
         };
         let (inner, state) = (Rc::clone(&self.inner), Rc::clone(&self.state));

@@ -608,6 +608,20 @@ impl World {
     /// Panics if the actor completed `op` with a value that is not a `T`
     /// (the driver and the actor disagree on the operation's result type).
     pub fn block_on<T: Any>(&mut self, op: OpId) -> Result<T, SimError> {
+        self.block_on_boxed(op).map(|result| *result)
+    }
+
+    /// Like [`World::block_on`], but hands back the box the actor
+    /// completed `op` with, so the driver can reuse its allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`World::block_on`].
+    ///
+    /// # Panics
+    ///
+    /// As [`World::block_on`].
+    pub fn block_on_boxed<T: Any>(&mut self, op: OpId) -> Result<Box<T>, SimError> {
         let mut budget = self.event_budget;
         loop {
             if self.op_done(op) {
@@ -620,7 +634,7 @@ impl World {
                         std::any::type_name::<T>()
                     )
                 });
-                return Ok(*result);
+                return Ok(result);
             }
             if !self.step() {
                 return Err(SimError::Stalled);
