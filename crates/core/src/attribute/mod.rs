@@ -8,10 +8,16 @@
 //! classifies the component's situation, applies mobility coercion
 //! (Table 2) and executes the resulting protocol.
 //!
-//! The built-in hierarchy mirrors the paper's Figure 5: [`Lpc`], [`Rpc`],
-//! [`Cod`], [`Rev`], [`Grev`], [`MobileAgent`] and [`Cle`], plus
-//! [`PolicyAttribute`] for user-defined policies like the paper's
-//! `CombinedMA` (§3.6) or the load-threshold example (§3.1).
+//! The paper's Figure 5 hierarchy is here one rule table plus
+//! [`PolicyAttribute`]. The seven built-in models — [`Lpc`], [`Rpc`],
+//! [`Cod`], [`Rev`], [`Grev`], [`MobileAgent`] and [`Cle`] — are
+//! constructors of one [`Builtin`] attribute, a model plus a few fields
+//! (fixed target, factory mode, guard flag). One planner derives every
+//! built-in plan from the model's Table 1 triple
+//! ([`ModelKind::design_triple`]) and those fields. [`PolicyAttribute`]
+//! wraps user-defined policies like the paper's `CombinedMA` (§3.6) or the
+//! load-threshold example (§3.1). [`catalog`] still lists Figure 5's
+//! classes.
 //!
 //! # Mobility vs. durability policies
 //!
@@ -35,13 +41,13 @@
 
 mod builtin;
 
-pub use builtin::{Cle, Cod, Grev, Lpc, MobileAgent, PolicyAttribute, PolicyFn, Rev, Rpc};
+pub use builtin::{Builtin, Cle, Cod, Grev, Lpc, MobileAgent, PolicyAttribute, Rev, Rpc};
 
 use std::collections::BTreeMap;
 
 use mage_sim::{NodeId, SimTime};
 
-use crate::component::{Component, DesignTriple, ModelKind, Visibility};
+use crate::component::{Component, ModelKind, Visibility};
 use crate::error::MageError;
 
 /// The computation target chosen by a plan.
@@ -188,25 +194,17 @@ impl<'a> BindView<'a> {
 
 /// A mobility attribute: the paper's core abstraction.
 ///
-/// Implementations may keep interior state across binds (the paper's
-/// `bind` caches stubs; our single-use factories remember whether they
-/// have instantiated), hence `plan(&self)` with interior mutability rather
-/// than `&mut self`.
+/// A built-in plan is a function of its rule and the view, except that a
+/// single-use factory remembers whether it has instantiated; a user policy
+/// may keep its own interior state. Hence `plan(&self)` with interior
+/// mutability rather than `&mut self`.
 pub trait MobilityAttribute {
-    /// Display name (e.g. `"REV"`, or a custom attribute's own name).
-    fn name(&self) -> &str;
-
     /// The programming model this attribute encodes, used for mobility
     /// coercion (Table 2).
     fn model(&self) -> ModelKind;
 
     /// The component this attribute is bound to.
     fn component(&self) -> &Component;
-
-    /// The `<Location, Target, Moves>` triple (Table 1).
-    fn design_triple(&self) -> DesignTriple {
-        self.model().design_triple()
-    }
 
     /// Decides the computation target and placement for this bind.
     ///

@@ -6,6 +6,7 @@
 //! makes these mismatches routine, so MAGE *coerces* the invocation into
 //! the programming model that matches the actual distribution of code and
 //! data, rather than failing.
+#![warn(clippy::too_many_lines)]
 
 use std::fmt;
 

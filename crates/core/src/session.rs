@@ -665,8 +665,9 @@ impl Session {
         // back to the directory's origin server for one ("clients share
         // the name of the mobile object's origin server", §7). Only a
         // location-shaped failure with nothing cached finds and plans
-        // again; any other plan error surfaces untouched, without
-        // consulting a stateful planner a second time.
+        // again; any other plan error (only a user policy returns one)
+        // surfaces untouched, without consulting that policy a second
+        // time.
         let cached = self.cached_node(key).or_else(|| match visibility {
             Some(Visibility::Private) => self.inner.borrow().dir.homes.get(&key).copied(),
             _ => None,
