@@ -22,6 +22,9 @@
 //!   the same faults;
 //! * fail fast on a dead peer: every seed has some operation skip a
 //!   peer that died under it instead of spending another retry budget;
+//! * locate and act in one pass: every seed has some bind's act request
+//!   forwarded along a registry chain, so the forwarding path is not
+//!   vacuous;
 //! * per-seed determinism: the replay digest matches event-for-event.
 //!
 //! Writes `CHAOS.json` for CI to archive; CI fails the job if any
@@ -130,6 +133,10 @@ fn soak(cfg: ChaosConfig) -> SeedOutcome {
         report.dead_peer_skips > 0,
         "seed {seed} must skip a peer that died under an operation: {report:?}"
     );
+    assert!(
+        report.act_forwards > 0,
+        "seed {seed} must forward some act along a registry chain: {report:?}"
+    );
     if cfg.durable_get_percent > 0 {
         assert!(
             report.confirmations > 0 && report.refused_confirmations > 0,
@@ -216,6 +223,10 @@ fn main() {
         println!(
             "  dead peers: {} resolutions skipped a peer that died under their op",
             report.dead_peer_skips
+        );
+        println!(
+            "  acts: {} forwarded along a registry chain",
+            report.act_forwards
         );
         println!(
             "  locks: {} cycles completed under the adversary ({} stale-identity refusals)",
@@ -319,6 +330,7 @@ fn main() {
             "      \"dead_peer_skips\": {},",
             report.dead_peer_skips
         );
+        let _ = writeln!(json, "      \"act_forwards\": {},", report.act_forwards);
         let _ = writeln!(
             json,
             "      \"fabric\": {{ \"sent\": {}, \"dropped\": {} }},",

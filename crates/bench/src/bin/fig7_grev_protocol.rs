@@ -1,9 +1,10 @@
 //! Regenerates Figure 7: the GREV protocol. The paper numbers seven
-//! messages: (1,2) the local registry consult, (3) the move request to the
-//! hosting namespace Y, (4) the object transfer to Z, (5) the ack back to
-//! the client, (6) the invocation and (7) its result. Messages 1 and 2 are
-//! node-local in this implementation (the registry is in-process), so they
-//! appear as a note; 4 carries the object state and is acknowledged.
+//! messages: (1,2) the registry consult locating C, (3) the move request
+//! to the hosting namespace Y, (4) the object transfer to Z, (5) the ack
+//! back to the client, (6) the invocation and (7) its result. Here 1-3
+//! are one `act` request: it goes to where the client's registry says C
+//! is, would walk on along the forwarding chain if C had left, and asks
+//! C's host to move it. 4 carries the object state and is acknowledged.
 
 use mage_core::attribute::Grev;
 use mage_core::workload_support::{methods, test_object_class};
@@ -30,8 +31,8 @@ fn main() {
         .bind_invoke(&attr, methods::INC, &())
         .unwrap();
     print!("{}", rt.trace_rendered());
-    println!("(paper numbering: 1/2 = the find request/response pair locating C,");
-    println!(" 3 = moveTo, 4 = receive/transfer, 5 = moveTo ack, 6 = invoke,");
+    println!("(paper numbering: 1-3 = one act request, which locates C and asks");
+    println!(" its host Y to move it, 4 = receive/transfer, 5 = act reply, 6 = invoke,");
     println!(" 7 = result; the class push and receive ack are elided in the paper)");
     println!("(result delivered to GREV: {result:?})");
 }

@@ -146,6 +146,11 @@ impl MobilityAttribute for Builtin {
     fn one_way(&self) -> bool {
         self.rule.model == ModelKind::MobileAgent
     }
+
+    /// Every rule but a single-use one plans from its own fields alone.
+    fn plan_ignores_location(&self) -> bool {
+        self.rule.factory != SingleUse
+    }
 }
 
 /// Local procedure call: the component must already be local; invoke it in
@@ -463,6 +468,11 @@ mod tests {
             );
             assert_eq!(expect == Expect::Stationary, !triple.moves);
             assert_eq!(make("t").one_way(), model == ModelKind::MobileAgent);
+            // Only a single-use rule's plan reads the location.
+            assert_eq!(
+                make("t").plan_ignores_location(),
+                expect != Expect::SingleUse
+            );
             for target in ["lab", "sensor1"] {
                 for location in [Some(lab), Some(names[target]), Some(store), None] {
                     let context = format!("{model} to {target} at {location:?}");

@@ -219,6 +219,17 @@ pub trait MobilityAttribute {
     fn one_way(&self) -> bool {
         false
     }
+
+    /// Whether [`plan`](MobilityAttribute::plan) ignores the view's
+    /// location, so that the node hosting the object can apply Table 2 to
+    /// it where it finds it. A session sends such a bind, when it is
+    /// unguarded and no factory, as one request along the registry chain
+    /// instead of finding the object first. The default, `false`, keeps
+    /// find-then-plan, which a policy that reads the location, loads or
+    /// clock at the client needs.
+    fn plan_ignores_location(&self) -> bool {
+        false
+    }
 }
 
 /// One row of the attribute class hierarchy (Figure 5).

@@ -1,20 +1,26 @@
 //! Client-side protocol engines and server-side continuations.
 //!
 //! A mobility attribute's `bind` is "a complex wrapper for RMI's
-//! `Naming.lookup`" (§4.2): it finds the component, optionally locks it,
-//! moves or instantiates it, invokes it and unlocks — each step an RMI call
-//! whose reply drives the next. A driver's own `find`, `lock` and `unlock`
-//! take the same steps. This module holds those state machines:
+//! `Naming.lookup`" (§4.2): it locates the component, optionally locks
+//! it, moves or instantiates it, invokes it and unlocks — each step an
+//! RMI call whose reply drives the next. A driver's own `find`, `lock` and
+//! `unlock` take the same steps. This module holds those state machines:
 //!
 //! * [`ExecTask`] — the bind/invoke engine run on the client's node
 //! * [`ClientCall`] — a driver `lock` or `unlock`: locate, then one call
-//! * finds — a driver find, or one forwarded along the registry's chain
-//!   with path compression (§4.1); either way a [`FindWaiter`] hears the
-//!   answer
+//! * walks — a find or an act forwarded along the registry's chain with
+//!   path compression (§4.1), or a driver find; a [`FindWaiter`] hears
+//!   the answer
 //! * [`MoveOutTask`] — the hosting node's half of the move protocol
-//!   (Figure 7's messages 4/5), shared by `moveTo` requests, client-local
+//!   (Figure 7's messages 4/5), shared by act requests, client-local
 //!   moves and autonomous mobile-agent hops
 //! * [`CheckpointTask`] — a durability snapshot on its way to a backup
+//!
+//! A bind of a built-in attribute sends no find: one `act` request,
+//! carrying the plan's [`ActPlan`](proto::ActPlan), goes to the object's
+//! best-known location and walks the chain like a find (Emerald's
+//! forwarding addresses). The node that hosts the object applies Table 2
+//! and invokes it in place or moves it; the reply says where it is.
 //!
 //! A move, a checkpoint and a remote instantiation each place an object
 //! at a namespace that may lack its class. All three ride one
@@ -22,8 +28,8 @@
 //! [`MageNode::climb`] pushes the class on the first `ClassMissing` and
 //! then resends, so each owner handles only the final answer.
 //!
-//! Every locate goes through [`MageNode::resolve_location`], and every
-//! find, lock and unlock request is built by [`MageNode::send_find`],
+//! Every locate goes through [`MageNode::locate_start`], and every find,
+//! lock and unlock request is built by [`MageNode::send_find`],
 //! [`MageNode::send_lock`] or [`MageNode::send_unlock`]. Tasks carry
 //! interned [`NameId`]s / [`CompKey`]s; strings are resolved only on error
 //! paths.
@@ -34,10 +40,11 @@ use mage_codec::ByteBuf;
 use mage_rmi::{Env, Fault, NameId, ReplyHandle, RmiError};
 use mage_sim::{NodeId, OpId};
 
+use crate::coercion::{Coerced, Situation};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::MageNode;
-use crate::proto::{self, FindReply, Outcome};
+use crate::proto::{self, ActArgs, FindArgs, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
 /// A continuation awaiting an RMI reply (keyed by its call token).
@@ -46,16 +53,11 @@ use crate::registry::{CompKey, Incarnation, Located};
 // allocation per exec call, the steady-state path.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Task {
-    /// A find walk on behalf of `waiter`: a driver find issued here, or a
-    /// remote caller's find this node forwards along the chain.
-    Find {
-        waiter: FindWaiter,
-        key: CompKey,
-        /// Origin-server hint for the once-only dead-hop retry.
-        home: Option<u32>,
-        /// Whether the walk is already the once-only home retry.
-        retried: bool,
-    },
+    /// A walk on behalf of `waiter`: a driver find issued here, or a
+    /// remote caller's find or act this node forwards along the chain.
+    /// `walk` is the request as last sent, for a find's once-only home
+    /// retry (an act's is its client's).
+    Walk { waiter: FindWaiter, walk: Walk },
     /// A driver-initiated lock or unlock.
     Client(ClientCall),
     /// A bind/invoke engine, unboxed: a call parks and resumes it once
@@ -67,11 +69,38 @@ pub(crate) enum Task {
     Checkpoint(CheckpointTask),
 }
 
-/// Who hears a find's answer: a remote caller whose find this node parked
-/// or forwarded, or a driver find issued at this node.
+/// A request walking the registry's forwarding chain (§4.1): a find,
+/// answered where the walk ends, or an act, applied there.
+pub(crate) enum Walk {
+    Find(FindArgs),
+    Act(ActArgs),
+}
+
+impl Walk {
+    /// The walk's key, visited list, home and retry flag.
+    pub(crate) fn args(&mut self) -> &mut FindArgs {
+        match self {
+            Walk::Find(args) => args,
+            Walk::Act(act) => &mut act.walk,
+        }
+    }
+}
+
+/// Who waits on an object that is mid-move here: a find, answered with
+/// where the move settles, or an act, which resumes once it has.
+pub(crate) enum TransitWaiter {
+    Find(FindWaiter),
+    /// A remote act, walked again from here.
+    Act(ReplyHandle, ActArgs),
+    /// This node's own exec task (by id), which acts again.
+    Exec(u64),
+}
+
+/// Who hears a walk's answer: a remote caller whose find or act this
+/// node parked or forwarded, or a driver find issued at this node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FindWaiter {
-    /// A remote `mage.find` call awaiting its RMI reply.
+    /// A remote `mage.find` or `mage.act` call awaiting its RMI reply.
     Reply(ReplyHandle),
     /// A driver find completing its op.
     Op(OpId),
@@ -203,8 +232,11 @@ pub(crate) struct CheckpointTask {
 
 /// Why a move was started; decides who hears about the outcome.
 pub(crate) enum MoveOrigin {
-    /// A remote `moveTo` caller awaiting a reply.
-    Reply(ReplyHandle),
+    /// A remote act, classified here as `situation`, awaiting its reply.
+    Act {
+        handle: ReplyHandle,
+        situation: Situation,
+    },
     /// A local [`ExecTask`] (stored under this task id) awaiting resumption.
     Exec(u64),
     /// An autonomous mobile-agent hop; outcome is only traced.
@@ -226,13 +258,20 @@ pub(crate) struct MoveOutTask {
     pub parked_waiters: Vec<crate::lock::QueuedWaiter<ReplyHandle>>,
 }
 
+/// Where a locate starts (see [`MageNode::locate_start`]).
+pub(crate) enum Start {
+    /// This node's knowledge names the location and incarnation.
+    Known(Located),
+    /// Nothing known: a walk starts at the object's home.
+    Home(NodeId),
+}
+
 /// The exec stage a find was issued for. It re-enters once the find
 /// answers, then finds the location known (or, after a dead hop,
 /// forgotten and due to be resolved again).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Resume {
     Guard,
-    Action,
     Invoke,
 }
 
@@ -244,7 +283,12 @@ pub(crate) enum ExecPhase {
     AwaitLock {
         at: NodeId,
     },
-    AwaitMove,
+    /// An act in flight: a request to `to`, or (`None`) a move out of
+    /// this node (which resumes the task through [`MoveOrigin::Exec`]) or
+    /// a wait for the object's move out of this node to settle.
+    AwaitAct {
+        to: Option<NodeId>,
+    },
     AwaitFetchClass {
         dest: NodeId,
     },
@@ -263,7 +307,7 @@ pub(crate) enum ExecPhase {
 impl ExecPhase {
     /// Whether the awaited call is one its peer answers on receipt, so an
     /// exhausted retry budget proves the peer dead for the rest of the op.
-    /// Finds, locks and moves do not qualify: a live peer may hold them
+    /// Finds, acts and locks do not qualify: a live peer may hold them
     /// while it waits on a third party.
     fn answered_on_receipt(&self) -> bool {
         matches!(
@@ -282,8 +326,11 @@ pub(crate) struct ExecTask {
     pub phase: ExecPhase,
     pub cloc: Option<NodeId>,
     /// Incarnation believed to live at `cloc` (updated by every find,
-    /// move and instantiate reply); invocations carry it as `expected`.
+    /// act and instantiate reply); invocations carry it as `expected`.
     pub cinc: Option<Incarnation>,
+    /// How Table 2 resolved an act, once this node or the host classified
+    /// it.
+    pub coerced: Option<Coerced>,
     pub locked_at: Option<NodeId>,
     pub lock_kind: Option<LockKind>,
     pub invoke_at: Option<NodeId>,
@@ -333,6 +380,13 @@ pub(crate) fn is_unreachable(err: &RmiError) -> bool {
     )
 }
 
+/// Whether a failed step is worth re-locating the object over: either the
+/// object moved out from under us (`NotBound` race) or the host we spoke
+/// to is gone (unreachable) — both mean our location knowledge is stale.
+pub(crate) fn stale_location(err: &RmiError) -> bool {
+    matches!(err, RmiError::Fault(Fault::NotBound(_))) || is_unreachable(err)
+}
+
 fn error_to_fault(err: &MageError) -> Fault {
     match err {
         MageError::NotFound(name) => Fault::NotBound(name.clone()),
@@ -348,24 +402,22 @@ pub(crate) fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, 
 }
 
 impl MageNode {
-    /// Sends a fresh find walk for `key` to `to` under `token`; the walk
-    /// has visited only this node.
+    /// Sends a fresh find walk for `key` to its `home` under `token`; the
+    /// walk has visited only this node.
     pub(crate) fn send_find(
         &mut self,
         env: &mut Env<'_, '_>,
-        to: NodeId,
+        home: NodeId,
         key: CompKey,
-        home: Option<u32>,
-        retried: bool,
         token: u64,
     ) {
         let args = proto::FindArgs {
             key,
             visited: vec![env.node().as_raw()],
-            home,
-            retried,
+            home: Some(home.as_raw()),
+            retried: false,
         };
-        self.call_service(env, to, self.ids.find, &args, token);
+        self.call_service(env, home, self.ids.find, &args, token);
     }
 
     /// Asks `at` for a lock on `name` for computation target `target`,
@@ -405,29 +457,35 @@ impl MageNode {
         self.call_service(env, at, self.ids.unlock, &args, token);
     }
 
+    /// Sends `walk` to `to` under `token`.
+    pub(crate) fn send_walk(&mut self, env: &mut Env<'_, '_>, to: NodeId, walk: &Walk, token: u64) {
+        match walk {
+            Walk::Find(args) => self.call_service(env, to, self.ids.find, args, token),
+            Walk::Act(args) => self.call_service(env, to, self.ids.act, args, token),
+        }
+    }
+
     /// Where `key` is, and which incarnation lives there, as far as this
     /// node knows; the one locate step of binds, locks and unlocks.
     ///
     /// The sources, in order: the component hosted here, the registry
-    /// entry, the caller's `hint`, and else a find sent to `home` under
-    /// `token`, in which case this returns `Ok(None)` and the caller parks
-    /// its task on the answer. Knowledge naming a peer in `dead` (one that
-    /// died under the caller's op) is passed over and counted as a
-    /// `dead_peer_skips`; a find that would have to start at a dead home
-    /// fails at once with the `Unreachable` the walk would reach after
-    /// spending its retries on that peer. Nothing to go on is `NotFound`.
-    pub(crate) fn resolve_location(
+    /// entry, the caller's `hint`, and else the `home` a walk starts
+    /// from. Knowledge naming a peer in `dead` (one that died under the
+    /// caller's op) is passed over and counted as a `dead_peer_skips`; a
+    /// walk that would have to start at a dead home fails at once with
+    /// the `Unreachable` the walk would reach after spending its retries
+    /// on that peer. Nothing to go on is `NotFound`.
+    pub(crate) fn locate_start(
         &mut self,
         env: &mut Env<'_, '_>,
         key: CompKey,
         hint: Option<Located>,
         home: Option<NodeId>,
         dead: &[NodeId],
-        token: u64,
-    ) -> Result<Option<Located>, MageError> {
+    ) -> Result<Start, MageError> {
         let me = env.node();
         if self.has_component(key) {
-            return Ok(Some(Located::new(me, self.local_incarnation(key))));
+            return Ok(Start::Known(Located::new(me, self.local_incarnation(key))));
         }
         let usable = |env: &mut Env<'_, '_>, node: NodeId| {
             let dead = dead.contains(&node);
@@ -442,43 +500,38 @@ impl MageNode {
             .flatten()
             .find(|loc| loc.node != me && usable(env, loc.node))
         {
-            return Ok(Some(loc));
+            return Ok(Start::Known(loc));
         }
         match home.filter(|h| *h != me) {
             Some(home) if !usable(env, home) => Err(MageError::Unreachable {
                 peer: home.as_raw(),
             }),
-            Some(start) => {
-                let home = home.map(NodeId::as_raw);
-                self.send_find(env, start, key, home, false, token);
-                Ok(None)
-            }
+            Some(home) => Ok(Start::Home(home)),
             None => Err(MageError::NotFound(key.display(&self.syms))),
         }
     }
 
-    /// Issues the once-only home retry of a find walk that dead-ended: a
-    /// fresh walk from `home`, parked for `waiter` under a new token.
-    /// Returns `false` without side effects when the hint is absent or
-    /// points here (the caller surfaces its error instead).
-    pub(crate) fn retry_find_from_home(
+    /// Issues the once-only home retry of a walk that dead-ended: `walk`
+    /// again, fresh from its home, parked for `waiter` under a new token.
+    /// Returns `false` when the home hint is absent or points here (the
+    /// caller surfaces its error instead).
+    pub(crate) fn retry_walk_from_home(
         &mut self,
         env: &mut Env<'_, '_>,
         waiter: FindWaiter,
-        key: CompKey,
-        home: Option<u32>,
+        mut walk: Walk,
     ) -> bool {
         let me = env.node();
-        let Some(h) = home.map(NodeId::from_raw).filter(|h| *h != me) else {
+        let args = walk.args();
+        let Some(home) = args.home.map(NodeId::from_raw).filter(|h| *h != me) else {
             return false;
         };
-        let token = self.spawn_task(Task::Find {
-            waiter,
-            key,
-            home,
-            retried: true,
-        });
-        self.send_find(env, h, key, home, true, token);
+        args.visited.clear();
+        args.visited.push(me.as_raw());
+        args.retried = true;
+        let token = self.next_token();
+        self.send_walk(env, home, &walk, token);
+        self.tasks.insert(token, Task::Walk { waiter, walk });
         true
     }
 
@@ -497,12 +550,7 @@ impl MageNode {
             return;
         };
         match task {
-            Task::Find {
-                waiter,
-                key,
-                home,
-                retried,
-            } => self.step_find(env, waiter, key, home, retried, result),
+            Task::Walk { waiter, walk } => self.step_walk(env, waiter, walk, result),
             Task::Client(call) => self.step_client_call(env, token, call, result),
             Task::Exec(t) => self.step_exec_reply(env, token, t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
@@ -510,37 +558,48 @@ impl MageNode {
         }
     }
 
-    /// Answers a find's waiter from the next hop's reply.
-    fn step_find(
+    /// Answers a walk's waiter from the next hop's reply.
+    fn step_walk(
         &mut self,
         env: &mut Env<'_, '_>,
         waiter: FindWaiter,
-        key: CompKey,
-        home: Option<u32>,
-        retried: bool,
+        mut walk: Walk,
         result: Result<Bytes, RmiError>,
     ) {
+        let key = walk.args().key;
         let bytes = match result {
             Ok(bytes) => bytes,
+            // An act reached its object and the host refused it: the
+            // chain held, and the fault goes back as it came.
+            Err(err) if matches!(walk, Walk::Act(_)) && !stale_location(&err) => {
+                return waiter.fail(self, env, &err);
+            }
             Err(err) => {
                 // The hop we followed failed, so the entry that led there
                 // is stale. A forwarding node repairs it whatever the
                 // failure, so the bad chain dies with this walk; a driver
-                // find only when the hop is dead. A dead hop earns the
-                // once-only retry from the component's home.
+                // find only when the hop is dead. A dead hop earns a find
+                // the once-only retry from the component's home; an act
+                // (sent `retried`) goes back to its client, which retries.
                 let dead = is_unreachable(&err);
                 if dead || matches!(waiter, FindWaiter::Reply(_)) {
                     self.registry.remove(key);
                 }
-                let retrying =
-                    dead && !retried && self.retry_find_from_home(env, waiter, key, home);
+                let retried = walk.args().retried;
+                let retrying = dead && !retried && self.retry_walk_from_home(env, waiter, walk);
                 if !retrying {
                     waiter.fail(self, env, &err);
                 }
                 return;
             }
         };
-        match decode::<FindReply>(&bytes) {
+        let found = match walk {
+            Walk::Find(_) => decode::<FindReply>(&bytes),
+            Walk::Act(_) => proto::ActReply::split(&bytes)
+                .map(|(head, _)| head.found())
+                .map_err(MageError::from),
+        };
+        match found {
             Ok(found) => {
                 // Path compression: remember the final location and
                 // incarnation, collapsing the chain (§4.1).
@@ -659,9 +718,9 @@ impl MageNode {
             let found = self.local_find_reply(key, me);
             return waiter.answer(self, env, found, None);
         }
-        if self.park_transit_find(key, waiter) {
+        if self.in_transit(key) {
             // Our own object is mid-move: answer when the transfer settles.
-            return;
+            return self.park_in_transit(key, TransitWaiter::Find(waiter));
         }
         // The local registry entry is the *start* of the forwarding chain,
         // not the answer: shared objects move behind our back, so a find
@@ -674,13 +733,15 @@ impl MageNode {
             .or_else(|| home_hint.map(NodeId::from_raw).filter(|h| *h != me));
         match start {
             Some(start) => {
-                let token = self.spawn_task(Task::Find {
-                    waiter,
+                let walk = Walk::Find(FindArgs {
                     key,
+                    visited: vec![me.as_raw()],
                     home: home_hint,
                     retried: false,
                 });
-                self.send_find(env, start, key, home_hint, false, token);
+                let token = self.next_token();
+                self.send_walk(env, start, &walk, token);
+                self.tasks.insert(token, Task::Walk { waiter, walk });
             }
             None => {
                 let err = MageError::NotFound(key.display(&self.syms));
@@ -711,13 +772,14 @@ impl MageNode {
         self.client_call_locate(env, token, call);
     }
 
-    /// Calls from local location knowledge, or parks `call` on the find
-    /// that [`resolve_location`](Self::resolve_location) issues.
+    /// Calls from local location knowledge, or parks `call` on a find
+    /// from the home.
     fn client_call_locate(&mut self, env: &mut Env<'_, '_>, token: u64, mut call: ClientCall) {
         let key = CompKey::object(call.name);
-        match self.resolve_location(env, key, None, call.home_hint, &[], token) {
-            Ok(Some(at)) => self.client_call_send(env, token, call, at),
-            Ok(None) => {
+        match self.locate_start(env, key, None, call.home_hint, &[]) {
+            Ok(Start::Known(at)) => self.client_call_send(env, token, call, at),
+            Ok(Start::Home(home)) => {
+                self.send_find(env, home, key, token);
                 call.finding = true;
                 self.tasks.insert(token, Task::Client(call));
             }
@@ -880,10 +942,15 @@ impl MageNode {
         }
     }
 
-    /// Answers every find parked on `name` during its transit with
-    /// `location` (the destination on commit, this node on abort) and the
-    /// moved object's incarnation.
-    fn flush_transit_finds(
+    /// Settles everything parked on `name` during its transit: a find
+    /// hears `location` (the destination on commit, this node on abort)
+    /// and the moved object's incarnation, and this node's own exec task
+    /// acts again. A remote act goes on to the destination after a
+    /// commit. After an abort it is refused `NotBound`, which its caller
+    /// retries as any stale location: the abort spent a whole call budget,
+    /// so the caller may have re-sent the act already, and running this
+    /// copy too would invoke twice.
+    fn flush_transit(
         &mut self,
         env: &mut Env<'_, '_>,
         name: NameId,
@@ -894,8 +961,21 @@ impl MageNode {
             location: location.as_raw(),
             incarnation,
         };
-        for waiter in self.transit_finds.remove(&name).unwrap_or_default() {
-            waiter.answer(self, env, found, None);
+        // An aborted move leaves the object here; a committed one at `location`.
+        let aborted = location == env.node();
+        for waiter in self.transit_waiters.remove(&name).unwrap_or_default() {
+            match waiter {
+                TransitWaiter::Find(waiter) => waiter.answer(self, env, found, None),
+                TransitWaiter::Act(handle, _) if aborted => {
+                    env.reply(handle, Err(Fault::NotBound(self.name_str(name))));
+                }
+                TransitWaiter::Act(handle, act) => self.serve_walk(env, handle, Walk::Act(act)),
+                TransitWaiter::Exec(id) => {
+                    if let Some(Task::Exec(task)) = self.tasks.remove(&id) {
+                        self.exec_begin_action(env, id, task);
+                    }
+                }
+            }
         }
     }
 
@@ -904,14 +984,12 @@ impl MageNode {
         if let Some(hosted) = self.objects.get_mut(&task.name) {
             hosted.in_transit = false;
         }
-        // Finds that arrived mid-move resolve right back here.
         let me = env.node();
         // Re-home: the aborted transfer (e.g. to a crashed target) must
         // leave the registry pointing at the surviving copy, not at
         // whatever the chain said before the move started.
         let at = Located::new(me, task.incarnation);
         self.registry.update(CompKey::object(task.name), at);
-        self.flush_transit_finds(env, task.name, me, task.incarnation);
         self.locks.install(task.name, task.locks);
         // Re-queue the waiters we parked; immediate grants are answered
         // directly (reply handles are Copy).
@@ -942,6 +1020,11 @@ impl MageNode {
             ));
         }
         self.finish_move_failed(env, task.origin, err);
+        // Last, once the object's lock state is whole again: finds that
+        // arrived mid-move resolve right back here, and an exec task of
+        // this node may invoke here or start a move of its own, which
+        // packs the holders.
+        self.flush_transit(env, task.name, me, task.incarnation);
     }
 
     fn finish_move_ok(&mut self, env: &mut Env<'_, '_>, task: MoveOutTask) {
@@ -958,15 +1041,16 @@ impl MageNode {
         }
         // Finds that arrived mid-move resolve to the destination.
         let dest = task.ladder.dest;
-        self.flush_transit_finds(env, task.name, dest, task.incarnation);
+        self.flush_transit(env, task.name, dest, task.incarnation);
         match task.origin {
-            MoveOrigin::Reply(handle) => {
-                let payload = mage_codec::to_bytes(&FindReply {
+            MoveOrigin::Act { handle, situation } => {
+                let head = proto::ActReply {
                     location: dest.as_raw(),
                     incarnation: task.incarnation,
-                })
-                .expect("find reply encodes");
-                env.reply(handle, Ok(payload));
+                    situation,
+                    moved: true,
+                };
+                self.reply_act(env, handle, &head, &[]);
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
@@ -984,7 +1068,7 @@ impl MageNode {
 
     fn finish_move_failed(&mut self, env: &mut Env<'_, '_>, origin: MoveOrigin, err: MageError) {
         match origin {
-            MoveOrigin::Reply(handle) => {
+            MoveOrigin::Act { handle, .. } => {
                 env.reply(handle, Err(error_to_fault(&err)));
             }
             MoveOrigin::Exec(exec_id) => {

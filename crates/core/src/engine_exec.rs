@@ -2,10 +2,21 @@
 //!
 //! An [`ExecTask`] runs on the client's node and realises one mobility-
 //! attribute application: `[lock] → place component → [invoke] → [unlock]`.
-//! Placement is whatever the (already coercion-checked) plan says: nothing
-//! (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or an
-//! instantiation from the class (traditional REV/COD factories), with class
-//! transfer slipped in on demand.
+//! Placement is whatever the plan says: nothing (RPC/CLE), a migration
+//! (REV on objects, GREV, MA, COD), or an instantiation from the class
+//! (traditional REV/COD factories), with class transfer slipped in on
+//! demand.
+//!
+//! An unguarded built-in bind carries an [`ActPlan`] and no find comes
+//! first: if this node hosts the object, it applies Table 2 here (LPC and
+//! a COD already local send nothing); else one `act` request goes to the
+//! object's best-known location — hosted here, the registry entry, the
+//! session's hint, then home — and walks the registry chain to the host,
+//! which applies Table 2 and invokes in place or moves the object. After
+//! a move the task invokes at the destination, as it does after a move
+//! of its own. A moving plan the session already coerced (guarded,
+//! single-use, a user policy) rides the same request as a
+//! [`ModelKind::Custom`](crate::ModelKind::Custom) plan.
 //!
 //! Each stage issues one call and parks the task in the [`ExecPhase`] that
 //! awaits its reply; [`MageNode::step_exec_reply`] hands the reply to that
@@ -16,22 +27,16 @@ use bytes::Bytes;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
+use crate::coercion::{coerce, Coerced, Situation};
 use crate::engine::{
-    decode, is_unreachable, rmi_error_to_mage, ClassLadder, ExecPhase, ExecTask, MoveOrigin,
-    Resume, Rung, Task,
+    decode, is_unreachable, rmi_error_to_mage, stale_location, ClassLadder, ExecPhase, ExecTask,
+    MoveOrigin, Resume, Rung, Start, Task, TransitWaiter,
 };
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::MageNode;
-use crate::proto::{self, ActionSpec, FindReply, Outcome};
+use crate::proto::{self, ActArgsRef, ActPlan, ActionSpec, FindArgs, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
-
-/// Whether a failed step is worth re-finding the object over: either the
-/// object moved out from under us (`NotBound` race) or the host we spoke
-/// to is gone (unreachable) — both mean our location knowledge is stale.
-fn stale_location(err: &RmiError) -> bool {
-    matches!(err, RmiError::Fault(Fault::NotBound(_))) || is_unreachable(err)
-}
 
 /// Whether a `StaleIdentity` refusal may be resolved by re-finding: only
 /// for plans whose identity expectation is *advisory* (a bind with a
@@ -46,11 +51,11 @@ impl ExecTask {
     /// lock request in Figure 8).
     fn lock_target(&self, me: NodeId) -> NodeId {
         match &self.spec.action {
-            ActionSpec::InvokeAt { node } => NodeId::from_raw(*node),
-            ActionSpec::InvokeAtCurrent => self.cloc.unwrap_or(me),
+            ActionSpec::InvokeAt { node } | ActionSpec::Instantiate { node, .. } => {
+                NodeId::from_raw(*node)
+            }
             ActionSpec::Local => me,
-            ActionSpec::MoveTo { node } => NodeId::from_raw(*node),
-            ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
+            ActionSpec::Act(plan) => plan.named.map(NodeId::from_raw).or(self.cloc).unwrap_or(me),
         }
     }
 }
@@ -67,6 +72,7 @@ impl MageNode {
             },
             cloc: None,
             cinc,
+            coerced: None,
             locked_at: None,
             lock_kind: None,
             invoke_at: None,
@@ -104,15 +110,14 @@ impl MageNode {
         self.exec_park(id, task, ExecPhase::AwaitLock { at });
     }
 
-    fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    pub(crate) fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         match task.spec.action {
             ActionSpec::Local => self.exec_local(env, id, task),
             ActionSpec::InvokeAt { node } => {
                 task.invoke_at = Some(NodeId::from_raw(node));
                 self.exec_begin_invoke(env, id, task);
             }
-            ActionSpec::InvokeAtCurrent => self.exec_locate_and_invoke(env, id, task),
-            ActionSpec::MoveTo { node } => self.exec_move_to(env, id, task, NodeId::from_raw(node)),
+            ActionSpec::Act(plan) => self.exec_act(env, id, task, plan),
             ActionSpec::Instantiate { node, .. } => {
                 self.exec_instantiate(env, id, task, NodeId::from_raw(node));
             }
@@ -159,36 +164,74 @@ impl MageNode {
         }
     }
 
-    /// Moves the object to `dest`, then invokes it there (REV on objects,
-    /// GREV, MA, COD with a local target).
-    fn exec_move_to(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
+    /// Applies an act plan: here, when this node hosts the object; else
+    /// by one act request to the object's best-known location, which
+    /// walks on to the host.
+    fn exec_act(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, plan: ActPlan) {
         let me = env.node();
-        let Some((mut task, cloc)) = self.exec_locate(env, id, task, Resume::Action) else {
-            return;
-        };
-        if cloc == dest {
-            // Already at the target: the engine-level mirror of coercion to
-            // RPC.
-            task.invoke_at = Some(dest);
-            self.exec_begin_invoke(env, id, task);
-            return;
-        }
         let name = task.spec.object;
-        if cloc == me {
-            // We host the object: run the transfer ourselves (Figure 7
-            // without the moveTo hop).
-            self.exec_park(id, task, ExecPhase::AwaitMove);
-            self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
-        } else {
-            // Ask the hosting namespace to transfer the object (Figure 7,
-            // message 3).
-            let args = proto::MoveToArgs {
-                name,
-                dest: dest.as_raw(),
+        let key = CompKey::object(name);
+        if self.has_component(key) {
+            // Hosted here: Table 2's local column, and no message unless
+            // the object moves.
+            let coerced = match coerce(plan.model, Situation::Local) {
+                Ok(coerced) => coerced,
+                Err(e) => return self.exec_fail(env, id, task, e),
             };
-            self.call_service(env, cloc, self.ids.move_to, &args, id);
-            self.exec_park(id, task, ExecPhase::AwaitMove);
+            task.coerced = Some(coerced);
+            let moves = plan.moves && coerced == Coerced::Proceed;
+            match plan
+                .named
+                .map(NodeId::from_raw)
+                .filter(|d| moves && *d != me)
+            {
+                Some(dest) => {
+                    // We host the object: run the transfer ourselves
+                    // (Figure 7 without the request hop).
+                    self.exec_park(id, task, ExecPhase::AwaitAct { to: None });
+                    self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
+                }
+                None => self.exec_local(env, id, task),
+            }
+            return;
         }
+        if self.in_transit(key) {
+            // Our own object is leaving: act once its move settles.
+            self.exec_park(id, task, ExecPhase::AwaitAct { to: None });
+            return self.park_in_transit(key, TransitWaiter::Exec(id));
+        }
+        let to = match self.exec_start_point(env, &task) {
+            Ok(Start::Known(at)) => {
+                if !task.spec.identity_pinned {
+                    task.cinc = Some(at.incarnation).filter(|inc| !inc.is_none());
+                }
+                at.node
+            }
+            Ok(Start::Home(home)) => home,
+            Err(e) => return self.exec_fail(env, id, task, e),
+        };
+        // The act's home retry is this task's (see `exec_on_acted`).
+        let walk = FindArgs {
+            key,
+            visited: vec![me.as_raw()],
+            home: task.spec.home_hint,
+            retried: true,
+        };
+        let invoke = task.spec.invoke.as_ref();
+        let args = ActArgsRef {
+            walk: &walk,
+            client: me.as_raw(),
+            plan,
+            invoke: invoke.map(|invoke| proto::InvokeArgsRef {
+                name,
+                method: invoke.method,
+                args: &invoke.args,
+                expected: task.cinc.filter(|inc| !inc.is_none()),
+            }),
+            one_way: invoke.is_some_and(|invoke| invoke.one_way),
+        };
+        self.call_service(env, to, self.ids.act, &args, id);
+        self.exec_park(id, task, ExecPhase::AwaitAct { to: Some(to) });
     }
 
     /// Instantiates a fresh object from the class at `dest`, then invokes
@@ -353,6 +396,7 @@ impl MageNode {
                 incarnation: task.cinc.unwrap_or(Incarnation::NONE),
                 result: task.result,
                 lock_kind: task.lock_kind,
+                coerced: task.coerced,
             }),
         );
     }
@@ -439,25 +483,23 @@ impl MageNode {
             task.spec.expected_incarnation = task.cinc;
         }
         match task.spec.action {
-            ActionSpec::MoveTo { .. } => self.exec_begin_action(env, id, task),
+            ActionSpec::Act(_) => self.exec_begin_action(env, id, task),
             _ => self.exec_locate_and_invoke(env, id, task),
         }
     }
 
-    /// The component's current location: the task's own knowledge, or what
-    /// [`resolve_location`](Self::resolve_location) makes of this node's
-    /// knowledge and the spec's hints, passing over the peers that died
-    /// under this op. Returns `None` once the task is parked on a find
-    /// (resuming at `resume`) or failed.
-    fn exec_locate(
+    /// Where the task's object is, or where a walk to it starts: the
+    /// task's own knowledge, or what [`locate_start`](Self::locate_start)
+    /// makes of this node's knowledge and the spec's hints, passing over
+    /// the peers that died under this op.
+    fn exec_start_point(
         &mut self,
         env: &mut Env<'_, '_>,
-        id: u64,
-        mut task: ExecTask,
-        resume: Resume,
-    ) -> Option<(ExecTask, NodeId)> {
+        task: &ExecTask,
+    ) -> Result<Start, MageError> {
         if let Some(loc) = task.cloc {
-            return Some((task, loc));
+            let known = task.cinc.unwrap_or(Incarnation::NONE);
+            return Ok(Start::Known(Located::new(loc, known)));
         }
         let spec = &task.spec;
         let hint = spec.location_hint.map(|node| {
@@ -466,15 +508,29 @@ impl MageNode {
         });
         let key = CompKey::object(spec.object);
         let home = spec.home_hint.map(NodeId::from_raw);
-        match self.resolve_location(env, key, hint, home, &task.dead_peers, id) {
-            Ok(Some(found)) => {
+        self.locate_start(env, key, hint, home, &task.dead_peers)
+    }
+
+    /// The component's current location (see
+    /// [`exec_start_point`](Self::exec_start_point)). Returns `None` once the task is
+    /// parked on a find from the home (resuming at `resume`) or failed.
+    fn exec_locate(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        resume: Resume,
+    ) -> Option<(ExecTask, NodeId)> {
+        match self.exec_start_point(env, &task) {
+            Ok(Start::Known(found)) => {
                 if !task.spec.identity_pinned {
                     task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
                 }
                 task.cloc = Some(found.node);
                 Some((task, found.node))
             }
-            Ok(None) => {
+            Ok(Start::Home(home)) => {
+                self.send_find(env, home, CompKey::object(task.spec.object), id);
                 self.exec_park(id, task, ExecPhase::AwaitFind { resume });
                 None
             }
@@ -485,7 +541,7 @@ impl MageNode {
         }
     }
 
-    /// Adopts a find, move or restore answer as the task's location
+    /// Adopts a find, act or restore answer as the task's location
     /// knowledge and records it in the registry; returns the location.
     fn exec_adopt(&mut self, task: &mut ExecTask, found: FindReply) -> NodeId {
         let loc = NodeId::from_raw(found.location);
@@ -527,7 +583,7 @@ impl MageNode {
         match std::mem::replace(&mut task.phase, ExecPhase::AwaitInvoke) {
             ExecPhase::AwaitFind { resume } => self.exec_on_found(env, id, task, resume, result),
             ExecPhase::AwaitLock { at } => self.exec_on_locked(env, id, task, at, result),
-            ExecPhase::AwaitMove => self.exec_on_moved(env, id, task, result),
+            ExecPhase::AwaitAct { to } => self.exec_on_acted(env, id, task, to, result),
             ExecPhase::AwaitFetchClass { dest } => {
                 self.exec_on_class_fetched(env, id, task, dest, result);
             }
@@ -612,7 +668,6 @@ impl MageNode {
         // continues where it left off.
         match resume {
             Resume::Guard => self.exec_begin_guard(env, id, task),
-            Resume::Action => self.exec_begin_action(env, id, task),
             Resume::Invoke => self.exec_locate_and_invoke(env, id, task),
         }
     }
@@ -649,25 +704,63 @@ impl MageNode {
         }
     }
 
-    fn exec_on_moved(
+    /// Takes the reply of an act sent to `to`: the host's location, the
+    /// situation it classified and, unless it moved the object, the
+    /// invocation's result.
+    ///
+    /// An act's home retry is this task's alone, since no forwarding node
+    /// re-sends an act (a second copy could invoke twice), and it is
+    /// once-only, as a find walk's is: a dead hop sends the next act to
+    /// the home, and an act the home could not get through ends the bind.
+    fn exec_on_acted(
         &mut self,
         env: &mut Env<'_, '_>,
         id: u64,
         mut task: ExecTask,
+        to: Option<NodeId>,
         result: Result<Bytes, RmiError>,
     ) {
-        match result {
-            Err(ref e) if stale_location(e) && task.retries > 0 => {
+        let to_home = to.is_some_and(|to| Some(to.as_raw()) == task.spec.home_hint);
+        let bytes = match result {
+            Err(ref e)
+                if (stale_location(e) || rebindable_identity(&task.spec, e))
+                    && !(is_unreachable(e) && to_home)
+                    && task.retries > 0 =>
+            {
+                // The walk ended without the object, the host we asked is
+                // gone, or (advisory identity only) another incarnation
+                // answers: forget what we knew and act again.
                 self.exec_forget_location(&mut task);
-                self.exec_begin_action(env, id, task);
+                return self.exec_begin_action(env, id, task);
             }
-            result => {
-                if let Some((mut task, found)) = self.exec_decode(env, id, task, result) {
-                    self.exec_adopt(&mut task, found);
-                    self.exec_locate_and_invoke(env, id, task);
-                }
-            }
+            Err(e) => return self.exec_fail(env, id, task, rmi_error_to_mage(&e)),
+            Ok(bytes) => bytes,
+        };
+        let ActionSpec::Act(plan) = task.spec.action else {
+            unreachable!("only act plans await an act");
+        };
+        let (head, result) = match proto::ActReply::split(&bytes) {
+            Ok(split) => split,
+            Err(e) => return self.exec_fail(env, id, task, e.into()),
+        };
+        let at = self.exec_adopt(&mut task, head.found());
+        task.coerced = match coerce(plan.model, head.situation) {
+            Ok(coerced) => Some(coerced),
+            Err(e) => return self.exec_fail(env, id, task, e),
+        };
+        task.invoke_at = Some(at);
+        if head.moved {
+            return self.exec_begin_invoke(env, id, task);
         }
+        if task
+            .spec
+            .invoke
+            .as_ref()
+            .is_some_and(|invoke| !invoke.one_way)
+        {
+            task.result = Some(result);
+        }
+        self.exec_begin_unlock(env, id, task);
     }
 
     fn exec_on_class_fetched(

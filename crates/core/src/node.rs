@@ -3,7 +3,7 @@
 //! `MageExternalServer` and MAGE registry roles (§4.1, Figure 6).
 //!
 //! A `MageNode` plugs into the RMI substrate as an [`App`]: its system
-//! services (find, lock, invoke, move, receive, class transfer) are methods
+//! services (find, act, lock, invoke, receive, class transfer) are methods
 //! of the well-known [`proto::SERVICE`] object, and mobility-attribute
 //! binds are client-side protocol engines (see [`crate::engine`]) driven by
 //! RMI replies — exactly the paper's "mobility attributes boil down to RMI
@@ -25,8 +25,11 @@ use mage_sim::{NodeId, OpId, SimDuration};
 
 use crate::admission::Quotas;
 use crate::class::ClassDef;
+use crate::coercion::{coerce, Coerced, Situation};
 use crate::component::{Durability, Visibility};
-use crate::engine::{CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, Task};
+use crate::engine::{
+    CheckpointTask, ClientCallKind, FindWaiter, MoveOrigin, Task, TransitWaiter, Walk,
+};
 use crate::error::MageError;
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
@@ -75,7 +78,7 @@ pub(crate) struct ProtoIds {
     pub lock: NameId,
     pub unlock: NameId,
     pub invoke: NameId,
-    pub move_to: NameId,
+    pub act: NameId,
     pub receive: NameId,
     pub receive_class: NameId,
     pub fetch_class: NameId,
@@ -92,7 +95,7 @@ impl ProtoIds {
             lock: syms.intern(methods::LOCK),
             unlock: syms.intern(methods::UNLOCK),
             invoke: syms.intern(methods::INVOKE),
-            move_to: syms.intern(methods::MOVE_TO),
+            act: syms.intern(methods::ACT),
             receive: syms.intern(methods::RECEIVE),
             receive_class: syms.intern(methods::RECEIVE_CLASS),
             fetch_class: syms.intern(methods::FETCH_CLASS),
@@ -193,11 +196,11 @@ pub struct MageNode {
     pub(crate) quotas: Quotas,
     /// Whether classes with static fields may be replicated here (§4.2).
     pub(crate) allow_static_classes: bool,
-    /// Find requests for objects currently in transit, answered when the
-    /// move settles (with the destination) or aborts (with this node).
-    /// Concurrent clients may legitimately look an object up mid-move —
-    /// the pipelined session API makes that interleaving routine.
-    pub(crate) transit_finds: BTreeMap<NameId, Vec<FindWaiter>>,
+    /// Finds and acts for objects currently in transit, settled when the
+    /// move commits (to the destination) or aborts (here). Concurrent
+    /// clients may legitimately look an object up mid-move — the
+    /// pipelined session API makes that interleaving routine.
+    pub(crate) transit_waiters: BTreeMap<NameId, Vec<TransitWaiter>>,
     /// Durability snapshots this namespace keeps as the backup home of
     /// replicated objects hosted elsewhere (crash-stop: these die with
     /// this node too — replication is one backup, not consensus).
@@ -243,7 +246,7 @@ impl MageNode {
             trust: TrustPolicy::default(),
             quotas: Quotas::unlimited(),
             allow_static_classes: false,
-            transit_finds: BTreeMap::new(),
+            transit_waiters: BTreeMap::new(),
             backups: BTreeMap::new(),
         }
     }
@@ -279,18 +282,19 @@ impl MageNode {
         }
     }
 
-    /// Parks `waiter` until the move of `key`'s object settles, when that
-    /// object is hosted here and in transit; `false` otherwise.
-    pub(crate) fn park_transit_find(&mut self, key: CompKey, waiter: FindWaiter) -> bool {
-        let in_transit = key.kind == Kind::Object
+    /// Whether `key`'s object is hosted here and in transit.
+    pub(crate) fn in_transit(&self, key: CompKey) -> bool {
+        key.kind == Kind::Object
             && self
                 .objects
                 .get(&key.id)
-                .is_some_and(|hosted| hosted.in_transit);
-        if in_transit {
-            self.transit_finds.entry(key.id).or_default().push(waiter);
-        }
-        in_transit
+                .is_some_and(|hosted| hosted.in_transit)
+    }
+
+    /// Parks `waiter` until the move of `key`'s object, in transit here,
+    /// settles.
+    pub(crate) fn park_in_transit(&mut self, key: CompKey, waiter: TransitWaiter) {
+        self.transit_waiters.entry(key.id).or_default().push(waiter);
     }
 
     /// The find answer for a component hosted here.
@@ -325,12 +329,6 @@ impl MageNode {
         token
     }
 
-    pub(crate) fn spawn_task(&mut self, task: Task) -> u64 {
-        let id = self.next_token();
-        self.tasks.insert(id, task);
-        id
-    }
-
     /// Completes driver op `op` with `result`, written into the cell the
     /// op arrived in: a completion allocates nothing.
     pub(crate) fn complete(
@@ -359,19 +357,39 @@ impl MageNode {
     // ---- server-side handlers (MageServer / MageExternalServer) ----
 
     fn handle_find(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
-        let args: proto::FindArgs = decode_args(&call)?;
+        self.walk(env, call.handle(), Walk::Find(decode_args(&call)?))
+    }
+
+    fn handle_act(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
+        self.walk(env, call.handle(), Walk::Act(decode_args(&call)?))
+    }
+
+    /// One hop of a find or act walking the registry chain (§4.1): answer
+    /// or act if the object is here, wait if it is leaving, else follow
+    /// the registry entry, repairing one that provably leads nowhere.
+    fn walk(&mut self, env: &mut Env<'_, '_>, handle: ReplyHandle, mut walk: Walk) -> Served {
         let me = env.node();
-        if self.has_component(args.key) {
-            return reply_ok(&self.local_find_reply(args.key, me));
+        let key = walk.args().key;
+        if self.has_component(key) {
+            return match walk {
+                Walk::Find(_) => reply_ok(&self.local_find_reply(key, me)),
+                Walk::Act(act) => self.act_here(env, handle, act),
+            };
         }
-        if self.park_transit_find(args.key, FindWaiter::Reply(call.handle())) {
-            // Mid-move: answer once the transfer settles (the forwarding
+        if self.in_transit(key) {
+            // Mid-move: settle once the transfer does (the forwarding
             // address is only valid after the receive ack).
+            let waiter = match walk {
+                Walk::Find(_) => TransitWaiter::Find(FindWaiter::Reply(handle)),
+                Walk::Act(act) => TransitWaiter::Act(handle, act),
+            };
+            self.park_in_transit(key, waiter);
             return Ok(CallOutcome::Deferred);
         }
-        let Some(next) = self.registry.lookup(args.key).map(|l| l.node) else {
-            return self.find_dead_end(env, call.handle(), &args);
+        let Some(next) = self.registry.lookup(key).map(|l| l.node) else {
+            return self.walk_dead_end(env, handle, walk);
         };
+        let args = walk.args();
         if next == me
             || args.visited.contains(&next.as_raw())
             || args.visited.len() >= FIND_HOP_LIMIT
@@ -380,46 +398,104 @@ impl MageNode {
             // the entry provably leads nowhere from here. Repair it (so
             // the bad chain does not survive this walk), then retry once
             // from the component's home before surfacing an error.
-            self.registry.remove(args.key);
-            return self.find_dead_end(env, call.handle(), &args);
+            self.registry.remove(key);
+            return self.walk_dead_end(env, handle, walk);
         }
-        let mut visited = args.visited;
-        visited.push(me.as_raw());
-        let token = self.spawn_task(Task::Find {
-            waiter: FindWaiter::Reply(call.handle()),
-            key: args.key,
-            home: args.home,
-            retried: args.retried,
-        });
-        self.call_service(
-            env,
-            next,
-            self.ids.find,
-            &proto::FindArgs {
-                key: args.key,
-                visited,
-                home: args.home,
-                retried: args.retried,
-            },
-            token,
-        );
+        let first_hop = args.visited.len() == 1;
+        args.visited.push(me.as_raw());
+        if first_hop && matches!(walk, Walk::Act(_)) {
+            // An act that takes at least one forwarding hop.
+            env.count("act_forwards");
+        }
+        let token = self.next_token();
+        self.send_walk(env, next, &walk, token);
+        let waiter = FindWaiter::Reply(handle);
+        self.tasks.insert(token, Task::Walk { waiter, walk });
         Ok(CallOutcome::Deferred)
     }
 
-    /// A find walk dead-ended here (no registry entry, or a repaired
+    /// A walk dead-ended here (no registry entry, or a repaired
     /// stale/cyclic one): retry once from the component's home node if the
-    /// hint is usable, otherwise answer with a typed `NotBound`.
-    fn find_dead_end(
+    /// hint is usable and the walk is not already `retried` (an act always
+    /// is), otherwise answer with a typed `NotBound`.
+    fn walk_dead_end(
         &mut self,
         env: &mut Env<'_, '_>,
-        reply: ReplyHandle,
-        args: &proto::FindArgs,
+        handle: ReplyHandle,
+        mut walk: Walk,
     ) -> Served {
-        let waiter = FindWaiter::Reply(reply);
-        if !args.retried && self.retry_find_from_home(env, waiter, args.key, args.home) {
+        let args = walk.args();
+        let (key, retried) = (args.key, args.retried);
+        if !retried && self.retry_walk_from_home(env, FindWaiter::Reply(handle), walk) {
             return Ok(CallOutcome::Deferred);
         }
-        Err(Fault::NotBound(args.key.display(&self.syms)))
+        Err(Fault::NotBound(key.display(&self.syms)))
+    }
+
+    /// Walks a parked request on from here, answering its caller with
+    /// whatever this hop decides at once.
+    pub(crate) fn serve_walk(&mut self, env: &mut Env<'_, '_>, handle: ReplyHandle, walk: Walk) {
+        match self.walk(env, handle, walk) {
+            Ok(CallOutcome::Reply(result)) => {
+                env.reply(handle, result);
+            }
+            Err(fault) => {
+                env.reply(handle, Err(fault));
+            }
+            Ok(_) => {}
+        }
+    }
+
+    /// Applies an act's plan to the object hosted here: classifies the
+    /// situation (Table 2), then invokes in place or starts the move. An
+    /// exception cell is answered, typed, without acting.
+    fn act_here(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        handle: ReplyHandle,
+        act: proto::ActArgs,
+    ) -> Served {
+        let me = env.node();
+        let name = act.walk.key.id;
+        let (client, named) = (
+            NodeId::from_raw(act.client),
+            act.plan.named.map(NodeId::from_raw),
+        );
+        let situation = Situation::classify(client, named, Some(me));
+        let coerced = coerce(act.plan.model, situation);
+        let dest = named.unwrap_or(client);
+        if act.plan.moves && coerced == Ok(Coerced::Proceed) && dest != me {
+            let origin = MoveOrigin::Act { handle, situation };
+            self.begin_move_out(env, name, dest, origin);
+            return Ok(CallOutcome::Deferred);
+        }
+        let result = match (coerced, &act.invoke) {
+            (Ok(_), Some(invoke)) => Some(self.serve_invoke(env, invoke)?).filter(|_| !act.one_way),
+            _ => None,
+        };
+        let head = proto::ActReply {
+            location: me.as_raw(),
+            incarnation: self.local_incarnation(act.walk.key),
+            situation,
+            moved: false,
+        };
+        self.reply_act(env, handle, &head, result.as_deref().unwrap_or_default());
+        Ok(CallOutcome::Deferred)
+    }
+
+    /// Answers an act with `head`, then `result`, assembled in the
+    /// scratch buffer.
+    pub(crate) fn reply_act(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        handle: ReplyHandle,
+        head: &proto::ActReply,
+        result: &[u8],
+    ) {
+        self.scratch.clear();
+        mage_codec::to_bytes_in(head, &mut self.scratch).expect("act reply encodes");
+        self.scratch.extend_from_slice(result);
+        env.reply_with(handle, Ok(&self.scratch));
     }
 
     fn handle_lock(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
@@ -507,6 +583,15 @@ impl MageNode {
 
     fn handle_invoke(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
         let args: proto::InvokeArgs = decode_args(&call)?;
+        Ok(CallOutcome::Reply(self.serve_invoke(env, &args)))
+    }
+
+    /// Runs a remote caller's invocation on the object hosted here.
+    fn serve_invoke(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        args: &proto::InvokeArgs,
+    ) -> Result<Vec<u8>, Fault> {
         env.charge(self.config.invoke_overhead);
         // Identity gate: a same-name/different-incarnation object must
         // not silently execute a stale stub's call (§ROADMAP: stable
@@ -516,8 +601,7 @@ impl MageNode {
             return Err(fault);
         }
         let method = self.syms.resolve_lossy(args.method);
-        let result = self.invoke_local(env, args.name, &method, &args.args);
-        Ok(CallOutcome::Reply(result))
+        self.invoke_local(env, args.name, &method, &args.args)
     }
 
     /// Invokes a method on a locally hosted object, handling mobile-agent
@@ -567,29 +651,6 @@ impl MageNode {
             }
         }
         result
-    }
-
-    fn handle_move_to(&mut self, env: &mut Env<'_, '_>, call: InboundCall) -> Served {
-        let args: proto::MoveToArgs = decode_args(&call)?;
-        let dest = NodeId::from_raw(args.dest);
-        if dest == env.node() {
-            let key = CompKey::object(args.name);
-            if self.has_component(key) {
-                return reply_ok(&self.local_find_reply(key, dest));
-            }
-            return Err(Fault::NotBound(self.name_str(args.name)));
-        }
-        match self.objects.get(&args.name) {
-            None => Err(Fault::NotBound(self.name_str(args.name))),
-            Some(hosted) if hosted.in_transit => Err(Fault::App(format!(
-                "{} is in transit",
-                self.name_str(args.name)
-            ))),
-            Some(_) => {
-                self.begin_move_out(env, args.name, dest, MoveOrigin::Reply(call.handle()));
-                Ok(CallOutcome::Deferred)
-            }
-        }
     }
 
     /// The trust gate an inbound push from `from` passes before its
@@ -1180,8 +1241,8 @@ impl App for MageNode {
             self.handle_unlock(env, call)
         } else if method == self.ids.invoke {
             self.handle_invoke(env, call)
-        } else if method == self.ids.move_to {
-            self.handle_move_to(env, call)
+        } else if method == self.ids.act {
+            self.handle_act(env, call)
         } else if method == self.ids.receive {
             self.handle_receive(env, from, call)
         } else if method == self.ids.receive_class {
@@ -1225,14 +1286,17 @@ impl App for MageNode {
         // Registry entries pointing at the dead incarnation are stale —
         // the components it hosted died with it; finds must rediscover.
         let stale = self.registry.purge_location(peer);
-        // Parked transit finds whose reply path died with the peer.
-        for waiters in self.transit_finds.values_mut() {
+        // Parked finds and acts whose reply path died with the peer.
+        for waiters in self.transit_waiters.values_mut() {
             waiters.retain(|w| match w {
-                FindWaiter::Reply(handle) => handle.caller() != peer,
-                FindWaiter::Op(_) => true,
+                TransitWaiter::Find(FindWaiter::Reply(handle)) | TransitWaiter::Act(handle, _) => {
+                    handle.caller() != peer
+                }
+                TransitWaiter::Find(FindWaiter::Op(_)) | TransitWaiter::Exec(_) => true,
             });
         }
-        self.transit_finds.retain(|_, waiters| !waiters.is_empty());
+        self.transit_waiters
+            .retain(|_, waiters| !waiters.is_empty());
         if env.trace_enabled() {
             // Invariant marker: this node has purged everything belonging
             // to incarnations of `peer` older than the learned epoch — no

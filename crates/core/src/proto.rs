@@ -18,7 +18,8 @@ use mage_rmi::NameId;
 use mage_sim::OpId;
 use serde::{Deserialize, Serialize};
 
-use crate::component::{Durability, Visibility};
+use crate::coercion::{Coerced, Situation};
+use crate::component::{Durability, ModelKind, Visibility};
 use crate::error::MageError;
 use crate::lock::{HolderTransfer, LockKind};
 use crate::registry::{CompKey, Incarnation};
@@ -36,8 +37,10 @@ pub mod methods {
     pub const UNLOCK: &str = "unlock";
     /// Invoke a method on a hosted object (MageServer).
     pub const INVOKE: &str = "invoke";
-    /// Ask the hosting node to transfer an object (MageExternalServer).
-    pub const MOVE_TO: &str = "moveTo";
+    /// Walk the registry chain to an object, like a find, and apply a
+    /// plan where it ends: invoke there, or move the object
+    /// (MageServer / MageExternalServer).
+    pub const ACT: &str = "act";
     /// Deliver a migrating object (MageExternalServer).
     pub const RECEIVE: &str = "receive";
     /// Deliver a class definition (MageExternalServer).
@@ -54,8 +57,8 @@ pub mod methods {
     pub const RESTORE: &str = "restore";
 }
 
-/// Reply payload of [`methods::FIND`] (also [`methods::MOVE_TO`]): where
-/// the component is, and which incarnation of it lives there. Carrying
+/// Reply payload of [`methods::FIND`]: where the component is, and which
+/// incarnation of it lives there. Carrying
 /// the incarnation in every location answer is what lets stubs and
 /// caches hold `(NameId, Incarnation)` pairs instead of bare names.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,14 +155,117 @@ impl Serialize for InvokeArgsRef<'_> {
     }
 }
 
-/// Arguments of [`methods::MOVE_TO`]. Reply: [`FindReply`] (destination
-/// plus the moved object's incarnation).
+/// The part of a bind plan that does not depend on where the object is:
+/// all a hosting node needs to classify its situation (Table 2) and act.
+/// An `Execute` whose action is [`ActionSpec::Act`] carries it, and an
+/// [`ActArgs`] request takes it along the registry chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ActPlan {
+    /// The row of Table 2 the host applies. [`ModelKind::Custom`] marks a
+    /// plan the session already coerced (a user policy, a guarded or a
+    /// single-use bind): Table 2 has no row for it, so the host only
+    /// moves or invokes.
+    pub model: ModelKind,
+    /// Raw id of the plan's named computation target (`None` for CLE,
+    /// whose target is wherever the object is).
+    pub named: Option<u32>,
+    /// Whether the plan moves the object to `named`.
+    pub moves: bool,
+}
+
+/// Arguments of [`methods::ACT`]: walk to the object as a find would,
+/// then apply `plan` where it is hosted. Reply: an [`ActReply`], followed
+/// by the invocation's marshalled result when the host invoked and the
+/// caller awaits one. Clients encode the borrowed twin [`ActArgsRef`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MoveToArgs {
-    /// Interned name of the object to migrate.
-    pub name: NameId,
-    /// Raw id of the destination namespace.
-    pub dest: u32,
+pub struct ActArgs {
+    /// The walk: the object's key, the nodes visited and the home, as a
+    /// find carries them. Its `retried` is always set: no forwarding node
+    /// sends an act on from the home, as a second copy could invoke twice;
+    /// the client does, once.
+    pub walk: FindArgs,
+    /// Raw id of the binding client's namespace.
+    pub client: u32,
+    /// The plan to apply where the walk ends.
+    pub plan: ActPlan,
+    /// The invocation, run at the host unless the plan moves the object
+    /// elsewhere first (then the caller invokes at the destination). Its
+    /// expected incarnation is checked only then, as a plain
+    /// invocation's is; a move carries the object's identity along.
+    pub invoke: Option<InvokeArgs>,
+    /// Fire-and-forget: the host replies without the invocation's result.
+    pub one_way: bool,
+}
+
+/// The encoding side of [`ActArgs`]: the same fields and the same bytes
+/// on the wire, with the invocation borrowed from the caller's plan.
+#[derive(Debug, Clone, Copy)]
+pub struct ActArgsRef<'a> {
+    /// The walk.
+    pub walk: &'a FindArgs,
+    /// Raw id of the binding client's namespace.
+    pub client: u32,
+    /// The plan to apply where the walk ends.
+    pub plan: ActPlan,
+    /// The invocation.
+    pub invoke: Option<InvokeArgsRef<'a>>,
+    /// Fire-and-forget.
+    pub one_way: bool,
+}
+
+// Written out by hand because the derive does not take lifetimes; the
+// field order is `ActArgs`'s.
+impl Serialize for ActArgsRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut out = serializer.serialize_struct("ActArgs", 5)?;
+        out.serialize_field("walk", self.walk)?;
+        out.serialize_field("client", &self.client)?;
+        out.serialize_field("plan", &self.plan)?;
+        out.serialize_field("invoke", &self.invoke)?;
+        out.serialize_field("one_way", &self.one_way)?;
+        out.end()
+    }
+}
+
+/// Reply header of [`methods::ACT`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ActReply {
+    /// Raw id of the namespace the object is at now: the host, or the
+    /// destination it moved to.
+    pub location: u32,
+    /// The object's incarnation there.
+    pub incarnation: Incarnation,
+    /// The column of Table 2 the host classified. The caller's
+    /// [`coerce`](crate::coercion::coerce) of it gives the coercion the
+    /// host applied, or the typed error of an exception cell, in which
+    /// case the host did nothing.
+    pub situation: Situation,
+    /// Whether the host moved the object to `location`, so the caller
+    /// invokes it there next; else the host invoked it in place.
+    pub moved: bool,
+}
+
+impl ActReply {
+    /// Splits a reply payload into its header and what follows it: the
+    /// invocation's result, when the host invoked and the caller awaits
+    /// one (a view into `payload`, not a copy).
+    ///
+    /// # Errors
+    ///
+    /// Returns the header's decode error.
+    pub fn split(payload: &Bytes) -> Result<(ActReply, Bytes), mage_codec::DecodeError> {
+        let (head, used) = mage_codec::from_bytes_prefix::<ActReply>(payload)?;
+        Ok((head, payload.slice(used..)))
+    }
+
+    /// The location answer the header holds, as a find gives it.
+    pub fn found(&self) -> FindReply {
+        FindReply {
+            location: self.location,
+            incarnation: self.incarnation,
+        }
+    }
 }
 
 /// Arguments of [`methods::RECEIVE`]. Reply: `()`.
@@ -396,22 +502,20 @@ pub struct RestoreArgs {
 /// How an `Execute` command acts on the component before any invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ActionSpec {
-    /// Invoke at a known namespace without moving anything (RPC; also the
-    /// coerced forms of REV/MA when the object is already at the target).
+    /// Invoke at a known namespace without moving anything (stub calls,
+    /// RPC; also the coerced forms of REV/MA when the object is already at
+    /// the target).
     InvokeAt {
         /// Raw id of the namespace to invoke at.
         node: u32,
     },
-    /// Find the component and invoke wherever it currently is (CLE).
-    InvokeAtCurrent,
     /// Invoke on the locally hosted object (LPC / COD coerced to LPC).
     Local,
-    /// Move the object to a namespace, then invoke there (REV on objects,
-    /// GREV, MA, COD with a local target).
-    MoveTo {
-        /// Raw id of the destination namespace.
-        node: u32,
-    },
+    /// Apply a plan where the object is: classify there, then invoke in
+    /// place or move the object and invoke at its destination. Sent to
+    /// the object's best-known location as one [`methods::ACT`] request,
+    /// with no find first.
+    Act(ActPlan),
     /// Instantiate a fresh object from the class at a namespace
     /// (traditional REV/COD factory semantics), then invoke it there.
     Instantiate {
@@ -442,8 +546,8 @@ pub struct ExecSpec {
     pub class: NameId,
     /// Interned object name.
     pub object: NameId,
-    /// Where the runtime believes the object currently is (from the find
-    /// step); lets the engine skip a second lookup.
+    /// Where the session believes the object currently is (its cache, or
+    /// a find); the engine tries it after its own registry entry.
     pub location_hint: Option<u32>,
     /// Which incarnation the client believes it is operating on (paired
     /// with `location_hint`; from the stub or the session cache).
@@ -572,6 +676,9 @@ pub struct Outcome {
     pub result: Option<Bytes>,
     /// Lock kind, for lock operations.
     pub lock_kind: Option<LockKind>,
+    /// How Table 2 resolved an [`ActionSpec::Act`] bind, when the engine
+    /// classified it (the session knows it for every other bind).
+    pub coerced: Option<Coerced>,
 }
 
 /// Maps a server-side fault into the corresponding [`MageError`].
@@ -615,6 +722,61 @@ mod tests {
         let bytes = mage_codec::to_bytes(&borrowed).unwrap();
         assert_eq!(bytes, mage_codec::to_bytes(&owned).unwrap());
         assert_eq!(mage_codec::from_bytes::<InvokeArgs>(&bytes).unwrap(), owned);
+    }
+
+    #[test]
+    fn borrowed_act_args_encode_like_owned_ones() {
+        let walk = FindArgs {
+            key: CompKey::object(NameId::from_raw(4)),
+            visited: vec![2],
+            home: Some(0),
+            retried: false,
+        };
+        let plan = ActPlan {
+            model: ModelKind::Rev,
+            named: Some(3),
+            moves: true,
+        };
+        let invoke = InvokeArgs {
+            name: NameId::from_raw(4),
+            method: NameId::from_raw(9),
+            args: vec![1, 200, 3],
+            expected: Some(Incarnation::from_raw(6)),
+        };
+        let owned = ActArgs {
+            walk: walk.clone(),
+            client: 2,
+            plan,
+            invoke: Some(invoke.clone()),
+            one_way: false,
+        };
+        let borrowed = ActArgsRef {
+            walk: &walk,
+            client: 2,
+            plan,
+            invoke: Some(InvokeArgsRef {
+                name: invoke.name,
+                method: invoke.method,
+                args: &invoke.args,
+                expected: invoke.expected,
+            }),
+            one_way: false,
+        };
+        let bytes = mage_codec::to_bytes(&borrowed).unwrap();
+        assert_eq!(bytes, mage_codec::to_bytes(&owned).unwrap());
+        assert_eq!(mage_codec::from_bytes::<ActArgs>(&bytes).unwrap(), owned);
+        let bare = ActArgs {
+            invoke: None,
+            ..owned
+        };
+        let borrowed = ActArgsRef {
+            invoke: None,
+            ..borrowed
+        };
+        assert_eq!(
+            mage_codec::to_bytes(&borrowed).unwrap(),
+            mage_codec::to_bytes(&bare).unwrap()
+        );
     }
 
     #[test]

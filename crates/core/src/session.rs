@@ -50,11 +50,13 @@ use serde::Serialize;
 use crate::attribute::{BindPlan, BindView, MobilityAttribute, Mode, Target};
 use crate::class::Method;
 use crate::coercion::{coerce, Coerced, Situation};
-use crate::component::{Durability, Visibility};
+use crate::component::{Durability, ModelKind, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::pending::{DecodeFn, Pending};
-use crate::proto::{ActionSpec, Command, ExecSpec, InstantiateArgs, InvokeSpec, OpCell, Outcome};
+use crate::proto::{
+    ActPlan, ActionSpec, Command, ExecSpec, InstantiateArgs, InvokeSpec, OpCell, Outcome,
+};
 use crate::registry::{CompKey, Incarnation, Located};
 use crate::runtime::{Directory, Inner};
 use crate::spec::{ObjectHandle, ObjectSpec};
@@ -140,7 +142,9 @@ struct BindContext {
     object_id: NameId,
     class: String,
     class_id: NameId,
-    coerced: Coerced,
+    /// How Table 2 resolved the bind, when the session classified it
+    /// (`None` when the object's host does).
+    coerced: Option<Coerced>,
     is_factory: bool,
 }
 
@@ -505,9 +509,13 @@ impl Session {
 
     /// Binds a mobility attribute, returning a stub.
     ///
-    /// This is the paper's `o = ma.bind()` (§3.1): find the component,
-    /// consult the attribute's plan, apply mobility coercion, and run the
-    /// resulting placement protocol.
+    /// This is the paper's `o = ma.bind()` (§3.1): consult the attribute's
+    /// plan, locate the component, apply mobility coercion, and run the
+    /// resulting placement protocol. An unguarded built-in bind that is
+    /// no factory sends its plan to the component's best-known location
+    /// in one request, which walks the registry chain to the component's
+    /// host; the host applies coercion there. Other binds of a shared
+    /// object find it first, and plan and coerce at the client.
     ///
     /// # Errors
     ///
@@ -528,10 +536,11 @@ impl Session {
 
     /// Starts a bind without blocking on the placement protocol.
     ///
-    /// The bind *plan* (locating the component, consulting the attribute,
-    /// applying coercion) resolves eagerly — it may cost one synchronous
-    /// find round-trip — but the placement protocol itself runs
-    /// asynchronously, so many binds can be in flight at once.
+    /// The bind *plan* resolves eagerly, and the placement protocol runs
+    /// asynchronously, so many binds can be in flight at once. An
+    /// unguarded built-in bind that is no factory plans without a
+    /// message. Any other bind of a shared object first finds it, which
+    /// costs one synchronous find round-trip.
     ///
     /// # Errors
     ///
@@ -621,7 +630,10 @@ impl Session {
             Some(CompKey::object(ctx.object_id)),
             move |op| Command::Execute { op, spec },
             Box::new(move |outcome, dir| {
-                let coerced = ctx.coerced;
+                let coerced = ctx
+                    .coerced
+                    .or(outcome.coerced)
+                    .ok_or_else(|| MageError::Rmi("bind outcome carries no coercion".into()))?;
                 finish(stub_from(ctx, &outcome, dir), coerced, outcome)
             }),
         ))
@@ -682,14 +694,17 @@ impl Session {
             plan => plan?,
         };
         let is_factory = matches!(plan.mode, Mode::Factory { .. });
+        // Unless the plan above just found it, a shared object may have
+        // been moved by another session and must be found before use
+        // (§3.5); so must an unlocated one. A plan that ignores the
+        // location skips the find: its one request walks to the object,
+        // whose host applies Table 2.
+        let unsure =
+            location == cached && (cached.is_none() || visibility != Some(Visibility::Private));
+        let acts = unsure && !is_factory && !plan.guard && attr.plan_ignores_location();
         if is_factory {
             location = None; // a fresh instance is about to be created
-        } else if location == cached
-            && (cached.is_none() || visibility != Some(Visibility::Private))
-        {
-            // Unless the plan above just found it, a shared object may
-            // have been moved by another session and must be found before
-            // use (§3.5); so must an unlocated one.
+        } else if unsure && !acts {
             location = match self.find(name) {
                 Ok(loc) => Some(loc),
                 Err(MageError::NotFound(_)) => None,
@@ -705,20 +720,28 @@ impl Session {
             Target::Current => None,
             _ => target,
         };
+        let situation = Situation::classify(self.client, named, location);
+        let coerced = (!acts)
+            .then(|| coerce(attr.model(), situation))
+            .transpose()?;
         let ctx = BindContext {
             client: self.client,
             object: name.to_owned(),
             object_id,
             class: class.to_owned(),
             class_id,
-            coerced: coerce(
-                attr.model(),
-                Situation::classify(self.client, named, location),
-            )?,
+            coerced,
             is_factory,
         };
         let guard = plan.guard;
-        let action = self.action(&ctx, plan, target, location)?;
+        let action = match coerced {
+            None => ActionSpec::Act(ActPlan {
+                model: attr.model(),
+                named: named.map(NodeId::as_raw),
+                moves: plan.mode == Mode::Move,
+            }),
+            Some(coerced) => self.action(&ctx, coerced, plan, target, location)?,
+        };
 
         // Identity expectation: if the session's cache agrees on the node
         // the plan settled on, it also knows which incarnation it expects
@@ -757,18 +780,21 @@ impl Session {
         Ok((spec, ctx))
     }
 
-    /// The engine action for a coerced plan (Table 2 applied to the plan's
-    /// mode): `target` is the plan's resolved target, `location` where the
-    /// object is (`None` for a factory or an unlocated object).
+    /// The engine action for a plan the session coerced (`coerced`, Table
+    /// 2 applied to the plan's mode): `target` is the plan's resolved
+    /// target, `location` where the object is (`None` for a factory or an
+    /// unlocated object). A move is an act whose host only moves or
+    /// invokes, since Table 2 has been applied.
     fn action(
         &self,
         ctx: &BindContext,
+        coerced: Coerced,
         plan: BindPlan,
         target: Option<NodeId>,
         location: Option<NodeId>,
     ) -> Result<ActionSpec, MageError> {
         let not_found = || MageError::NotFound(ctx.object.clone());
-        Ok(match (ctx.coerced, plan.mode) {
+        Ok(match (coerced, plan.mode) {
             (Coerced::AsLpc, _) => ActionSpec::Local,
             (Coerced::AsRpc, _) => ActionSpec::InvokeAt {
                 node: location
@@ -785,9 +811,11 @@ impl Session {
                 let dest =
                     target.ok_or_else(|| MageError::BadPlan("move needs a target".into()))?;
                 location.ok_or_else(not_found)?;
-                ActionSpec::MoveTo {
-                    node: dest.as_raw(),
-                }
+                ActionSpec::Act(ActPlan {
+                    model: ModelKind::Custom,
+                    named: Some(dest.as_raw()),
+                    moves: true,
+                })
             }
             (Coerced::Proceed, Mode::Factory { state, visibility }) => {
                 // Factory binds register the fresh instance under the

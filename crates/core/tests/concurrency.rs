@@ -75,12 +75,14 @@ fn queued_mover_waits_for_migration_triggered_by_lock_holder() {
 
 /// One row of the bind ladder's find table: an attribute, how many times a
 /// fresh client session binds and invokes through it, how many
-/// `mage.find` calls those binds send, and how the last bind ends.
+/// `mage.find` and `mage.act` calls those binds send, and how the last
+/// bind ends.
 struct LadderRow {
     what: &'static str,
     attr: Box<dyn MobilityAttribute>,
     binds: usize,
     finds: usize,
+    acts: usize,
     outcome: Result<(), MageError>,
 }
 
@@ -107,13 +109,16 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             attr: Box::new(Rpc::new("TestObject", "priv", "server")),
             binds: 5,
             finds: 0,
+            acts: 0,
             outcome: Ok(()),
         },
         LadderRow {
-            what: "shared objects must be found before each use (§3.5)",
+            what: "a shared object is located by each use (§3.5): a built-in plan \
+                   walks the registry chain to the object in one act request, no find",
             attr: Box::new(Rpc::new("TestObject", "pub", "server")),
             binds: 3,
-            finds: 3,
+            finds: 0,
+            acts: 3,
             outcome: Ok(()),
         },
         LadderRow {
@@ -121,6 +126,7 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             attr: Box::new(Rev::factory("TestObject", "made", "server")),
             binds: 2,
             finds: 0,
+            acts: 0,
             outcome: Ok(()),
         },
         LadderRow {
@@ -128,14 +134,16 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             attr: Box::new(Cle::new("TestObject", "priv")),
             binds: 1,
             finds: 0,
+            acts: 0,
             outcome: Ok(()),
         },
         LadderRow {
-            what: "a public object no node hosts: the session's and the engine's \
-                   finds answer locally (only a factory falls back to the class home)",
+            what: "a public object no node hosts: nothing locates it, so no act \
+                   is sent (only a factory falls back to the class home)",
             attr: Box::new(Rpc::new("TestObject", "ghost", "server")),
             binds: 1,
             finds: 0,
+            acts: 0,
             outcome: Err(MageError::NotFound("ghost".into())),
         },
         LadderRow {
@@ -143,6 +151,7 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             attr: needs_location("pub"),
             binds: 2,
             finds: 2,
+            acts: 0,
             outcome: Ok(()),
         },
         LadderRow {
@@ -150,6 +159,7 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
             attr: needs_location("ghost"),
             binds: 1,
             finds: 0,
+            acts: 0,
             outcome: Err(MageError::NotFound("location of ghost".into())),
         },
     ];
@@ -181,7 +191,13 @@ fn bind_ladder_finds_only_what_the_cache_cannot_answer() {
                 .map(|_| ());
         }
         let finds = rt.world().trace().sends_with_label("call:mage.find");
-        assert_eq!((finds, outcome), (row.finds, row.outcome), "{}", row.what);
+        let acts = rt.world().trace().sends_with_label("call:mage.act");
+        assert_eq!(
+            (finds, acts, outcome),
+            (row.finds, row.acts, row.outcome),
+            "{}",
+            row.what
+        );
     }
 }
 

@@ -460,7 +460,7 @@ fn every_service_method_refuses_malformed_trusted_payloads() {
             service::LOCK,
             service::UNLOCK,
             service::INVOKE,
-            service::MOVE_TO,
+            service::ACT,
             service::RECEIVE,
             service::RECEIVE_CLASS,
             service::FETCH_CLASS,

@@ -81,6 +81,9 @@ thread_local! {
     /// Names [`drive_call`] has issued commands for, shared so a repeated
     /// call carries its names without copying them.
     static NAMES: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
+    /// The box the last [`drive_call`] completed in, for the next call's
+    /// command to travel in.
+    static SPARE: RefCell<Option<Box<DriverCmd>>> = const { RefCell::new(None) };
 }
 
 /// The shared copy of `name` (allocated on its first use only).
@@ -120,8 +123,19 @@ pub fn drive_call(
         args,
         result: None,
     };
-    world.inject(client, "drive-call", Box::new(cmd));
-    let done: DriverCmd = world.block_on(op)?;
-    let result = done.result.expect("a completed call carries its result");
+    let boxed = match SPARE.with(|spare| spare.borrow_mut().take()) {
+        Some(mut spare) => {
+            *spare = cmd;
+            spare
+        }
+        None => Box::new(cmd),
+    };
+    world.inject(client, "drive-call", boxed);
+    let mut done: Box<DriverCmd> = world.block_on_boxed(op)?;
+    let result = done
+        .result
+        .take()
+        .expect("a completed call carries its result");
+    SPARE.with(|spare| *spare.borrow_mut() = Some(done));
     Ok(result.map(|b| b.to_vec()).map_err(|e| e.to_string()))
 }

@@ -178,6 +178,10 @@ pub struct ChaosReport {
     /// a peer that died under it, or failed fast at a dead home, instead
     /// of spending another retry budget there.
     pub dead_peer_skips: u64,
+    /// World metric: act requests (built-in binds sent along the registry
+    /// chain) that took at least one forwarding hop; a client's act from
+    /// the home counts again if the home forwards it.
+    pub act_forwards: u64,
     /// Fault actions applied.
     pub crashes: usize,
     /// Nodes brought back.
@@ -407,6 +411,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         stale_replies_dropped: 0,
         world_rebinds: 0,
         dead_peer_skips: 0,
+        act_forwards: 0,
         crashes: 0,
         restarts: 0,
         partitions: 0,
@@ -696,6 +701,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         report.stale_replies_dropped = metrics.counter("stale_replies_dropped");
         report.world_rebinds = metrics.counter("rebinds") + metrics.counter("auto_rebinds");
         report.dead_peer_skips = metrics.counter("dead_peer_skips");
+        report.act_forwards = metrics.counter("act_forwards");
     }
     report.elapsed_us = (rt.now() - start).as_micros();
 

@@ -43,14 +43,12 @@ fn figure7_grev_protocol_message_sequence() {
     assert_eq!(
         labels,
         vec![
-            "call:mage.find".to_owned(),    // 1 — locate C via the registry
-            "rsp:ok".to_owned(),            // 2 — C is at Y
-            "call:mage.moveTo".to_owned(),  // 3 — ask Y to move C to Z
+            "call:mage.act".to_owned(), // 1-3 — locate C and ask its host to move it to Z
             "call:mage.receive".to_owned(), // 4 — Y transfers C to Z
-            "rsp:ok".to_owned(),            //     (Z acks the transfer)
-            "rsp:ok".to_owned(),            // 5 — Y informs GREV
-            "call:mage.invoke".to_owned(),  // 6 — invoke on Z
-            "rsp:ok".to_owned(),            // 7 — result to GREV
+            "rsp:ok".to_owned(),        //     (Z acks the transfer)
+            "rsp:ok".to_owned(),        // 5 — Y informs GREV
+            "call:mage.invoke".to_owned(), // 6 — invoke on Z
+            "rsp:ok".to_owned(),        // 7 — result to GREV
         ],
         "GREV protocol must match Figure 7"
     );
