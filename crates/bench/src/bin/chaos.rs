@@ -137,6 +137,10 @@ fn soak(cfg: ChaosConfig) -> SeedOutcome {
         report.act_forwards > 0,
         "seed {seed} must forward some act along a registry chain: {report:?}"
     );
+    assert!(
+        report.arrival_invokes > 0,
+        "seed {seed} must run some invocation on arrival with its move: {report:?}"
+    );
     if cfg.durable_get_percent > 0 {
         assert!(
             report.confirmations > 0 && report.refused_confirmations > 0,
@@ -225,8 +229,8 @@ fn main() {
             report.dead_peer_skips
         );
         println!(
-            "  acts: {} forwarded along a registry chain",
-            report.act_forwards
+            "  acts: {} forwarded along a registry chain, {} invocations run on arrival",
+            report.act_forwards, report.arrival_invokes
         );
         println!(
             "  locks: {} cycles completed under the adversary ({} stale-identity refusals)",
@@ -331,6 +335,11 @@ fn main() {
             report.dead_peer_skips
         );
         let _ = writeln!(json, "      \"act_forwards\": {},", report.act_forwards);
+        let _ = writeln!(
+            json,
+            "      \"arrival_invokes\": {},",
+            report.arrival_invokes
+        );
         let _ = writeln!(
             json,
             "      \"fabric\": {{ \"sent\": {}, \"dropped\": {} }},",

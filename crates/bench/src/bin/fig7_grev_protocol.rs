@@ -4,7 +4,9 @@
 //! back to the client, (6) the invocation and (7) its result. Here 1-3
 //! are one `act` request: it goes to where the client's registry says C
 //! is, would walk on along the forwarding chain if C had left, and asks
-//! C's host to move it. 4 carries the object state and is acknowledged.
+//! C's host to move it. 4 carries the object state and the invocation,
+//! which Z runs on arrival; Z's acknowledgement carries the result, and
+//! 5 brings it to the client, so 6 and 7 ride in 4 and 5.
 
 use mage_core::attribute::Grev;
 use mage_core::workload_support::{methods, test_object_class};
@@ -32,7 +34,8 @@ fn main() {
         .unwrap();
     print!("{}", rt.trace_rendered());
     println!("(paper numbering: 1-3 = one act request, which locates C and asks");
-    println!(" its host Y to move it, 4 = receive/transfer, 5 = act reply, 6 = invoke,");
-    println!(" 7 = result; the class push and receive ack are elided in the paper)");
+    println!(" its host Y to move it, 4 = receive/transfer carrying the invocation (6),");
+    println!(" 5 = act reply carrying the result (7); the class push and receive ack");
+    println!(" are elided in the paper)");
     println!("(result delivered to GREV: {result:?})");
 }

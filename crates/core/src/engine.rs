@@ -13,14 +13,18 @@
 //!   the answer
 //! * [`MoveOutTask`] — the hosting node's half of the move protocol
 //!   (Figure 7's messages 4/5), shared by act requests, client-local
-//!   moves and autonomous mobile-agent hops
+//!   moves and autonomous mobile-agent hops; an act's move carries its
+//!   invocation, which the destination runs on arrival
 //! * [`CheckpointTask`] — a durability snapshot on its way to a backup
 //!
 //! A bind of a built-in attribute sends no find: one `act` request,
 //! carrying the plan's [`ActPlan`](proto::ActPlan), goes to the object's
 //! best-known location and walks the chain like a find (Emerald's
 //! forwarding addresses). The node that hosts the object applies Table 2
-//! and invokes it in place or moves it; the reply says where it is.
+//! and invokes it in place or moves it; the reply says where it is. A
+//! move carries the invocation in its `receive`, so the destination runs
+//! it on arrival and the result rides back through the host's reply
+//! (remote evaluation's one exchange, Stamos and Gifford).
 //!
 //! A move, a checkpoint and a remote instantiation each place an object
 //! at a namespace that may lack its class. All three ride one
@@ -250,6 +254,9 @@ pub(crate) struct MoveOutTask {
     pub ladder: ClassLadder,
     /// The moving object's incarnation, the same at its new home.
     pub incarnation: Incarnation,
+    /// Whether the `receive` carries a two-way invocation, whose outcome
+    /// heads the destination's reply.
+    pub two_way: bool,
     /// Lock holders packed with the object; reinstalled if the move aborts.
     pub locks: crate::lock::HolderTransfer,
     /// Waiters removed from the lock queue at pack time. Bounced after the
@@ -858,12 +865,17 @@ impl MageNode {
 
     // ---- the move-out protocol (Figure 7, messages 4/5) ----
 
+    /// Moves `name` to `dest` for `origin`. With `invoke`, the `receive`
+    /// carries an act's invocation and its one-way flag, and the
+    /// destination runs the invocation once the object is hosted there (see
+    /// [`ActPlan::invokes_on_arrival`](proto::ActPlan::invokes_on_arrival)).
     pub(crate) fn begin_move_out(
         &mut self,
         env: &mut Env<'_, '_>,
         name: NameId,
         dest: NodeId,
         origin: MoveOrigin,
+        invoke: Option<(proto::InvokeArgsRef<'_>, bool)>,
     ) {
         let Some(hosted) = self.objects.get_mut(&name) else {
             let err = MageError::NotFound(self.name_str(name));
@@ -906,12 +918,19 @@ impl MageNode {
             snapshot_epoch,
         };
         let token = self.next_token();
-        let ladder = self.place(env, dest, self.ids.receive, &receive_args, class, token);
+        let receive = self.ids.receive;
+        // The invocation follows the arguments, so a plain move's bytes
+        // stay as they were.
+        let ladder = match invoke {
+            None => self.place(env, dest, receive, &receive_args, class, token),
+            Some(invoke) => self.place(env, dest, receive, &(&receive_args, invoke), class, token),
+        };
         let task = MoveOutTask {
             name,
             origin,
             ladder,
             incarnation,
+            two_way: invoke.is_some_and(|(_, one_way)| !one_way),
             locks: receive_args.locks,
             parked_waiters,
         };
@@ -929,14 +948,14 @@ impl MageNode {
             None => {
                 self.tasks.insert(token, Task::MoveOut(task));
             }
-            Some(Ok(_)) => {
+            Some(Ok(reply)) => {
                 // Transfer acknowledged: drop the local copy and leave a
                 // forwarding address (§4.1) carrying the incarnation — a
                 // move is the same identity at a new home.
                 self.objects.remove(&task.name);
                 let at = Located::new(task.ladder.dest, task.incarnation);
                 self.registry.update(CompKey::object(task.name), at);
-                self.finish_move_ok(env, task);
+                self.finish_move_ok(env, task, &reply);
             }
             Some(Err(e)) => self.abort_move(env, task, rmi_error_to_mage(&e)),
         }
@@ -1027,7 +1046,12 @@ impl MageNode {
         self.flush_transit(env, task.name, me, task.incarnation);
     }
 
-    fn finish_move_ok(&mut self, env: &mut Env<'_, '_>, task: MoveOutTask) {
+    /// Settles a committed move. `reply` is the destination's answer to
+    /// the `receive`: for a two-way invocation carried along, its outcome
+    /// and result, which go back in the act reply (or to the local task)
+    /// with no second call; a fault of the invocation goes back typed,
+    /// and the move stands.
+    fn finish_move_ok(&mut self, env: &mut Env<'_, '_>, task: MoveOutTask, reply: &Bytes) {
         // Only now that the forwarding address is in place do we bounce the
         // queued waiters: their retry re-finds the object at its new host.
         for waiter in task.parked_waiters {
@@ -1042,19 +1066,33 @@ impl MageNode {
         // Finds that arrived mid-move resolve to the destination.
         let dest = task.ladder.dest;
         self.flush_transit(env, task.name, dest, task.incarnation);
+        let invoked = if task.two_way {
+            proto::ReceiveArgs::split_reply(reply)
+                .unwrap_or_else(|e| Err(Fault::App(e.to_string())))
+        } else {
+            Ok(Bytes::new())
+        };
         match task.origin {
-            MoveOrigin::Act { handle, situation } => {
-                let head = proto::ActReply {
-                    location: dest.as_raw(),
-                    incarnation: task.incarnation,
-                    situation,
-                    moved: true,
-                };
-                self.reply_act(env, handle, &head, &[]);
-            }
+            MoveOrigin::Act { handle, situation } => match invoked {
+                Ok(result) => {
+                    let head = proto::ActReply {
+                        location: dest.as_raw(),
+                        incarnation: task.incarnation,
+                        situation,
+                        moved: true,
+                    };
+                    self.reply_headed(env, handle, &head, &result);
+                }
+                Err(fault) => {
+                    env.reply(handle, Err(fault));
+                }
+            },
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(env, exec_id, t, Ok((dest, task.incarnation)));
+                    let placed = invoked
+                        .map(|result| (dest, task.incarnation, result))
+                        .map_err(|fault| proto::fault_to_error(&fault));
+                    self.exec_move_done(env, exec_id, t, placed);
                 }
             }
             MoveOrigin::Autonomous => {

@@ -12,11 +12,15 @@
 //! a COD already local send nothing); else one `act` request goes to the
 //! object's best-known location — hosted here, the registry entry, the
 //! session's hint, then home — and walks the registry chain to the host,
-//! which applies Table 2 and invokes in place or moves the object. After
-//! a move the task invokes at the destination, as it does after a move
-//! of its own. A moving plan the session already coerced (guarded,
-//! single-use, a user policy) rides the same request as a
-//! [`ModelKind::Custom`](crate::ModelKind::Custom) plan.
+//! which applies Table 2 and invokes in place or moves the object. A move
+//! carries the invocation in its `receive`: the destination runs it on
+//! arrival, and its result comes back in the act reply (or, when this
+//! node hosted the object, with the move's acknowledgement), so the task
+//! makes no second call. A moving plan the session already coerced
+//! (guarded, single-use, a user policy) rides the same request as a
+//! [`ModelKind::Custom`](crate::ModelKind::Custom) plan; its move carries
+//! no invocation, and the task invokes at the destination afterwards,
+//! inside §4.4's lock bracket.
 //!
 //! Each stage issues one call and parks the task in the [`ExecPhase`] that
 //! awaits its reply; [`MageNode::step_exec_reply`] hands the reply to that
@@ -47,6 +51,24 @@ fn rebindable_identity(spec: &proto::ExecSpec, err: &RmiError) -> bool {
 }
 
 impl ExecTask {
+    /// The invocation a move of this task's object carries to its
+    /// destination (see [`ActPlan::invokes_on_arrival`]); `None` when the
+    /// task invokes after the move itself, or has nothing to invoke.
+    fn arrival_invoke(&self) -> Option<&proto::InvokeSpec> {
+        match self.spec.action {
+            ActionSpec::Act(plan) if plan.invokes_on_arrival() => self.spec.invoke.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Records that a move or instantiation placed the object at `at`,
+    /// under `incarnation`, where it is invoked.
+    fn placed(&mut self, at: NodeId, incarnation: Incarnation) {
+        self.cloc = Some(at);
+        self.cinc = Some(incarnation).filter(|inc| !inc.is_none());
+        self.invoke_at = Some(at);
+    }
+
     /// The computation target this plan locks against (the `T` carried by a
     /// lock request in Figure 8).
     fn lock_target(&self, me: NodeId) -> NodeId {
@@ -187,9 +209,17 @@ impl MageNode {
             {
                 Some(dest) => {
                     // We host the object: run the transfer ourselves
-                    // (Figure 7 without the request hop).
+                    // (Figure 7 without the request hop). The task parks
+                    // first, as a failed start resumes it at once; its
+                    // invocation's arguments are shared, not copied.
+                    let invoke = task.arrival_invoke().cloned();
                     self.exec_park(id, task, ExecPhase::AwaitAct { to: None });
-                    self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
+                    let invoke = invoke.as_ref().map(|invoke| {
+                        let args =
+                            proto::InvokeArgsRef::on_arrival(name, invoke.method, &invoke.args);
+                        (args, invoke.one_way)
+                    });
+                    self.begin_move_out(env, name, dest, MoveOrigin::Exec(id), invoke);
                 }
                 None => self.exec_local(env, id, task),
             }
@@ -337,9 +367,7 @@ impl MageNode {
         at: NodeId,
         incarnation: Incarnation,
     ) {
-        task.cloc = Some(at);
-        task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
-        task.invoke_at = Some(at);
+        task.placed(at, incarnation);
         self.exec_begin_invoke(env, id, task);
     }
 
@@ -705,8 +733,9 @@ impl MageNode {
     }
 
     /// Takes the reply of an act sent to `to`: the host's location, the
-    /// situation it classified and, unless it moved the object, the
-    /// invocation's result.
+    /// situation it classified and the invocation's result, run in place
+    /// or on arrival at the destination (unless the plan invokes after
+    /// the move itself).
     ///
     /// An act's home retry is this task's alone, since no forwarding node
     /// re-sends an act (a second copy could invoke twice), and it is
@@ -749,9 +778,21 @@ impl MageNode {
             Err(e) => return self.exec_fail(env, id, task, e),
         };
         task.invoke_at = Some(at);
-        if head.moved {
+        if head.moved && task.arrival_invoke().is_none() {
             return self.exec_begin_invoke(env, id, task);
         }
+        self.exec_take_result(env, id, task, result);
+    }
+
+    /// Keeps the result of the task's invocation, unless it was one-way,
+    /// and goes on to the unlock.
+    fn exec_take_result(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        result: Bytes,
+    ) {
         if task
             .spec
             .invoke
@@ -830,10 +871,7 @@ impl MageNode {
         result: Result<Bytes, RmiError>,
     ) {
         match result {
-            Ok(bytes) => {
-                task.result = Some(bytes);
-                self.exec_begin_unlock(env, id, task);
-            }
+            Ok(bytes) => self.exec_take_result(env, id, task, bytes),
             Err(ref e)
                 if (stale_location(e) || rebindable_identity(&task.spec, e))
                     && task.retries > 0 =>
@@ -853,17 +891,31 @@ impl MageNode {
     }
 
     /// Resumption point for a client-local move-out (the object we moved
-    /// was hosted on this node).
+    /// was hosted on this node): where it went, its incarnation and what
+    /// the destination answered for a carried invocation.
     pub(crate) fn exec_move_done(
         &mut self,
         env: &mut Env<'_, '_>,
         id: u64,
-        task: ExecTask,
-        outcome: Result<(NodeId, Incarnation), MageError>,
+        mut task: ExecTask,
+        outcome: Result<(NodeId, Incarnation, Bytes), MageError>,
     ) {
+        let carried = task.arrival_invoke().is_some();
         match outcome {
-            Ok((dest, incarnation)) => self.exec_invoke_placed(env, id, task, dest, incarnation),
-            Err(e) => self.exec_fail(env, id, task, e),
+            Ok((dest, incarnation, result)) => {
+                task.placed(dest, incarnation);
+                if carried {
+                    self.exec_take_result(env, id, task, result);
+                } else {
+                    self.exec_begin_invoke(env, id, task);
+                }
+            }
+            Err(e) => {
+                // A receive whose reply was lost may have run the carried
+                // invocation already: no restore runs it again.
+                task.restore_tried |= carried;
+                self.exec_fail(env, id, task, e);
+            }
         }
     }
 }

@@ -447,7 +447,9 @@ impl MageNode {
     }
 
     /// Applies an act's plan to the object hosted here: classifies the
-    /// situation (Table 2), then invokes in place or starts the move. An
+    /// situation (Table 2), then invokes in place or starts the move,
+    /// whose `receive` carries the invocation when the plan
+    /// [invokes on arrival](proto::ActPlan::invokes_on_arrival). An
     /// exception cell is answered, typed, without acting.
     fn act_here(
         &mut self,
@@ -466,7 +468,15 @@ impl MageNode {
         let dest = named.unwrap_or(client);
         if act.plan.moves && coerced == Ok(Coerced::Proceed) && dest != me {
             let origin = MoveOrigin::Act { handle, situation };
-            self.begin_move_out(env, name, dest, origin);
+            let invoke = act
+                .invoke
+                .as_ref()
+                .filter(|_| act.plan.invokes_on_arrival())
+                .map(|invoke| {
+                    let args = proto::InvokeArgsRef::on_arrival(name, invoke.method, &invoke.args);
+                    (args, act.one_way)
+                });
+            self.begin_move_out(env, name, dest, origin, invoke);
             return Ok(CallOutcome::Deferred);
         }
         let result = match (coerced, &act.invoke) {
@@ -479,21 +489,22 @@ impl MageNode {
             situation,
             moved: false,
         };
-        self.reply_act(env, handle, &head, result.as_deref().unwrap_or_default());
+        self.reply_headed(env, handle, &head, result.as_deref().unwrap_or_default());
         Ok(CallOutcome::Deferred)
     }
 
-    /// Answers an act with `head`, then `result`, assembled in the
-    /// scratch buffer.
-    pub(crate) fn reply_act(
+    /// Answers a call with `head`, then `result`, assembled in the
+    /// scratch buffer: an act's reply, or the reply of a receive that
+    /// carried a two-way invocation.
+    pub(crate) fn reply_headed<T: serde::Serialize>(
         &mut self,
         env: &mut Env<'_, '_>,
         handle: ReplyHandle,
-        head: &proto::ActReply,
+        head: &T,
         result: &[u8],
     ) {
         self.scratch.clear();
-        mage_codec::to_bytes_in(head, &mut self.scratch).expect("act reply encodes");
+        mage_codec::to_bytes_in(head, &mut self.scratch).expect("reply header encodes");
         self.scratch.extend_from_slice(result);
         env.reply_with(handle, Ok(&self.scratch));
     }
@@ -638,7 +649,7 @@ impl MageNode {
         if let Some(dest_name) = hop {
             match self.peers.get(&dest_name).copied() {
                 Some(dest) if dest != env.node() => {
-                    self.begin_move_out(env, name, dest, MoveOrigin::Autonomous);
+                    self.begin_move_out(env, name, dest, MoveOrigin::Autonomous, None);
                 }
                 Some(_) => {} // hop to self: nothing to do
                 None if env.trace_enabled() => {
@@ -665,17 +676,42 @@ impl MageNode {
         )))
     }
 
+    /// Hosts a moving object, then runs the invocation its `receive`
+    /// carries, if any, as a plain invocation runs (same charge, same
+    /// agent-hop handling), and answers with its outcome.
     fn handle_receive(&mut self, env: &mut Env<'_, '_>, from: NodeId, call: InboundCall) -> Served {
         self.admit_peer(from, "objects")?;
-        let args: proto::ReceiveArgs = decode_args(&call)?;
+        let (args, invoke) =
+            proto::ReceiveArgs::decode_call(call.args()).map_err(|e| Fault::App(e.to_string()))?;
         self.admit_object(args.class)?;
         self.host(env.node(), Arrival::Moved(&args))?;
         env.charge(self.config.reify_cost);
-        self.locks.install(args.name, args.locks);
-        // Durability: the post-move checkpoint — the backup must learn the
-        // object survived the move before the new host can crash on it.
-        self.ship_checkpoint(env, args.name);
-        reply_ok(&())
+        let name = args.name;
+        self.locks.install(name, args.locks);
+        let Some((mut invoke, one_way)) = invoke else {
+            // Durability: the post-move checkpoint — the backup must learn
+            // the object survived the move before the new host can crash
+            // on it.
+            self.ship_checkpoint(env, name);
+            return reply_ok(&());
+        };
+        env.count("arrival_invokes");
+        // It invokes the object that arrived, whatever name it carries.
+        invoke.name = name;
+        // A completed invocation checkpoints the object, which covers the
+        // move too: nothing runs here between the two. A faulted one
+        // leaves only the move to checkpoint.
+        let result = self.serve_invoke(env, &invoke);
+        if result.is_err() {
+            self.ship_checkpoint(env, name);
+        }
+        if one_way {
+            return reply_ok(&());
+        }
+        let head = result.as_ref().map(|_| ());
+        let result = result.as_deref().unwrap_or_default();
+        self.reply_headed(env, call.handle(), &head, result);
+        Ok(CallOutcome::Deferred)
     }
 
     /// The admission checks an object arriving from a peer (by move or

@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! MAGE system-service wire protocol.
 //!
 //! The paper's `MageServer`, `MageExternalServer` and registry interfaces
@@ -141,6 +142,20 @@ pub struct InvokeArgsRef<'a> {
     pub expected: Option<Incarnation>,
 }
 
+impl<'a> InvokeArgsRef<'a> {
+    /// The invocation a move carries for the object `name`, run where it
+    /// arrives: it expects no incarnation, since the move carries the
+    /// object's identity along.
+    pub fn on_arrival(name: NameId, method: NameId, args: &'a [u8]) -> Self {
+        InvokeArgsRef {
+            name,
+            method,
+            args,
+            expected: None,
+        }
+    }
+}
+
 // Written out by hand because the derive does not take lifetimes; the
 // field order is `InvokeArgs`'s.
 impl Serialize for InvokeArgsRef<'_> {
@@ -173,6 +188,19 @@ pub struct ActPlan {
     pub moves: bool,
 }
 
+impl ActPlan {
+    /// Whether a move this plan makes carries its invocation: the
+    /// destination runs it on arrival and the `receive` reply brings the
+    /// result back, so the caller makes no second call (remote
+    /// evaluation's one exchange). True for every built-in row of Table
+    /// 2; a [`ModelKind::Custom`] plan, which the session coerced itself
+    /// (guarded, single-use, a user policy, a private object), keeps
+    /// §4.4's bracket, and its caller invokes after the move.
+    pub fn invokes_on_arrival(&self) -> bool {
+        self.model != ModelKind::Custom
+    }
+}
+
 /// Arguments of [`methods::ACT`]: walk to the object as a find would,
 /// then apply `plan` where it is hosted. Reply: an [`ActReply`], followed
 /// by the invocation's marshalled result when the host invoked and the
@@ -189,9 +217,12 @@ pub struct ActArgs {
     /// The plan to apply where the walk ends.
     pub plan: ActPlan,
     /// The invocation, run at the host unless the plan moves the object
-    /// elsewhere first (then the caller invokes at the destination). Its
-    /// expected incarnation is checked only then, as a plain
-    /// invocation's is; a move carries the object's identity along.
+    /// elsewhere first. Then the move's `receive` carries it and the
+    /// destination runs it on arrival, or, for a plan that does not
+    /// [invoke on arrival](ActPlan::invokes_on_arrival), the caller
+    /// invokes at the destination. Its expected incarnation is checked
+    /// only at the host, as a plain invocation's is; a move carries the
+    /// object's identity along.
     pub invoke: Option<InvokeArgs>,
     /// Fire-and-forget: the host replies without the invocation's result.
     pub one_way: bool,
@@ -241,8 +272,12 @@ pub struct ActReply {
     /// host applied, or the typed error of an exception cell, in which
     /// case the host did nothing.
     pub situation: Situation,
-    /// Whether the host moved the object to `location`, so the caller
-    /// invokes it there next; else the host invoked it in place.
+    /// Whether the host moved the object to `location`; else the host
+    /// invoked it in place. After a move the invocation's result follows
+    /// as it does after an in-place one, since the destination ran it on
+    /// arrival, unless the plan does not
+    /// [invoke on arrival](ActPlan::invokes_on_arrival): then the caller
+    /// invokes at `location` next.
     pub moved: bool,
 }
 
@@ -269,6 +304,18 @@ impl ActReply {
 }
 
 /// Arguments of [`methods::RECEIVE`]. Reply: `()`.
+///
+/// A move an act plan makes that [invokes on
+/// arrival](ActPlan::invokes_on_arrival) appends the act's invocation
+/// after these arguments, as an act reply appends its result: an
+/// [`InvokeArgs`] (senders encode the borrowed [`InvokeArgsRef`]) with no
+/// expected incarnation, since the move carries the object's identity
+/// along, then its one-way flag. A plain move's bytes stay as they are.
+/// The destination runs the invocation once the object is hosted, as it
+/// runs a plain one. Its reply is then `()` for a one-way call, else the
+/// invocation's outcome, `Result<(), Fault>`, followed by its marshalled
+/// result when it succeeded (see [`ReceiveArgs::decode_call`] and
+/// [`ReceiveArgs::split_reply`]). A fault does not undo the move.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReceiveArgs {
     /// Interned object name.
@@ -299,6 +346,39 @@ pub struct ReceiveArgs {
     /// Monotonic snapshot epoch: the new host continues checkpointing
     /// from here, so backups can refuse stale snapshots after races.
     pub snapshot_epoch: u64,
+}
+
+impl ReceiveArgs {
+    /// Decodes a [`methods::RECEIVE`] call: the moving object, and the
+    /// invocation and one-way flag that may follow it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decode error of either part.
+    pub fn decode_call(
+        bytes: &[u8],
+    ) -> Result<(ReceiveArgs, Option<(InvokeArgs, bool)>), mage_codec::DecodeError> {
+        let (args, used) = mage_codec::from_bytes_prefix::<ReceiveArgs>(bytes)?;
+        let rest = &bytes[used..];
+        let invoke = (!rest.is_empty())
+            .then(|| mage_codec::from_bytes(rest))
+            .transpose()?;
+        Ok((args, invoke))
+    }
+
+    /// Splits the reply of a receive that carried a two-way invocation
+    /// into the invocation's result (a view into `payload`, not a copy)
+    /// or its fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns the outcome header's decode error.
+    pub fn split_reply(
+        payload: &Bytes,
+    ) -> Result<Result<Bytes, mage_rmi::Fault>, mage_codec::DecodeError> {
+        let (head, used) = mage_codec::from_bytes_prefix::<Result<(), mage_rmi::Fault>>(payload)?;
+        Ok(head.map(|()| payload.slice(used..)))
+    }
 }
 
 /// Arguments of [`methods::RECEIVE_CLASS`]. Reply: `()`.
@@ -704,6 +784,7 @@ pub fn fault_to_error(fault: &mage_rmi::Fault) -> MageError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mage_rmi::Fault;
 
     #[test]
     fn borrowed_invoke_args_encode_like_owned_ones() {
@@ -781,7 +862,6 @@ mod tests {
 
     #[test]
     fn fault_mapping() {
-        use mage_rmi::Fault;
         assert_eq!(
             fault_to_error(&Fault::NotBound("o".into())),
             MageError::NotFound("o".into())
@@ -832,6 +912,58 @@ mod tests {
         };
         let bytes = mage_codec::to_bytes(&args).unwrap();
         assert_eq!(mage_codec::from_bytes::<ReceiveArgs>(&bytes).unwrap(), args);
+    }
+
+    #[test]
+    fn a_receive_carries_an_invocation_after_the_bytes_of_a_plain_move() {
+        let args = ReceiveArgs {
+            name: NameId::from_raw(4),
+            class: NameId::from_raw(7),
+            state: ByteBuf(vec![1, 200, 3]),
+            home: 0,
+            visibility: Visibility::Public,
+            version: 4,
+            incarnation: Incarnation::from_raw(11),
+            locks: HolderTransfer::default(),
+            durability: Durability::Volatile,
+            backup: None,
+            snapshot_epoch: 0,
+        };
+        let plain = mage_codec::to_bytes(&args).unwrap();
+        assert_eq!(
+            ReceiveArgs::decode_call(&plain).unwrap(),
+            (args.clone(), None)
+        );
+        let owned = InvokeArgs {
+            name: args.name,
+            method: NameId::from_raw(9),
+            args: vec![0x80, 2],
+            expected: None,
+        };
+        let borrowed = InvokeArgsRef::on_arrival(owned.name, owned.method, &owned.args);
+        let bytes = mage_codec::to_bytes(&(&args, (borrowed, true))).unwrap();
+        assert_eq!(bytes[..plain.len()], plain[..]);
+        assert_eq!(
+            bytes[plain.len()..],
+            mage_codec::to_bytes(&(&owned, true)).unwrap()[..]
+        );
+        assert_eq!(
+            ReceiveArgs::decode_call(&bytes).unwrap(),
+            (args, Some((owned, true)))
+        );
+    }
+
+    #[test]
+    fn an_arrival_reply_splits_into_the_result_or_the_fault() {
+        let mut ok = mage_codec::to_bytes(&Ok::<(), Fault>(())).unwrap();
+        ok.extend_from_slice(&[5, 6]);
+        let split = ReceiveArgs::split_reply(&Bytes::from(ok)).unwrap();
+        assert_eq!(split, Ok(Bytes::from_static(&[5, 6])));
+        let fault = Fault::App("boom".into());
+        let err = mage_codec::to_bytes(&Err::<(), _>(&fault)).unwrap();
+        let split = ReceiveArgs::split_reply(&Bytes::from(err)).unwrap();
+        assert_eq!(split, Err(fault));
+        assert!(ReceiveArgs::split_reply(&Bytes::new()).is_err());
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * a raw `mage_rmi::drive_call` round trip makes at most 4: the
 //!   driver hands its node a typed command and takes a typed completion
 //!   back, with no encoding in between, and the command's box is
-//!   recycled from one call to the next.
+//!   recycled from one call to the next;
+//! * an unguarded REV `bind_invoke` that moves a small object to a third
+//!   node makes at most 15, over two round trips: the act to the host and
+//!   the move's `receive`, which carries the invocation.
 //!
 //! A budget that fails prints the allocations per call by size, so the
 //! site that regressed can be named without a backtrace probe: 32 B is a
@@ -32,7 +35,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
 
-use mage_core::attribute::Rpc;
+use mage_core::attribute::{Rev, Rpc};
 use mage_core::workload_support::{methods, test_object_class};
 use mage_core::{MageNode, ObjectSpec, Runtime, Session, Stub};
 use mage_rmi::{client_endpoint, drive_call, server_endpoint, Config, Endpoint, Fault, ObjectEnv};
@@ -230,6 +233,40 @@ fn raw_drive_call_stays_within_4_allocations() {
         assert_eq!(mage_rmi::decode_result::<i64>(&out).unwrap(), 1);
     });
     assert!(tally.per_call <= 4.0 + GROWTH_SLACK, "drive_call: {tally}");
+}
+
+/// Two round trips: the act to the host, and the receive carrying the
+/// invocation, whose result rides back through both replies. The act
+/// followed by a separate invoke made 18 allocations per bind.
+#[test]
+fn unguarded_rev_bind_invoke_to_a_third_node_stays_within_15_allocations() {
+    let mut rt = Runtime::builder()
+        .seed(101)
+        .nodes(["c", "h", "t"])
+        .class(test_object_class())
+        .build();
+    for node in ["c", "h", "t"] {
+        rt.deploy_class("TestObject", node).unwrap();
+    }
+    rt.session("h")
+        .unwrap()
+        .create(ObjectSpec::new("counter").class("TestObject"))
+        .unwrap();
+    let client = rt.session("c").unwrap();
+    let there = Rev::new("TestObject", "counter", "t");
+    let back = Rev::new("TestObject", "counter", "h");
+    let mut expected = 0;
+    let tally = allocs_per_call(2, || {
+        for attr in [&there, &back] {
+            expected += 1;
+            let (_, v) = client.bind_invoke(attr, methods::INC, &()).unwrap();
+            assert_eq!(v, Some(expected));
+        }
+    });
+    assert!(
+        tally.per_call <= 15.0 + GROWTH_SLACK,
+        "REV bind_invoke: {tally}"
+    );
 }
 
 /// Issues `k` concurrent `call_async`s and drops every third `Pending`

@@ -1,13 +1,17 @@
 //! Locate and act in one pass: an unguarded built-in bind sends its plan
 //! along the registry chain in one `mage.act` request, with no find
-//! first, and the node hosting the object applies Table 2 and acts.
+//! first, and the node hosting the object applies Table 2 and acts. When
+//! the host moves the object, the move's `receive` carries the
+//! invocation, which the destination runs on arrival: the result comes
+//! back through the host's reply, with no second call.
 //!
 //! Each scenario pins the messages the bind sends, so a find creeping
-//! back in (or a walk that stops forwarding) shows as a count.
+//! back in (or a walk that stops forwarding, or an invoke after a move)
+//! shows as a count.
 
-use mage_core::attribute::{Cle, Grev, MobilityAttribute, Rpc};
+use mage_core::attribute::{Cle, Cod, Grev, MobileAgent, MobilityAttribute, Rev, Rpc};
 use mage_core::workload_support::{methods, test_object_class};
-use mage_core::{LockKind, MageError, ModelKind, ObjectSpec, Runtime, Session};
+use mage_core::{Durability, LockKind, MageError, Method, ModelKind, ObjectSpec, Runtime, Session};
 use mage_sim::{NodeId, SimDuration, TraceEvent};
 
 /// One retry budget of a call to a dead peer: four sends, 200 ms apart.
@@ -407,4 +411,329 @@ fn an_advisory_stale_incarnation_re_resolves() {
     drop(world);
     // c to h1 (refused), then c to the home h0, forwarded to h1.
     assert_eq!(acts_and_finds(&rt), (3, 0));
+}
+
+// ---- move and invoke in one pass ----
+
+/// A runtime on the default fabric and costs, so a bind's virtual time
+/// counts its round trips; every node caches the class, so no push
+/// interleaves.
+fn timed_runtime(nodes: &[&str]) -> Runtime {
+    let mut rt = Runtime::builder()
+        .seed(77)
+        .nodes(nodes.iter().copied())
+        .class(test_object_class())
+        .trace(true)
+        .build();
+    for node in nodes {
+        rt.deploy_class("TestObject", node).unwrap();
+    }
+    rt
+}
+
+/// A message as (label, from, to).
+type Msg = (String, NodeId, NodeId);
+
+/// Every message a node sent since the trace was last cleared.
+fn wire(rt: &Runtime) -> Vec<Msg> {
+    rt.world()
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Send {
+                from, to, label, ..
+            } if !from.is_driver() => Some((label.clone(), *from, *to)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The world's count of invocations run on arrival.
+fn arrival_invokes(rt: &Runtime) -> u64 {
+    rt.world().metrics().counter("arrival_invokes")
+}
+
+/// A measured bind: its runtime, its stub's location, its result, its
+/// messages and its virtual time.
+struct Measured {
+    rt: Runtime,
+    at: NodeId,
+    result: Option<i64>,
+    msgs: Vec<Msg>,
+    elapsed: SimDuration,
+}
+
+/// A warm bind from `c`, with INC, of `attr`, whose object lives at `h`
+/// and moves to `dest`. A first such bind, a move back to `h` from `dest`
+/// and a read from `c`, which leaves `c`'s registry naming `h`, run first,
+/// so every name the measured bind sends is already interned.
+fn warm_move(attr: &dyn MobilityAttribute, dest: &str) -> Measured {
+    let mut rt = timed_runtime(&["c", "h", "t"]);
+    rt.session("h")
+        .unwrap()
+        .create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    let c = rt.session("c").unwrap();
+    c.bind_invoke(attr, methods::INC, &()).unwrap();
+    grev(&rt.session(dest).unwrap(), "h");
+    c.bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+        .unwrap();
+    rt.world_mut().trace_mut().clear();
+    let start = rt.now();
+    let (stub, result) = c.bind_invoke(attr, methods::INC, &()).unwrap();
+    Measured {
+        elapsed: rt.now() - start,
+        msgs: wire(&rt),
+        at: stub.location(),
+        result,
+        rt,
+    }
+}
+
+/// Every unguarded built-in bind that moves its object is one exchange
+/// with the host: act, the receive carrying the invocation, and the two
+/// replies, the second bringing the result. REV and GREV to a third node,
+/// COD to the client and MA each take two round trips on the default
+/// fabric (the parent protocol's separate invoke made REV, GREV and COD
+/// three, 88.4 and 66.0 ms here); COD sends no loopback invoke, MA no
+/// one-way invoke.
+#[test]
+fn a_moving_bind_invokes_on_arrival_in_two_round_trips() {
+    let cases = [
+        (Rev::new("TestObject", "obj", "t"), "t", Some(2), 45_563),
+        (Grev::new("TestObject", "obj", "t"), "t", Some(2), 45_563),
+        (Cod::new("TestObject", "obj"), "c", Some(2), 45_563),
+        (
+            MobileAgent::new("TestObject", "obj", "t"),
+            "t",
+            None,
+            45_560,
+        ),
+    ];
+    for (attr, dest, result, micros) in cases {
+        let bind = warm_move(&attr, dest);
+        let rt = &bind.rt;
+        let [c, h, dest] = ["c", "h", dest].map(|n| rt.node_id(n).unwrap());
+        let model = attr.model();
+        assert_eq!((bind.at, bind.result), (dest, result), "{model:?}");
+        assert_eq!(
+            bind.msgs,
+            [
+                ("call:mage.act".to_owned(), c, h),
+                ("call:mage.receive".to_owned(), h, dest),
+                ("rsp:ok".to_owned(), dest, h),
+                ("rsp:ok".to_owned(), h, c),
+            ],
+            "{model:?}"
+        );
+        assert_eq!(bind.elapsed, SimDuration::from_micros(micros), "{model:?}");
+        // The INC ran once per bind, at the destination.
+        let (_, v) = rt
+            .session("c")
+            .unwrap()
+            .bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+            .unwrap();
+        assert_eq!(v, Some(2), "{model:?}");
+        assert_eq!(arrival_invokes(rt), 2, "{model:?}");
+    }
+}
+
+/// A guarded bind keeps §4.4's bracket: the session's find, the lock, the
+/// act that moves the object, then the invocation at the destination and
+/// the unlock. Its move carries no invocation.
+#[test]
+fn a_guarded_rev_still_locks_moves_invokes_and_unlocks() {
+    let bind = warm_move(&Rev::new("TestObject", "obj", "t").guarded(), "t");
+    let [c, h, t] = ["c", "h", "t"].map(|n| bind.rt.node_id(n).unwrap());
+    assert_eq!((bind.at, bind.result), (t, Some(2)));
+    let calls: Vec<_> = bind
+        .msgs
+        .into_iter()
+        .filter(|(label, ..)| label.starts_with("call:"))
+        .collect();
+    let call = |method: &str, from, to| (format!("call:mage.{method}"), from, to);
+    assert_eq!(
+        calls,
+        [
+            call("find", c, h),
+            call("lock", c, h),
+            call("act", c, h),
+            call("receive", h, t),
+            call("invoke", c, t),
+            call("unlock", c, t),
+        ]
+    );
+    assert_eq!(arrival_invokes(&bind.rt), 0);
+}
+
+/// An invocation that faults on arrival surfaces typed, as a fault of an
+/// invoke after the move would, and the move stands: the object is at its
+/// destination, unchanged.
+#[test]
+fn an_invocation_that_faults_on_arrival_leaves_the_object_moved() {
+    let rt = runtime(&["c", "h", "t"]);
+    rt.session("h")
+        .unwrap()
+        .create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    let c = rt.session("c").unwrap();
+    let nope: Method<(), i64> = Method::new("nope");
+    let err = c
+        .bind_invoke(&Rev::new("TestObject", "obj", "t"), nope, &())
+        .unwrap_err();
+    assert!(
+        matches!(&err, MageError::Rmi(msg) if msg.contains("nope")),
+        "{err:?}"
+    );
+    let t = rt.node_id("t").unwrap();
+    assert_eq!(c.find("obj").unwrap(), t);
+    let (stub, v) = c
+        .bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+        .unwrap();
+    assert_eq!((stub.location(), v), (t, Some(0)));
+    assert_eq!(arrival_invokes(&rt), 1);
+}
+
+/// A destination without the class refuses the first receive before
+/// hosting anything; the host pushes the class and resends the same
+/// bytes, invocation included, which runs exactly once.
+#[test]
+fn a_class_missing_resend_runs_the_invocation_once() {
+    let mut rt = Runtime::builder()
+        .fast()
+        .seed(77)
+        .nodes(["c", "h", "t"])
+        .class(test_object_class())
+        .trace(true)
+        .build();
+    rt.deploy_class("TestObject", "h").unwrap();
+    rt.session("h")
+        .unwrap()
+        .create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    rt.world_mut().trace_mut().clear();
+    let c = rt.session("c").unwrap();
+    let (stub, v) = c
+        .bind_invoke(&Rev::new("TestObject", "obj", "t"), methods::INC, &())
+        .unwrap();
+    let [h, t] = ["h", "t"].map(|n| rt.node_id(n).unwrap());
+    assert_eq!((stub.location(), v), (t, Some(1)));
+    let calls: Vec<_> = service_calls(&rt)
+        .into_iter()
+        .filter(|(_, from, _)| *from == h)
+        .map(|(method, _, to)| (method, to))
+        .collect();
+    let to_t = |method: &str| (method.to_owned(), t);
+    assert_eq!(
+        calls,
+        [to_t("receive"), to_t("receiveClass"), to_t("receive")]
+    );
+    assert_eq!(arrival_invokes(&rt), 1);
+    let (_, v) = c
+        .bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+        .unwrap();
+    assert_eq!(v, Some(1));
+}
+
+/// At most once across a lost receive reply: the link between the
+/// destination and the host goes down right after the receive carrying
+/// an INC left the host. The destination hosts the object and runs the
+/// INC; its reply never arrives, so the host's move spends its budget and
+/// aborts, putting its own copy back in service, and the client's act to
+/// the home runs out as well. The bind ends typed, nothing re-sends the
+/// invocation, and neither copy shows the INC twice.
+#[test]
+fn a_lost_receive_reply_runs_the_carried_invocation_at_most_once() {
+    let mut rt = runtime(&["c", "h", "t"]);
+    rt.session("h")
+        .unwrap()
+        .create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    rt.world_mut().trace_mut().clear();
+    let c = rt.session("c").unwrap();
+    let pending = c
+        .bind_invoke_async(&Rev::new("TestObject", "obj", "t"), methods::INC, &())
+        .unwrap();
+    let [h, t] = ["h", "t"].map(|n| rt.node_id(n).unwrap());
+    while !service_calls(&rt).contains(&("receive".to_owned(), h, t)) {
+        assert!(rt.step(), "the receive must leave the host");
+    }
+    rt.partition_between("t", "h").unwrap();
+    rt.run_until_idle().unwrap();
+    assert_eq!(
+        pending.wait().unwrap_err(),
+        MageError::Unreachable { peer: h.as_raw() }
+    );
+    assert_eq!(arrival_invokes(&rt), 1);
+    assert_eq!(
+        service_calls(&rt)
+            .iter()
+            .filter(|c| c.0 == "invoke")
+            .count(),
+        0
+    );
+    rt.heal_between("t", "h").unwrap();
+    for (node, count) in [("t", 1), ("h", 0)] {
+        let (stub, v) = rt
+            .session(node)
+            .unwrap()
+            .bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+            .unwrap();
+        assert_eq!(
+            (stub.location(), v),
+            (rt.node_id(node).unwrap(), Some(count))
+        );
+    }
+    assert_eq!(arrival_invokes(&rt), 1);
+}
+
+/// The same loss when the client hosts the object, which is replicated:
+/// the move fails `Unreachable` at the destination, where the INC may
+/// have run, so the bind's once-only consultation of the backup home is
+/// not spent on a restore that would move and invoke again.
+#[test]
+fn a_lost_receive_reply_of_a_client_hosted_move_restores_nothing() {
+    let mut rt = runtime(&["c", "t", "b"]);
+    let c = rt.session("c").unwrap();
+    c.create(
+        ObjectSpec::new("obj")
+            .class("TestObject")
+            .durability(Durability::Replicated { backups: 1 })
+            .backup("b"),
+    )
+    .unwrap();
+    rt.run_until_idle().unwrap();
+    rt.world_mut().trace_mut().clear();
+    let pending = c
+        .bind_invoke_async(&Rev::new("TestObject", "obj", "t"), methods::INC, &())
+        .unwrap();
+    let [client, t] = ["c", "t"].map(|n| rt.node_id(n).unwrap());
+    while !service_calls(&rt).contains(&("receive".to_owned(), client, t)) {
+        assert!(rt.step(), "the receive must leave the client");
+    }
+    rt.partition_between("c", "t").unwrap();
+    rt.run_until_idle().unwrap();
+    assert_eq!(
+        pending.wait().unwrap_err(),
+        MageError::Unreachable { peer: t.as_raw() }
+    );
+    assert_eq!(arrival_invokes(&rt), 1);
+    let calls = service_calls(&rt);
+    assert!(
+        !calls.iter().any(|c| c.0 == "restore" || c.0 == "act"),
+        "{calls:?}"
+    );
+    rt.heal_between("c", "t").unwrap();
+    for (node, count) in [("t", 1), ("c", 0)] {
+        let (stub, v) = rt
+            .session(node)
+            .unwrap()
+            .bind_invoke(&Cle::new("TestObject", "obj"), methods::GET, &())
+            .unwrap();
+        assert_eq!(
+            (stub.location(), v),
+            (rt.node_id(node).unwrap(), Some(count))
+        );
+    }
 }

@@ -182,6 +182,9 @@ pub struct ChaosReport {
     /// chain) that took at least one forwarding hop; a client's act from
     /// the home counts again if the home forwards it.
     pub act_forwards: u64,
+    /// World metric: invocations a destination ran on arrival, carried in
+    /// the `receive` of a move an act made.
+    pub arrival_invokes: u64,
     /// Fault actions applied.
     pub crashes: usize,
     /// Nodes brought back.
@@ -412,6 +415,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         world_rebinds: 0,
         dead_peer_skips: 0,
         act_forwards: 0,
+        arrival_invokes: 0,
         crashes: 0,
         restarts: 0,
         partitions: 0,
@@ -702,6 +706,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         report.world_rebinds = metrics.counter("rebinds") + metrics.counter("auto_rebinds");
         report.dead_peer_skips = metrics.counter("dead_peer_skips");
         report.act_forwards = metrics.counter("act_forwards");
+        report.arrival_invokes = metrics.counter("arrival_invokes");
     }
     report.elapsed_us = (rt.now() - start).as_micros();
 
